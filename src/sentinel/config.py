@@ -6,6 +6,7 @@ map units, durations in steps unless a field name says otherwise.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,10 @@ def validate(cfg: SimConfig) -> SimConfig:
             bad.append((name, detail))
 
     cx, cy = cfg.center
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    for name, value in {**values, "center_x": cx, "center_y": cy}.items():
+        if isinstance(value, float):
+            check(math.isfinite(value), "NonFiniteValue", f"{name}={value}")
     check(cfg.total_drones > 0, "TotalDronesNotPositive", f"total_drones={cfg.total_drones}")
     check(cfg.num_malicious >= 0, "MaliciousCountNegative", f"num_malicious={cfg.num_malicious}")
     check(
@@ -109,6 +114,11 @@ def validate(cfg: SimConfig) -> SimConfig:
         cfg.patrol_radius < cfg.map_size / 2,
         "PatrolRadiusExceedsHalfMap",
         f"patrol_radius={cfg.patrol_radius} not < map_size/2={cfg.map_size / 2}",
+    )
+    check(
+        cfg.ea_orbit_radius < cfg.map_size / 2,
+        "OrbitRadiusExceedsHalfMap",
+        f"ea_orbit_radius={cfg.ea_orbit_radius} not < map_size/2={cfg.map_size / 2}",
     )
     check(cfg.intercept_radius > 0, "InterceptRadiusNotPositive", f"intercept_radius={cfg.intercept_radius}")
     check(

@@ -8,37 +8,29 @@ the step index the call advances the world to.
 
 import math
 import random
-from dataclasses import dataclass
 
+from . import enforcement
 from .config import SimConfig
 from .world import (
+    ON_CIRCLE_EPS,
     Drone,
     DroneRole,
-    EAMode,
     Enemy,
     Event,
     Outcome,
     Point2,
     WorldState,
     breach_occurred,
+    circle_step,
     clamp_to_map,
     distance,
     move_toward,
+    nearest_enemy,
 )
-
-# Tolerance for "sitting exactly on the patrol circle". Arc advancement
-# recomputes positions from the circle equation, so drift stays below this.
-_ON_CIRCLE_EPS = 1e-9
 
 
 class SteppingTerminatedEpisode(RuntimeError):
     """Raised when step() is called on a world whose outcome is already set."""
-
-
-@dataclass
-class StepOutcome:
-    world: WorldState
-    terminated: Outcome | None
 
 
 def _wrap_angle(a: float) -> float:
@@ -48,7 +40,11 @@ def _wrap_angle(a: float) -> float:
 
 def _fold_into_sector(offset: float, half_width: float, direction: int) -> tuple[float, int]:
     # Reflect the angular offset back into [-half_width, half_width],
-    # flipping the sweep direction once per bounce.
+    # flipping the sweep direction once per bounce. A whole period of
+    # 4 * half_width bounces twice, so dropping whole periods first keeps the
+    # direction and bounds the loop for any finite offset.
+    if abs(offset) > 3.0 * half_width:
+        offset = math.fmod(offset, 4.0 * half_width)
     while offset > half_width or offset < -half_width:
         if offset > half_width:
             offset = 2.0 * half_width - offset
@@ -78,51 +74,28 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
         angle = math.atan2(drone.position.y - cy, drone.position.x - cx)
         offset = _wrap_angle(angle - sector_center)
 
-    on_circle = abs(r - radius) <= _ON_CIRCLE_EPS
-    in_sector = abs(offset) <= half + 1e-12
-    if not (on_circle and in_sector):
-        clamped = min(max(offset, -half), half)
-        target = Point2(
-            cx + radius * math.cos(sector_center + clamped),
-            cy + radius * math.sin(sector_center + clamped),
-        )
-        return move_toward(drone.position, target, cfg.drone_speed)
-
-    step_angle = cfg.drone_speed / radius
-    offset, drone.patrol_dir = _fold_into_sector(offset + drone.patrol_dir * step_angle, half, drone.patrol_dir)
-    return Point2(
-        cx + radius * math.cos(sector_center + offset),
-        cy + radius * math.sin(sector_center + offset),
-    )
-
-
-def nearest_enemy(position: Point2, enemies: list[Enemy]) -> Enemy | None:
-    """Closest live enemy; ties broken by lowest enemy id."""
-    best = None
-    best_key = None
-    for e in enemies:
-        key = (distance(position, e.position), e.id)
-        if best_key is None or key < best_key:
-            best, best_key = e, key
-    return best
+    on_arc = abs(r - radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12
+    if on_arc:
+        step_angle = cfg.drone_speed / radius
+        offset, drone.patrol_dir = _fold_into_sector(offset + drone.patrol_dir * step_angle, half, drone.patrol_dir)
+    else:
+        offset = min(max(offset, -half), half)
+    return circle_step(drone.position, on_arc, sector_center + offset, radius, cfg)
 
 
 def compliant_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
     """Velocity for a cooperating drone: intercept the nearest detected
-    threat, otherwise sweep the own sector. Sets drone.target_enemy."""
+    threat, otherwise sweep the own sector."""
     enemy = nearest_enemy(drone.position, world.enemies)
     if enemy is not None and distance(drone.position, enemy.position) <= cfg.detection_radius:
-        drone.target_enemy = enemy.id
         new_pos = move_toward(drone.position, enemy.position, cfg.drone_speed)
     else:
-        drone.target_enemy = None
         new_pos = _sector_patrol_move(drone, cfg)
     return Point2(new_pos.x - drone.position.x, new_pos.y - drone.position.y)
 
 
 def malicious_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
     """Velocity for a defecting drone: patrol as usual, never pursue."""
-    drone.target_enemy = None
     new_pos = _sector_patrol_move(drone, cfg)
     return Point2(new_pos.x - drone.position.x, new_pos.y - drone.position.y)
 
@@ -190,13 +163,9 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
     world.enemies = survivors
 
 
-def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> StepOutcome:
-    """Advance the world one tick. Raises SteppingTerminatedEpisode if the
-    episode already has an outcome."""
-    # Import here to avoid a module cycle; enforcement drives drones through
-    # the same world the policies above mutate.
-    from .enforcement import run_enforcement_phase
-
+def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
+    """Advance the world one tick; world.outcome is set once the episode
+    ends. Raises SteppingTerminatedEpisode if it already has an outcome."""
     if world.outcome is not None:
         raise SteppingTerminatedEpisode(f"episode ended with {world.outcome.value} at step {world.step}")
 
@@ -218,10 +187,9 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> StepOutcome:
         d.position = new_pos
 
     # 3) enforcement agents observe, judge, move, and possibly reform
-    failsafe_fired = run_enforcement_phase(world, cfg)
-    if failsafe_fired:
+    if enforcement.run_enforcement_phase(world, cfg):
         world.outcome = Outcome.FAIL
-        return StepOutcome(world=world, terminated=world.outcome)
+        return
 
     # 4) enemy motion
     for e in world.enemies:
@@ -237,5 +205,3 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> StepOutcome:
         world.events.append(Event(step=world.step, kind="breach", data={}))
     elif world.step >= cfg.time_limit_steps:
         world.outcome = Outcome.SUCCESS
-
-    return StepOutcome(world=world, terminated=world.outcome)

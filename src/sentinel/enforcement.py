@@ -8,26 +8,31 @@ are merely mid-turn.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import SimConfig
 from .world import (
+    ON_CIRCLE_EPS,
     DroneRole,
     EAMode,
     EnforcementAgentState,
     Event,
     Point2,
     WorldState,
+    circle_step,
+    clamp_to_map,
     distance,
     move_toward,
+    nearest_enemy,
 )
-from .dynamics import nearest_enemy
 
 # A displacement counts as pursuit when it points at the nearest in-range
 # threat within this cone.
 PURSUIT_ANGLE_TOLERANCE_DEG = 15.0
 
-_ON_CIRCLE_EPS = 1e-9
+# With the failsafe on, a pursuit that lasts more than this many suspicion
+# thresholds ends the episode.
+FAILSAFE_THRESHOLDS = 4
 
 
 @dataclass
@@ -38,15 +43,6 @@ class Observation:
     drone_id: int
     nearest_enemy_distance: float | None
     pursuing: bool
-
-
-@dataclass
-class StatusReport:
-    step: int
-    suspicion_snapshot: dict[int, int]
-    reformed_so_far: int
-    live_enemies: int
-    failsafe_triggered: bool
 
 
 def _points_toward(displacement: Point2, origin: Point2, target: Point2) -> bool:
@@ -92,7 +88,7 @@ def update_suspicion(
     observations: list[Observation],
     world: WorldState,
     cfg: SimConfig,
-) -> EnforcementAgentState:
+) -> None:
     """Fold one round of observations into the agent's suspicion map.
 
     A violation (threat in detection range, drone not pursuing it) adds one;
@@ -125,22 +121,19 @@ def update_suspicion(
                     data={"ea": ea.id, "drone": target, "count": ea.suspicion[target]},
                 )
             )
-    return ea
 
 
 def _orbit_move(ea: EnforcementAgentState, cfg: SimConfig) -> Point2:
     # Return to the orbit circle if displaced, else advance counter-clockwise
-    # along it. Recomputing from the circle equation keeps the radius exact.
+    # along it.
     cx, cy = cfg.center
-    center = Point2(cx, cy)
     radius = cfg.ea_orbit_radius
-    r = distance(ea.position, center)
+    r = distance(ea.position, Point2(cx, cy))
     angle = 0.0 if r == 0.0 else math.atan2(ea.position.y - cy, ea.position.x - cx)
-    if abs(r - radius) > _ON_CIRCLE_EPS:
-        target = Point2(cx + radius * math.cos(angle), cy + radius * math.sin(angle))
-        return move_toward(ea.position, target, cfg.drone_speed)
-    angle += cfg.drone_speed / radius
-    return Point2(cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
+    if on_orbit:
+        angle += cfg.drone_speed / radius
+    return circle_step(ea.position, on_orbit, angle, radius, cfg)
 
 
 def _drone_by_id(world: WorldState, drone_id: int):
@@ -160,9 +153,7 @@ def ea_policy(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> P
     return Point2(new_pos.x - ea.position.x, new_pos.y - ea.position.y)
 
 
-def attempt_reformation(
-    ea: EnforcementAgentState, world: WorldState, cfg: SimConfig
-) -> tuple[WorldState, EnforcementAgentState]:
+def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> None:
     """Reform the pursued suspect if it is within reach.
 
     Reformation is terminal and idempotent: the drone is cleared from every
@@ -170,14 +161,13 @@ def attempt_reformation(
     two agents arriving the same step yield exactly one reformation event.
     """
     if ea.mode is not EAMode.PURSUE:
-        return world, ea
+        return
     suspect = _drone_by_id(world, ea.pursue_target)
     if distance(ea.position, suspect.position) > cfg.reform_radius:
-        return world, ea
+        return
 
     if suspect.role is DroneRole.MALICIOUS:
         suspect.role = DroneRole.REFORMED
-        suspect.target_enemy = None
         for agent in world.eas:
             agent.suspicion.pop(suspect.id, None)
             if agent.mode is EAMode.PURSUE and agent.pursue_target == suspect.id:
@@ -192,23 +182,16 @@ def attempt_reformation(
         ea.mode = EAMode.PATROL
         ea.pursue_target = None
         ea.pursue_since = None
-    return world, ea
 
 
-def report(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> StatusReport:
-    """Snapshot of the agent's view, including the stuck-pursuit failsafe."""
-    triggered = bool(
+def failsafe_due(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> bool:
+    """True when the failsafe is on and the agent's pursuit has lasted more
+    than FAILSAFE_THRESHOLDS suspicion thresholds."""
+    return (
         cfg.failsafe_enabled
         and ea.mode is EAMode.PURSUE
         and ea.pursue_since is not None
-        and world.step - ea.pursue_since > 4 * cfg.suspicion_threshold
-    )
-    return StatusReport(
-        step=world.step,
-        suspicion_snapshot=dict(ea.suspicion),
-        reformed_so_far=sum(1 for d in world.drones if d.role is DroneRole.REFORMED),
-        live_enemies=len(world.enemies),
-        failsafe_triggered=triggered,
+        and world.step - ea.pursue_since > FAILSAFE_THRESHOLDS * cfg.suspicion_threshold
     )
 
 
@@ -217,8 +200,6 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
 
     Returns True when the failsafe demands termination.
     """
-    from .world import clamp_to_map
-
     failsafe_fired = False
     for ea in world.eas:
         observations = observe(ea, world, cfg)
@@ -226,7 +207,7 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
         v = ea_policy(ea, world, cfg)
         ea.position = clamp_to_map(Point2(ea.position.x + v.x, ea.position.y + v.y), cfg)
         attempt_reformation(ea, world, cfg)
-        if cfg.failsafe_enabled and report(ea, world, cfg).failsafe_triggered:
+        if failsafe_due(ea, world, cfg):
             world.events.append(Event(step=world.step, kind="failsafe", data={"ea": ea.id, "drone": ea.pursue_target}))
             failsafe_fired = True
     return failsafe_fired

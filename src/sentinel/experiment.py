@@ -3,7 +3,8 @@
 A batch derives one 64-bit seed per run from (base_seed, run_index) with the
 splitmix64 finalizer, so records depend only on those two integers and the
 config, never on scheduling. SENTINEL_THREADS caps worker processes
-(unset or 1 runs in-process, 0 picks the CPU count).
+(unset or 1 runs in-process, 0 picks the CPU count; anything but a
+non-negative integer is a ValueError).
 """
 
 import os
@@ -67,14 +68,12 @@ def check_record(
     time_limit_steps: int | None = None,
     fps: int | None = None,
     total_drones: int | None = None,
-    check_time: bool = True,
 ) -> None:
     """Raise RecordInvariantError on a malformed record.
 
     Structural invariants are always enforced. The config-dependent ones run
     only when the matching expectation is supplied, because a record does
-    not carry its config. check_time=False skips the time_s consistency
-    check; transcriptions of wall-clock timings need that.
+    not carry its config.
     """
     bad = []
     if rec.run < 1:
@@ -94,7 +93,7 @@ def check_record(
     if time_limit_steps is not None:
         if (rec.result == "success") != (rec.steps == time_limit_steps):
             bad.append(f"result {rec.result!r} inconsistent with steps {rec.steps} of {time_limit_steps}")
-    if fps is not None and check_time:
+    if fps is not None:
         expected = round(rec.steps / fps, 2)
         if abs(rec.time_s - expected) > 1e-9:
             bad.append(f"time_s {rec.time_s} != steps/fps {expected}")
@@ -144,10 +143,10 @@ def _worker_count(num_runs: int) -> int:
         return 1
     try:
         requested = int(raw)
+        if requested < 0:
+            raise ValueError
     except ValueError:
-        return 1
-    if requested < 0:
-        return 1
+        raise ValueError(f"SENTINEL_THREADS must be a non-negative integer, got {raw!r}") from None
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, min(requested, num_runs))
@@ -209,7 +208,6 @@ def read_records(
     time_limit_steps: int | None = None,
     fps: int | None = None,
     total_drones: int | None = None,
-    check_time: bool = True,
 ) -> list[RunRecord]:
     """Parse a records file; errors carry 1-based line numbers.
 
@@ -227,13 +225,7 @@ def read_records(
             continue
         rec = parse_record_line(line, line_number)
         try:
-            check_record(
-                rec,
-                time_limit_steps=time_limit_steps,
-                fps=fps,
-                total_drones=total_drones,
-                check_time=check_time,
-            )
+            check_record(rec, time_limit_steps=time_limit_steps, fps=fps, total_drones=total_drones)
         except RecordInvariantError as exc:
             raise RecordParseError(line_number, str(exc)) from None
         records.append(rec)

@@ -14,8 +14,24 @@ class Point2(NamedTuple):
     y: float
 
 
+# Tolerance for "sitting exactly on a patrol circle". Circle walking
+# recomputes positions from the circle equation, so drift stays below this.
+ON_CIRCLE_EPS = 1e-9
+
+
 def distance(a: Point2, b: Point2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def nearest_enemy(position: Point2, enemies: list["Enemy"]) -> "Enemy | None":
+    """Closest live enemy; ties broken by lowest enemy id."""
+    best = None
+    best_key = None
+    for e in enemies:
+        key = (distance(position, e.position), e.id)
+        if best_key is None or key < best_key:
+            best, best_key = e, key
+    return best
 
 
 def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
@@ -30,6 +46,14 @@ def move_toward(p: Point2, target: Point2, max_step: float) -> Point2:
         return target
     f = max_step / gap
     return Point2(p.x + (target.x - p.x) * f, p.y + (target.y - p.y) * f)
+
+
+def circle_step(position: Point2, on_track: bool, angle: float, radius: float, cfg: SimConfig) -> Point2:
+    """The point at ``angle`` on the circle of ``radius`` around the center
+    when ``on_track``; otherwise one drone_speed step toward that point."""
+    cx, cy = cfg.center
+    target = Point2(cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    return target if on_track else move_toward(position, target, cfg.drone_speed)
 
 
 class DroneRole(Enum):
@@ -56,7 +80,6 @@ class Drone:
     position: Point2
     role: DroneRole
     sector_index: int
-    target_enemy: int | None = None
     patrol_dir: int = 1
     last_move: Point2 = Point2(0.0, 0.0)
 

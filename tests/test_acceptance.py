@@ -46,7 +46,7 @@ def close(value, target, tolerance):
 
 def test_criterion_1_two_agent_aggregates():
     started = time.perf_counter()
-    stats = aggregate(read_records(fixture_path("two_ea"), check_time=False))
+    stats = aggregate(read_records(fixture_path("two_ea")))
     elapsed = time.perf_counter() - started
 
     failures = []
@@ -67,7 +67,7 @@ def test_criterion_1_two_agent_aggregates():
 
 def test_criterion_2_no_agent_aggregates():
     started = time.perf_counter()
-    records = read_records(fixture_path("no_ea"), check_time=False)
+    records = read_records(fixture_path("no_ea"))
     stats = aggregate(records)
     elapsed = time.perf_counter() - started
 
@@ -100,7 +100,7 @@ def test_criterion_2_no_agent_aggregates():
 
 
 def test_criterion_3_one_agent_inconsistency_is_documented():
-    stats = aggregate(read_records(fixture_path("one_ea"), check_time=False))
+    stats = aggregate(read_records(fixture_path("one_ea")))
 
     failures = []
     check(failures, close(stats.success_rate_pct, 100.0 / 30, 1e-9), f"success {stats.success_rate_pct:.4f} != 1/30")
@@ -331,7 +331,7 @@ def test_criterion_7_format_round_trips(tmp_path):
 
     for name in ("no_ea", "one_ea", "two_ea"):
         try:
-            parsed = read_records(fixture_path(name), time_limit_steps=1200, fps=10, total_drones=6, check_time=False)
+            parsed = read_records(fixture_path(name), time_limit_steps=1200, total_drones=6)
         except Exception as exc:
             failures.append(f"fixture {name} failed to parse: {exc}")
         else:

@@ -156,6 +156,48 @@ def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def simulate_in_subprocess(tmp_path, config_text):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config_text)
+    return subprocess.run(
+        [sys.executable, "-m", "sentinel.cli", "simulate", "--eas", "1", "--runs", "2", "--seed", "1"]
+        + ["--config", str(cfg_file), "--out", str(tmp_path / "records.csv")],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+
+
+def test_infinite_speed_config_exits_1_instead_of_hanging(tmp_path):
+    proc = simulate_in_subprocess(tmp_path, "drone_speed = inf\n")
+    assert proc.returncode == 1
+    assert "NonFiniteValue" in proc.stderr
+
+
+def test_huge_finite_speed_config_finishes(tmp_path):
+    proc = simulate_in_subprocess(tmp_path, "drone_speed = 1e9\ntime_limit_steps = 60\n")
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_records(tmp_path / "records.csv", time_limit_steps=60)) == 2
+
+
+def test_orbit_radius_beyond_half_map_is_a_runtime_error(tmp_path, capsys):
+    cfg_file = tmp_path / "orbit.cfg"
+    cfg_file.write_text("ea_orbit_radius = 70\n")
+    code = main(["simulate", "--eas", "1", "--runs", "1", "--seed", "1", "--config", str(cfg_file)])
+    assert code == 1
+    assert "OrbitRadiusExceedsHalfMap" in capsys.readouterr().err
+
+
+def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # The worker count is parsed before any pool is created.
+    monkeypatch.setenv("SENTINEL_THREADS", "abc")
+    out = tmp_path / "records.csv"
+    code = main(["simulate", "--eas", "0", "--runs", "2", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "error: SENTINEL_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_as_a_subprocess(tmp_path):
     out = tmp_path / "records.csv"
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Config construction, validation, overrides, and the key=value loader."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -68,6 +69,37 @@ def test_patrol_circle_must_fit_in_the_map():
     with pytest.raises(ConfigError) as err:
         validate(cfg)
     assert "PatrolRadiusExceedsHalfMap" in err.value.violations
+
+
+def test_orbit_circle_must_fit_in_the_map():
+    cfg = apply_overrides(default_config(), ea_orbit_radius=70.0)
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert "OrbitRadiusExceedsHalfMap" in err.value.violations
+
+
+def test_every_non_finite_float_is_rejected_by_name():
+    base = default_config()
+    overrides = [
+        {f.name: value}
+        for f in dataclasses.fields(base)
+        if isinstance(getattr(base, f.name), float)
+        for value in (math.inf, -math.inf, math.nan)
+    ]
+    overrides += [{"center": (math.nan, 60.0)}, {"center": (60.0, math.inf)}]
+    for override in overrides:
+        with pytest.raises(ConfigError) as err:
+            validate(apply_overrides(base, **override))
+        assert "NonFiniteValue" in err.value.violations, override
+
+
+def test_load_config_rejects_an_infinite_speed(tmp_path):
+    path = tmp_path / "inf.cfg"
+    path.write_text("drone_speed = inf\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == ["NonFiniteValue"]
+    assert "drone_speed=inf" in str(err.value)
 
 
 def test_detection_radius_must_exceed_intercept_radius():

@@ -9,6 +9,7 @@ import pytest
 from sentinel.config import apply_overrides, default_config
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
+    _fold_into_sector,
     compliant_policy,
     enemy_policy,
     malicious_policy,
@@ -152,7 +153,6 @@ def test_compliant_policy_pursues_the_nearest_detected_enemy():
     d = compliant(0, 60.0, 60.0)
     world = bare_world(d, enemies=[Enemy(2, Point2(68.0, 60.0), 0), Enemy(1, Point2(69.0, 60.0), 0)])
     v = compliant_policy(d, world, cfg)
-    assert d.target_enemy == 2
     assert v.x > 0 and abs(v.y) < 1e-12
     assert math.hypot(v.x, v.y) <= cfg.drone_speed + 1e-9
 
@@ -161,8 +161,8 @@ def test_compliant_policy_breaks_distance_ties_by_lowest_id():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
     world = bare_world(d, enemies=[Enemy(7, Point2(52.0, 60.0), 0), Enemy(3, Point2(68.0, 60.0), 0)])
-    compliant_policy(d, world, cfg)
-    assert d.target_enemy == 3
+    v = compliant_policy(d, world, cfg)
+    assert v.x > 0  # toward enemy 3 at x=68, not enemy 7 at x=52
 
 
 def test_compliant_policy_ignores_enemies_beyond_detection_radius():
@@ -170,8 +170,8 @@ def test_compliant_policy_ignores_enemies_beyond_detection_radius():
     world = initial_world(apply_overrides(cfg, num_malicious=0), 4)
     d = world.drones[0]
     world.enemies.append(Enemy(0, Point2(0.0, 0.0), 0))
-    compliant_policy(d, world, cfg)
-    assert d.target_enemy is None
+    patrol = malicious_policy(copy.deepcopy(d), world, cfg)
+    assert compliant_policy(d, world, cfg) == patrol
 
 
 def test_patrol_keeps_the_drone_on_its_circle():
@@ -212,6 +212,37 @@ def test_patrol_reverses_direction_instead_of_leaving_the_sector():
     assert directions == {1, -1}
 
 
+def test_sector_fold_drops_whole_periods_without_changing_the_direction():
+    half = math.pi / 6
+
+    def bounce(offset, direction):
+        while abs(offset) > half:
+            offset = (2.0 if offset > 0 else -2.0) * half - offset
+            direction = -direction
+        return offset, direction
+
+    # Offsets that land exactly on a sector boundary are left out: there the
+    # rounding of either method decides whether one more bounce happens.
+    for offset in (3.1 * half, -3.7 * half, 9.5 * half, -22.25 * half, 41.3 * half):
+        folded, direction = _fold_into_sector(offset, half, 1)
+        expected, expected_direction = bounce(offset, 1)
+        assert direction == expected_direction
+        assert abs(folded - expected) < 1e-9
+
+
+def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
+    cfg = apply_overrides(default_config(), num_malicious=0, drone_speed=1e9)
+    world = initial_world(cfg, 8)
+    cx, cy = cfg.center
+    d = world.drones[1]
+    sector_center = 2.0 * math.pi * d.sector_index / cfg.total_drones
+    for _ in range(3):
+        v = compliant_policy(d, world, cfg)
+        d.position = Point2(d.position.x + v.x, d.position.y + v.y)
+        offset = math.atan2(d.position.y - cy, d.position.x - cx) - sector_center
+        assert abs(math.atan2(math.sin(offset), math.cos(offset))) <= math.pi / cfg.total_drones + 1e-9
+
+
 def test_displaced_drone_returns_to_its_arc():
     cfg = default_config()
     world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
@@ -229,7 +260,6 @@ def test_malicious_policy_never_pursues():
     d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS, sector_index=0)
     world = bare_world(d, enemies=[Enemy(0, Point2(63.0, 60.0), 0)])
     v = malicious_policy(d, world, cfg)
-    assert d.target_enemy is None
     # patrol velocity, not a straight line onto the threat 3 units away
     moved = Point2(d.position.x + v.x, d.position.y + v.y)
     assert distance(moved, Point2(63.0, 60.0)) > 1e-6
@@ -309,8 +339,7 @@ def test_step_reaches_success_at_the_time_limit():
     cfg = apply_overrides(default_config(), first_spawn_step=5000)
     world = initial_world(cfg, 3)
     world.step = 1199
-    out = step(world, cfg, random.Random(0))
-    assert out.terminated is Outcome.SUCCESS
+    step(world, cfg, random.Random(0))
     assert world.step == 1200
     assert world.outcome is Outcome.SUCCESS
 
@@ -320,8 +349,7 @@ def test_step_fails_when_an_enemy_breaches():
     world = initial_world(cfg, 3)
     world.enemies.append(Enemy(0, Point2(60.0, 65.9), 0))
     world.next_enemy_id = 1
-    out = step(world, cfg, random.Random(0))
-    assert out.terminated is Outcome.FAIL
+    step(world, cfg, random.Random(0))
     assert world.outcome is Outcome.FAIL
     assert any(e.kind == "breach" for e in world.events)
 

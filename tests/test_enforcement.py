@@ -1,4 +1,4 @@
-"""Enforcement agents: observation, suspicion, pursuit, reformation, report."""
+"""Enforcement agents: observation, suspicion, pursuit, reformation, failsafe."""
 
 import copy
 import math
@@ -12,8 +12,8 @@ from sentinel.enforcement import (
     PURSUIT_ANGLE_TOLERANCE_DEG,
     attempt_reformation,
     ea_policy,
+    failsafe_due,
     observe,
-    report,
     update_suspicion,
 )
 from sentinel.world import (
@@ -377,24 +377,16 @@ def test_reformed_drone_runs_the_compliant_policy_afterwards():
     assert checked > 0
 
 
-# --- reporting ----------------------------------------------------------------
+# --- failsafe ------------------------------------------------------------------
 
 
-def test_fresh_world_reports_nothing():
-    cfg = apply_overrides(default_config(), num_eas=1)
+def test_fresh_agent_has_no_suspicion_and_no_failsafe():
+    cfg = apply_overrides(default_config(), num_eas=1, failsafe_enabled=True)
     world = initial_world(cfg, 3)
-    rep = report(world.eas[0], world, cfg)
-    assert rep.reformed_so_far == 0
-    assert rep.failsafe_triggered is False
-    assert rep.live_enemies == 0
-    assert rep.suspicion_snapshot == {}
-
-
-def test_report_counts_reformations():
-    cfg, world, ea, _ = pursuit_scene(9.0)
-    attempt_reformation(ea, world, cfg)
-    rep = report(ea, world, cfg)
-    assert rep.reformed_so_far == 1
+    ea = world.eas[0]
+    assert ea.suspicion == {}
+    assert failsafe_due(ea, world, cfg) is False
+    assert not any(d.role is DroneRole.REFORMED for d in world.drones)
 
 
 def test_failsafe_stays_silent_when_disabled():
@@ -402,7 +394,7 @@ def test_failsafe_stays_silent_when_disabled():
     ea = ea_at(0, 0.0, 0.0, mode=EAMode.PURSUE, pursue_target=1, pursue_since=0)
     drone = drone_at(1, 90.0, 60.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[drone], eas=[ea], step_index=1000)
-    assert report(ea, world, cfg).failsafe_triggered is False
+    assert failsafe_due(ea, world, cfg) is False
 
 
 def test_failsafe_window_is_four_thresholds_exclusive():
@@ -411,9 +403,9 @@ def test_failsafe_window_is_four_thresholds_exclusive():
     ea = ea_at(0, 0.0, 0.0, mode=EAMode.PURSUE, pursue_target=1, pursue_since=10)
     drone = drone_at(1, 90.0, 60.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[drone], eas=[ea], step_index=10 + window)
-    assert report(ea, world, cfg).failsafe_triggered is False
+    assert failsafe_due(ea, world, cfg) is False
     world.step += 1
-    assert report(ea, world, cfg).failsafe_triggered is True
+    assert failsafe_due(ea, world, cfg) is True
 
 
 def test_failsafe_terminates_the_episode_through_step():

@@ -136,9 +136,11 @@ def test_worker_count_parsing(monkeypatch):
     monkeypatch.setenv("SENTINEL_THREADS", "0")
     assert _worker_count(30) >= 1
     monkeypatch.setenv("SENTINEL_THREADS", "junk")
-    assert _worker_count(30) == 1
+    with pytest.raises(ValueError, match="SENTINEL_THREADS"):
+        _worker_count(30)
     monkeypatch.setenv("SENTINEL_THREADS", "-3")
-    assert _worker_count(30) == 1
+    with pytest.raises(ValueError, match="SENTINEL_THREADS"):
+        _worker_count(30)
 
 
 # --- record format ----------------------------------------------------------------
@@ -222,7 +224,7 @@ def test_check_record_validates_simulated_time():
     rec = RunRecord(run=1, ea=0, result="fail", steps=116, time_s=10.19, healthy=5, malicious=1, reformed=0)
     with pytest.raises(RecordInvariantError):
         check_record(rec, fps=10)
-    check_record(rec, fps=10, check_time=False)
+    check_record(rec)  # structural checks alone cannot see the frame rate
 
 
 def test_check_record_rejects_unknown_results():
@@ -237,13 +239,7 @@ def test_check_record_rejects_unknown_results():
 def test_fixture_files_parse_cleanly_without_the_time_check():
     assert FIXTURE_NAMES == ("no_ea", "one_ea", "two_ea")
     for name, expected_ea in zip(FIXTURE_NAMES, (0, 1, 2)):
-        records = read_records(
-            fixture_path(name),
-            time_limit_steps=1200,
-            fps=10,
-            total_drones=6,
-            check_time=False,
-        )
+        records = read_records(fixture_path(name), time_limit_steps=1200, total_drones=6)
         assert len(records) == 30
         assert [r.run for r in records] == list(range(1, 31))
         assert all(r.ea == expected_ea for r in records)

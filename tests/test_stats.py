@@ -21,7 +21,7 @@ from sentinel.stats import (
 
 
 def load_fixture(name):
-    return read_records(fixture_path(name), check_time=False)
+    return read_records(fixture_path(name))
 
 
 def record(run, ea, result, steps, time_s, reformed):
