@@ -3,11 +3,12 @@ snapshots. Exit codes: 0 success, 2 usage error, 1 runtime failure."""
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, apply_overrides, default_config, load_config, validate
-from .experiment import RecordError, read_records, run_episode, mix_seed, run_batch, write_records
-from .render import render_frame, write_image
+from .experiment import RecordError, read_records, run_batch, run_episode, write_records
+from .render import SnapshotError, read_snapshot, render_frame, write_image
 from .stats import (
     SUMMARY_CSV_HEADER,
     StatsError,
@@ -16,7 +17,6 @@ from .stats import (
     summary_csv_row,
     verify_against_reference,
 )
-from .world import SnapshotError, read_snapshot
 
 
 def _nonneg_int(raw: str) -> int:
@@ -56,6 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _framed_episode(frames_dir: Path, cfg, run_index: int, seed: int):
+    """One run of a --frames batch: play it, write its final frame as
+    run_<index>.ppm, and return its record."""
+    record, world = run_episode(cfg, run_index, seed)
+    write_image(render_frame(world, cfg), frames_dir / f"run_{run_index}.ppm")
+    return record
+
+
 def _cmd_simulate(args) -> int:
     cfg = default_config()
     if args.config:
@@ -66,11 +74,7 @@ def _cmd_simulate(args) -> int:
     if args.frames:
         frames_dir = Path(args.frames)
         frames_dir.mkdir(parents=True, exist_ok=True)
-        records = []
-        for i in range(1, args.runs + 1):
-            record, world = run_episode(cfg, i, mix_seed(args.seed, i))
-            records.append(record)
-            write_image(render_frame(world, cfg), frames_dir / f"run_{i}.ppm")
+        records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, frames_dir))
     else:
         records = run_batch(cfg, args.runs, args.seed)
 
@@ -106,8 +110,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    world = read_snapshot(Path(args.world).read_text(encoding="utf-8"))
-    frame = render_frame(world, default_config())
+    world, cfg = read_snapshot(Path(args.world).read_text(encoding="utf-8"))
+    frame = render_frame(world, cfg)
     write_image(frame, args.out)
     print(f"wrote {frame.width}x{frame.height} image to {args.out}")
     return 0

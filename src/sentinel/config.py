@@ -157,45 +157,22 @@ def apply_overrides(cfg: SimConfig, **overrides) -> SimConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
-# Field-name table used by the file loader. center is flattened to two keys.
-_INT_KEYS = {
-    "total_drones",
-    "num_malicious",
-    "num_eas",
-    "enemy_spawn_period",
-    "first_spawn_step",
-    "time_limit_steps",
-    "fps",
-    "suspicion_threshold",
-}
-_FLOAT_KEYS = {
-    "map_size",
-    "center_radius",
-    "detection_radius",
-    "drone_speed",
-    "enemy_speed",
-    "intercept_radius",
-    "patrol_radius",
-    "ea_orbit_radius",
-    "ea_monitor_radius",
-    "reform_radius",
-    "center_x",
-    "center_y",
-}
-_BOOL_KEYS = {"failsafe_enabled"}
+# Value type of every key the file loader accepts: the SimConfig fields,
+# with center flattened to two keys.
+_KEY_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig) if f.name != "center"}
+_KEY_TYPES.update(center_x=float, center_y=float)
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError([("BadValue", f"line {line_no}: {key}={raw!r}")]) from None
+    kind = _KEY_TYPES[key]
+    if kind is not bool:
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError([("BadValue", f"line {line_no}: {key}={raw!r}")]) from None
     word = raw.lower()
     if word in _TRUE_WORDS:
         return True
@@ -213,7 +190,6 @@ def load_config(path, base: SimConfig | None = None) -> SimConfig:
     base = base if base is not None else default_config()
     text = Path(path).read_text(encoding="utf-8")
     fields: dict = {}
-    cx, cy = base.center
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -223,14 +199,9 @@ def load_config(path, base: SimConfig | None = None) -> SimConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError([("UnknownConfigKey", f"line {line_no}: {key!r}")])
-        value = _parse_value(key, raw, line_no)
-        if key == "center_x":
-            cx = value
-        elif key == "center_y":
-            cy = value
-        else:
-            fields[key] = value
-    cfg = dataclasses.replace(base, center=(cx, cy), **fields)
-    return validate(cfg)
+        fields[key] = _parse_value(key, raw, line_no)
+    cx, cy = base.center
+    center = (fields.pop("center_x", cx), fields.pop("center_y", cy))
+    return validate(dataclasses.replace(base, center=center, **fields))

@@ -132,8 +132,7 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
     return record, world
 
 
-def _episode_record(args) -> RunRecord:
-    cfg, run_index, seed = args
+def _episode_record(cfg: SimConfig, run_index: int, seed: int) -> RunRecord:
     return run_episode(cfg, run_index, seed)[0]
 
 
@@ -152,17 +151,23 @@ def _worker_count(num_runs: int) -> int:
     return max(1, min(requested, num_runs))
 
 
-def run_batch(cfg: SimConfig, num_runs: int, base_seed: int) -> list[RunRecord]:
-    """Records for runs 1..num_runs, in run order regardless of scheduling."""
+def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_record) -> list[RunRecord]:
+    """Records for runs 1..num_runs, in run order regardless of scheduling.
+
+    Each run is ``episode(cfg, run_index, seed)``, which returns its record;
+    with more than one worker it runs in a pool process, so it must pickle
+    (a module-level function, or a functools.partial of one).
+    """
     validate(cfg)
     if num_runs < 1:
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
-    tasks = [(cfg, i, mix_seed(base_seed, i)) for i in range(1, num_runs + 1)]
+    runs = range(1, num_runs + 1)
+    args = ([cfg] * num_runs, runs, [mix_seed(base_seed, i) for i in runs])
     workers = _worker_count(num_runs)
     if workers <= 1:
-        return [_episode_record(t) for t in tasks]
+        return list(map(episode, *args))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_episode_record, tasks))
+        return list(pool.map(episode, *args))
 
 
 def format_record(rec: RunRecord) -> str:

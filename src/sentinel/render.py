@@ -1,10 +1,11 @@
-"""Dependency-free rasterizer: world snapshots to binary portable pixmaps."""
+"""Dependency-free rasterizer: world snapshots to binary portable pixmaps,
+and the snapshot text format that the render CLI reads."""
 
 import math
 from dataclasses import dataclass
 
-from .config import SimConfig
-from .world import DroneRole, WorldState
+from .config import SimConfig, apply_overrides, default_config, validate
+from .world import Drone, DroneRole, EAMode, Enemy, EnforcementAgentState, Outcome, Point2, WorldState
 
 WHITE = (255, 255, 255)
 ZONE_GRAY = (200, 200, 200)
@@ -17,6 +18,7 @@ ROLE_COLORS = {
 }
 
 ENTITY_RADIUS_PX = 2
+SCALE = 4  # pixels per map unit
 
 
 @dataclass
@@ -45,41 +47,27 @@ def _fill_disc(frame: Frame, cx: int, cy: int, radius: float, color: tuple[int, 
                 frame.pixels[base + 2] = b
 
 
-def render_frame(world: WorldState, cfg: SimConfig, scale: int = 4) -> Frame:
+def _px(v: float) -> int:
+    return round_half_up(v * SCALE)
+
+
+def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     """Rasterize the world: white ground, gray protected zone, then enemies,
     drones, and enforcement agents as small discs, in that draw order.
 
     World x maps to pixel column, world y to pixel row; coordinates are
-    rounded half up after scaling.
+    rounded half up after scaling by SCALE.
     """
-    side = round_half_up(cfg.map_size * scale)
+    side = _px(cfg.map_size)
     frame = Frame(width=side, height=side, pixels=bytearray(WHITE * (side * side)))
     cx, cy = cfg.center
-    _fill_disc(frame, round_half_up(cx * scale), round_half_up(cy * scale), cfg.center_radius * scale, ZONE_GRAY)
+    _fill_disc(frame, _px(cx), _px(cy), cfg.center_radius * SCALE, ZONE_GRAY)
     for e in world.enemies:
-        _fill_disc(
-            frame,
-            round_half_up(e.position.x * scale),
-            round_half_up(e.position.y * scale),
-            ENTITY_RADIUS_PX,
-            ENEMY_BLACK,
-        )
+        _fill_disc(frame, _px(e.position.x), _px(e.position.y), ENTITY_RADIUS_PX, ENEMY_BLACK)
     for d in world.drones:
-        _fill_disc(
-            frame,
-            round_half_up(d.position.x * scale),
-            round_half_up(d.position.y * scale),
-            ENTITY_RADIUS_PX,
-            ROLE_COLORS[d.role],
-        )
+        _fill_disc(frame, _px(d.position.x), _px(d.position.y), ENTITY_RADIUS_PX, ROLE_COLORS[d.role])
     for ea in world.eas:
-        _fill_disc(
-            frame,
-            round_half_up(ea.position.x * scale),
-            round_half_up(ea.position.y * scale),
-            ENTITY_RADIUS_PX,
-            EA_ORANGE,
-        )
+        _fill_disc(frame, _px(ea.position.x), _px(ea.position.y), ENTITY_RADIUS_PX, EA_ORANGE)
     return frame
 
 
@@ -93,3 +81,80 @@ def write_image(frame: Frame, dest) -> None:
     """Write the frame as a P6 file; I/O failures surface with the path."""
     with open(dest, "wb") as fh:
         fh.write(ppm_bytes(frame))
+
+
+# --- debug snapshots ---------------------------------------------------------
+# Line-oriented text, one entity per line. A debugging aid and the input of
+# the render CLI, not a stability contract. The map line carries the
+# geometry that rendering needs; a snapshot without it is read as the
+# default map.
+
+
+def write_snapshot(world: WorldState, cfg: SimConfig) -> str:
+    cx, cy = cfg.center
+    lines = [
+        f"map {cfg.map_size!r} {cx!r} {cy!r} {cfg.center_radius!r}",
+        f"step {world.step}",
+        f"destroyed {world.enemies_destroyed}",
+    ]
+    if world.outcome is not None:
+        lines.append(f"outcome {world.outcome.value}")
+    for d in world.drones:
+        lines.append(f"drone {d.id} {d.position.x!r} {d.position.y!r} {d.role.value}")
+    for e in world.enemies:
+        lines.append(f"enemy {e.id} {e.position.x!r} {e.position.y!r} -")
+    for ea in world.eas:
+        lines.append(f"ea {ea.id} {ea.position.x!r} {ea.position.y!r} {ea.mode.value}")
+    return "\n".join(lines) + "\n"
+
+
+class SnapshotError(ValueError):
+    pass
+
+
+def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
+    """Rebuild the renderable part of a world from snapshot text, with the
+    default config carrying the snapshot's map geometry, validated."""
+    world = WorldState(step=0, drones=[], enemies=[], eas=[])
+    cfg = default_config()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        parts = stripped.split()
+        try:
+            head = parts[0]
+            if head == "map":
+                _, size, x, y, radius = parts
+                center = (float(x), float(y))
+                cfg = apply_overrides(cfg, map_size=float(size), center=center, center_radius=float(radius))
+            elif head == "step":
+                world.step = int(parts[1])
+            elif head == "destroyed":
+                world.enemies_destroyed = int(parts[1])
+            elif head == "outcome":
+                world.outcome = Outcome(parts[1])
+            elif head == "drone":
+                _, ident, x, y, role = parts
+                world.drones.append(
+                    Drone(
+                        id=int(ident),
+                        position=Point2(float(x), float(y)),
+                        role=DroneRole(role),
+                        sector_index=int(ident),
+                    )
+                )
+            elif head == "enemy":
+                _, ident, x, y, _mark = parts
+                world.enemies.append(Enemy(id=int(ident), position=Point2(float(x), float(y)), spawned_at=0))
+                world.next_enemy_id = max(world.next_enemy_id, int(ident) + 1)
+            elif head == "ea":
+                _, ident, x, y, mode = parts
+                world.eas.append(
+                    EnforcementAgentState(id=int(ident), position=Point2(float(x), float(y)), mode=EAMode(mode))
+                )
+            else:
+                raise ValueError(f"unknown entity kind {head!r}")
+        except (ValueError, IndexError) as exc:
+            raise SnapshotError(f"line {line_no}: {exc}") from None
+    return world, validate(cfg)

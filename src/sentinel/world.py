@@ -152,67 +152,3 @@ def breach_occurred(world: WorldState, cfg: SimConfig) -> bool:
     """True iff any live enemy is inside the protected zone."""
     c = Point2(*cfg.center)
     return any(distance(e.position, c) <= cfg.center_radius for e in world.enemies)
-
-
-# --- debug snapshots ---------------------------------------------------------
-# Line-oriented text, one entity per line. A debugging aid and the input of
-# the render CLI, not a stability contract.
-
-
-def write_snapshot(world: WorldState) -> str:
-    lines = [f"step {world.step}", f"destroyed {world.enemies_destroyed}"]
-    if world.outcome is not None:
-        lines.append(f"outcome {world.outcome.value}")
-    for d in world.drones:
-        lines.append(f"drone {d.id} {d.position.x!r} {d.position.y!r} {d.role.value}")
-    for e in world.enemies:
-        lines.append(f"enemy {e.id} {e.position.x!r} {e.position.y!r} -")
-    for ea in world.eas:
-        lines.append(f"ea {ea.id} {ea.position.x!r} {ea.position.y!r} {ea.mode.value}")
-    return "\n".join(lines) + "\n"
-
-
-class SnapshotError(ValueError):
-    pass
-
-
-def read_snapshot(text: str) -> WorldState:
-    """Rebuild the renderable part of a world from snapshot text."""
-    world = WorldState(step=0, drones=[], enemies=[], eas=[])
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        try:
-            head = parts[0]
-            if head == "step":
-                world.step = int(parts[1])
-            elif head == "destroyed":
-                world.enemies_destroyed = int(parts[1])
-            elif head == "outcome":
-                world.outcome = Outcome(parts[1])
-            elif head == "drone":
-                _, ident, x, y, role = parts
-                world.drones.append(
-                    Drone(
-                        id=int(ident),
-                        position=Point2(float(x), float(y)),
-                        role=DroneRole(role),
-                        sector_index=int(ident),
-                    )
-                )
-            elif head == "enemy":
-                _, ident, x, y, _mark = parts
-                world.enemies.append(Enemy(id=int(ident), position=Point2(float(x), float(y)), spawned_at=0))
-                world.next_enemy_id = max(world.next_enemy_id, int(ident) + 1)
-            elif head == "ea":
-                _, ident, x, y, mode = parts
-                world.eas.append(
-                    EnforcementAgentState(id=int(ident), position=Point2(float(x), float(y)), mode=EAMode(mode))
-                )
-            else:
-                raise ValueError(f"unknown entity kind {head!r}")
-        except (ValueError, IndexError) as exc:
-            raise SnapshotError(f"line {line_no}: {exc}") from None
-    return world

@@ -3,11 +3,14 @@
 import subprocess
 import sys
 
+import pytest
+
 from sentinel.cli import main
 from sentinel.config import apply_overrides, default_config
 from sentinel.experiment import read_records
 from sentinel.fixtures import fixture_path
-from sentinel.world import initial_world, write_snapshot
+from sentinel.render import write_snapshot
+from sentinel.world import initial_world
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -64,6 +67,20 @@ def test_simulate_frames_do_not_change_the_records(tmp_path, capsys):
         ["simulate", "--eas", "0", "--runs", "2", "--seed", "9", "--out", str(framed), "--frames", str(tmp_path / "f")]
     )
     assert plain.read_bytes() == framed.read_bytes()
+    capsys.readouterr()
+
+
+def test_threaded_frames_match_serial_frames(tmp_path, monkeypatch, capsys):
+    def simulate(label):
+        out, frames = tmp_path / f"{label}.csv", tmp_path / label
+        args = ["simulate", "--eas", "1", "--runs", "2", "--seed", "11", "--out", str(out), "--frames", str(frames)]
+        assert main(args) == 0
+        return out.read_bytes(), [(frames / f"run_{i}.ppm").read_bytes() for i in (1, 2)]
+
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    serial = simulate("serial")
+    monkeypatch.setenv("SENTINEL_THREADS", "2")
+    assert simulate("threaded") == serial
     capsys.readouterr()
 
 
@@ -140,12 +157,22 @@ def test_aggregate_missing_file_is_a_runtime_error(tmp_path, capsys):
 def test_render_produces_an_image_from_a_snapshot(tmp_path, capsys):
     cfg = apply_overrides(default_config(), num_eas=2)
     snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, 7)))
+    snapshot.write_text(write_snapshot(initial_world(cfg, 7), cfg))
     out = tmp_path / "frame.ppm"
     code = main(["render", "--world", str(snapshot), "--out", str(out)])
     assert code == 0
     assert out.read_bytes().startswith(b"P6\n480 480\n255\n")
     assert "480x480" in capsys.readouterr().out
+
+
+def test_render_draws_a_non_default_map_whole(tmp_path, capsys):
+    cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
+    snapshot = tmp_path / "world.txt"
+    snapshot.write_text(write_snapshot(initial_world(cfg, 7), cfg))
+    out = tmp_path / "frame.ppm"
+    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"P6\n800 800\n255\n")
+    assert "800x800" in capsys.readouterr().out
 
 
 def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):
@@ -188,11 +215,13 @@ def test_orbit_radius_beyond_half_map_is_a_runtime_error(tmp_path, capsys):
     assert "OrbitRadiusExceedsHalfMap" in capsys.readouterr().err
 
 
-def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("frames", [False, True], ids=["records", "frames"])
+def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys, frames):
     # The worker count is parsed before any pool is created.
     monkeypatch.setenv("SENTINEL_THREADS", "abc")
     out = tmp_path / "records.csv"
-    code = main(["simulate", "--eas", "0", "--runs", "2", "--seed", "1", "--out", str(out)])
+    extra = ["--frames", str(tmp_path / "frames")] if frames else []
+    code = main(["simulate", "--eas", "0", "--runs", "2", "--seed", "1", "--out", str(out)] + extra)
     assert code == 1
     assert "error: SENTINEL_THREADS" in capsys.readouterr().err
     assert not out.exists()

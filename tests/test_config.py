@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinel.config import (
     ConfigError,
@@ -14,6 +16,7 @@ from sentinel.config import (
     load_config,
     validate,
 )
+from test_acceptance import random_valid_config
 
 
 def test_defaults_validate():
@@ -208,3 +211,47 @@ def test_randomized_valid_overrides_pass_validation():
             reform_radius=rng.uniform(1.0, 15.0),
         )
         assert validate(cfg) is cfg
+
+
+# --- property tests of the file loader ----------------------------------------------
+
+# Derandomized so that every run of the suite checks the same examples.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+KEYS = [f.name for f in dataclasses.fields(SimConfig)] + ["center_x", "center_y"]
+# Codepoints up to U+07FF: ASCII, Latin, Greek, Cyrillic and the Arabic-Indic
+# digits that int() and float() accept; no surrogates, so every line encodes.
+TEXT = st.text(st.characters(max_codepoint=0x7FF, exclude_categories=()), max_size=20)
+VALUES = st.one_of(
+    TEXT,
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["yes", "No", "ON", "off", "1", "0", "", "1e999", "-0", "0x10", "1_000"]),
+)
+LINES = st.one_of(
+    TEXT,
+    st.builds("{} = {}".format, st.one_of(st.sampled_from(KEYS), TEXT), VALUES),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(LINES, max_size=6))
+def test_load_config_returns_a_config_or_raises_config_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert validate(cfg) is cfg
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32), st.booleans())
+def test_every_field_written_as_its_repr_loads_back(tmp_path_factory, seed, failsafe):
+    cfg = apply_overrides(random_valid_config(random.Random(seed)), failsafe_enabled=failsafe)
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    values["center_x"], values["center_y"] = values.pop("center")
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()), encoding="utf-8")
+    assert load_config(path) == cfg

@@ -1,27 +1,19 @@
-"""World construction, geometry helpers, breach detection, and snapshots."""
+"""World construction, geometry helpers, and breach detection."""
 
 import math
 import random
 
-import pytest
-
 from sentinel.config import apply_overrides, default_config
 from sentinel.world import (
-    Drone,
     DroneRole,
     EAMode,
     Enemy,
-    Outcome,
     Point2,
-    SnapshotError,
-    WorldState,
     breach_occurred,
     clamp_to_map,
     distance,
     initial_world,
     move_toward,
-    read_snapshot,
-    write_snapshot,
 )
 
 
@@ -141,43 +133,3 @@ def test_breach_true_only_inside_center_radius():
     assert not breach_occurred(world, cfg)
     world.enemies[0].position = Point2(60.0, 65.0)
     assert breach_occurred(world, cfg)
-
-
-def test_snapshot_round_trips_the_renderable_state():
-    cfg = apply_overrides(default_config(), num_eas=2)
-    world = initial_world(cfg, 13)
-    world.step = 57
-    world.enemies_destroyed = 4
-    world.outcome = Outcome.FAIL
-    world.enemies.append(Enemy(id=9, position=Point2(12.25, 0.0), spawned_at=30))
-    text = write_snapshot(world)
-    back = read_snapshot(text)
-    assert back.step == 57
-    assert back.enemies_destroyed == 4
-    assert back.outcome is Outcome.FAIL
-    assert [(d.id, d.position, d.role) for d in back.drones] == [
-        (d.id, d.position, d.role) for d in world.drones
-    ]
-    assert [(e.id, e.position) for e in back.enemies] == [(9, Point2(12.25, 0.0))]
-    assert [(a.id, a.position, a.mode) for a in back.eas] == [
-        (a.id, a.position, a.mode) for a in world.eas
-    ]
-
-
-def test_snapshot_errors_carry_line_numbers():
-    with pytest.raises(SnapshotError) as err:
-        read_snapshot("step 3\nwhatnot 1 2 3 4\n")
-    assert "line 2" in str(err.value)
-    with pytest.raises(SnapshotError) as err:
-        read_snapshot("drone x 1 2 compliant\n")
-    assert "line 1" in str(err.value)
-
-
-def test_snapshot_preserves_float_precision():
-    world = WorldState(step=0, drones=[], enemies=[], eas=[])
-    world.drones.append(
-        Drone(id=0, position=Point2(1.0 / 3.0, 2.0 / 7.0), role=DroneRole.REFORMED, sector_index=0)
-    )
-    back = read_snapshot(write_snapshot(world))
-    assert back.drones[0].position == Point2(1.0 / 3.0, 2.0 / 7.0)
-    assert back.drones[0].role is DroneRole.REFORMED
