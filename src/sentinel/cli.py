@@ -58,8 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _framed_episode(frames_dir: Path, cfg, run_index: int, seed: int):
     """One run of a --frames batch: play it, write its final frame as
-    run_<index>.ppm, and return its record."""
+    run_<index>.ppm, and return its record. The directory is made here, once
+    the batch has started, so a batch that fails to start leaves none."""
     record, world = run_episode(cfg, run_index, seed)
+    frames_dir.mkdir(parents=True, exist_ok=True)
     write_image(render_frame(world, cfg), frames_dir / f"run_{run_index}.ppm")
     return record
 
@@ -72,9 +74,7 @@ def _cmd_simulate(args) -> int:
     validate(cfg)
 
     if args.frames:
-        frames_dir = Path(args.frames)
-        frames_dir.mkdir(parents=True, exist_ok=True)
-        records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, frames_dir))
+        records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, Path(args.frames)))
     else:
         records = run_batch(cfg, args.runs, args.seed)
 

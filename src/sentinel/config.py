@@ -87,9 +87,17 @@ def validate(cfg: SimConfig) -> SimConfig:
 
     cx, cy = cfg.center
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    for name, value in {**values, "center_x": cx, "center_y": cy}.items():
-        if isinstance(value, float):
-            check(math.isfinite(value), "NonFiniteValue", f"{name}={value}")
+    floats = {k: v for k, v in {**values, "center_x": cx, "center_y": cy}.items() if isinstance(v, float)}
+    if all(map(math.isfinite, floats.values())):
+        # What the dynamics derive from finite fields must be finite too: the
+        # spawn perimeter and the angular steps along the patrol and orbit.
+        floats["4*map_size"] = 4.0 * cfg.map_size
+        if cfg.patrol_radius > 0:
+            floats["drone_speed/patrol_radius"] = cfg.drone_speed / cfg.patrol_radius
+        if cfg.ea_orbit_radius > 0:
+            floats["drone_speed/ea_orbit_radius"] = cfg.drone_speed / cfg.ea_orbit_radius
+    for name, value in floats.items():
+        check(math.isfinite(value), "NonFiniteValue", f"{name}={value}")
     check(cfg.total_drones > 0, "TotalDronesNotPositive", f"total_drones={cfg.total_drones}")
     check(cfg.num_malicious >= 0, "MaliciousCountNegative", f"num_malicious={cfg.num_malicious}")
     check(

@@ -65,7 +65,7 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     center = Point2(cx, cy)
     radius = cfg.patrol_radius
     half = math.pi / cfg.total_drones
-    sector_center = 2.0 * math.pi * drone.sector_index / cfg.total_drones
+    sector_center = 2.0 * math.pi * drone.id / cfg.total_drones
 
     r = distance(drone.position, center)
     if r == 0.0:

@@ -14,7 +14,6 @@ from .config import SimConfig
 from .world import (
     ON_CIRCLE_EPS,
     DroneRole,
-    EAMode,
     EnforcementAgentState,
     Event,
     Point2,
@@ -110,8 +109,7 @@ def update_suspicion(
     hot = sorted(d for d, count in ea.suspicion.items() if count >= cfg.suspicion_threshold)
     if hot:
         target = hot[0]
-        if ea.mode is not EAMode.PURSUE or ea.pursue_target != target:
-            ea.mode = EAMode.PURSUE
+        if ea.pursue_target != target:
             ea.pursue_target = target
             ea.pursue_since = world.step
             world.events.append(
@@ -143,7 +141,7 @@ def _drone_by_id(world: WorldState, drone_id: int):
 def ea_policy(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> Point2:
     """Velocity for the agent: orbital patrol, or a straight chase that
     parks once the suspect is within reform range."""
-    if ea.mode is EAMode.PURSUE:
+    if ea.pursue_target is not None:
         suspect = _drone_by_id(world, ea.pursue_target)
         if distance(ea.position, suspect.position) <= cfg.reform_radius:
             return Point2(0.0, 0.0)
@@ -160,7 +158,7 @@ def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimCo
     agent's suspicion map and every agent chasing it goes back to patrol, so
     two agents arriving the same step yield exactly one reformation event.
     """
-    if ea.mode is not EAMode.PURSUE:
+    if ea.pursue_target is None:
         return
     suspect = _drone_by_id(world, ea.pursue_target)
     if distance(ea.position, suspect.position) > cfg.reform_radius:
@@ -170,8 +168,7 @@ def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimCo
         suspect.role = DroneRole.REFORMED
         for agent in world.eas:
             agent.suspicion.pop(suspect.id, None)
-            if agent.mode is EAMode.PURSUE and agent.pursue_target == suspect.id:
-                agent.mode = EAMode.PATROL
+            if agent.pursue_target == suspect.id:
                 agent.pursue_target = None
                 agent.pursue_since = None
         world.events.append(Event(step=world.step, kind="reformation", data={"ea": ea.id, "drone": suspect.id}))
@@ -179,7 +176,6 @@ def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimCo
         # Raced by another agent, or a suspect that was never malicious:
         # stand down and demand fresh evidence.
         ea.suspicion.pop(suspect.id, None)
-        ea.mode = EAMode.PATROL
         ea.pursue_target = None
         ea.pursue_since = None
 
@@ -189,7 +185,6 @@ def failsafe_due(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -
     than FAILSAFE_THRESHOLDS suspicion thresholds."""
     return (
         cfg.failsafe_enabled
-        and ea.mode is EAMode.PURSUE
         and ea.pursue_since is not None
         and world.step - ea.pursue_since > FAILSAFE_THRESHOLDS * cfg.suspicion_threshold
     )

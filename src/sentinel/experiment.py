@@ -10,14 +10,12 @@ non-negative integer is a ValueError).
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .config import SimConfig, validate
 from .dynamics import step
 from .world import DroneRole, WorldState, initial_world
-
-CSV_HEADER = "run,ea,result,steps,time_s,healthy,malicious,reformed"
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -60,6 +58,13 @@ class RunRecord:
     healthy: int
     malicious: int
     reformed: int
+
+
+# The record CSV columns are the RunRecord fields, in order; floats print
+# with 2 decimals.
+_FIELDS = fields(RunRecord)
+_FIELD_SPECS = [(f.name, ".2f" if f.type is float else "") for f in _FIELDS]
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
 def check_record(
@@ -171,10 +176,7 @@ def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_re
 
 
 def format_record(rec: RunRecord) -> str:
-    return (
-        f"{rec.run},{rec.ea},{rec.result},{rec.steps},{rec.time_s:.2f},"
-        f"{rec.healthy},{rec.malicious},{rec.reformed}"
-    )
+    return ",".join(format(getattr(rec, name), spec) for name, spec in _FIELD_SPECS)
 
 
 def write_records(records: list[RunRecord], dest) -> None:
@@ -189,22 +191,12 @@ def write_records(records: list[RunRecord], dest) -> None:
 
 def parse_record_line(line: str, line_number: int) -> RunRecord:
     parts = line.split(",")
-    if len(parts) != 8:
-        raise RecordParseError(line_number, f"expected 8 fields, got {len(parts)}")
+    if len(parts) != len(_FIELDS):
+        raise RecordParseError(line_number, f"expected {len(_FIELDS)} fields, got {len(parts)}")
     try:
-        rec = RunRecord(
-            run=int(parts[0]),
-            ea=int(parts[1]),
-            result=parts[2],
-            steps=int(parts[3]),
-            time_s=float(parts[4]),
-            healthy=int(parts[5]),
-            malicious=int(parts[6]),
-            reformed=int(parts[7]),
-        )
+        return RunRecord(*(f.type(raw) for f, raw in zip(_FIELDS, parts)))
     except ValueError as exc:
         raise RecordParseError(line_number, str(exc)) from None
-    return rec
 
 
 def read_records(

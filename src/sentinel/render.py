@@ -4,8 +4,8 @@ and the snapshot text format that the render CLI reads."""
 import math
 from dataclasses import dataclass
 
-from .config import SimConfig, apply_overrides, default_config, validate
-from .world import Drone, DroneRole, EAMode, Enemy, EnforcementAgentState, Outcome, Point2, WorldState
+from .config import SimConfig, apply_overrides, default_config
+from .world import Drone, DroneRole, Enemy, EnforcementAgentState, Outcome, Point2, WorldState
 
 WHITE = (255, 255, 255)
 ZONE_GRAY = (200, 200, 200)
@@ -87,7 +87,8 @@ def write_image(frame: Frame, dest) -> None:
 # Line-oriented text, one entity per line. A debugging aid and the input of
 # the render CLI, not a stability contract. The map line carries the
 # geometry that rendering needs; a snapshot without it is read as the
-# default map.
+# default map. The last token of an ea line is the pursued drone id, or "-"
+# while the agent patrols.
 
 
 def write_snapshot(world: WorldState, cfg: SimConfig) -> str:
@@ -104,7 +105,8 @@ def write_snapshot(world: WorldState, cfg: SimConfig) -> str:
     for e in world.enemies:
         lines.append(f"enemy {e.id} {e.position.x!r} {e.position.y!r} -")
     for ea in world.eas:
-        lines.append(f"ea {ea.id} {ea.position.x!r} {ea.position.y!r} {ea.mode.value}")
+        target = "-" if ea.pursue_target is None else ea.pursue_target
+        lines.append(f"ea {ea.id} {ea.position.x!r} {ea.position.y!r} {target}")
     return "\n".join(lines) + "\n"
 
 
@@ -114,7 +116,11 @@ class SnapshotError(ValueError):
 
 def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
     """Rebuild the renderable part of a world from snapshot text, with the
-    default config carrying the snapshot's map geometry, validated."""
+    default config carrying the snapshot's map geometry.
+
+    Only the geometry that rendering reads is checked: finite values, the
+    center strictly inside the map and a positive center radius.
+    """
     world = WorldState(step=0, drones=[], enemies=[], eas=[])
     cfg = default_config()
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -125,9 +131,10 @@ def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
         try:
             head = parts[0]
             if head == "map":
-                _, size, x, y, radius = parts
-                center = (float(x), float(y))
-                cfg = apply_overrides(cfg, map_size=float(size), center=center, center_radius=float(radius))
+                size, x, y, radius = values = tuple(map(float, parts[1:]))
+                if not (all(map(math.isfinite, values)) and 0 < x < size and 0 < y < size and radius > 0):
+                    raise ValueError("map values must be finite, the center strictly inside, the radius positive")
+                cfg = apply_overrides(cfg, map_size=size, center=(x, y), center_radius=radius)
             elif head == "step":
                 world.step = int(parts[1])
             elif head == "destroyed":
@@ -136,25 +143,17 @@ def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
                 world.outcome = Outcome(parts[1])
             elif head == "drone":
                 _, ident, x, y, role = parts
-                world.drones.append(
-                    Drone(
-                        id=int(ident),
-                        position=Point2(float(x), float(y)),
-                        role=DroneRole(role),
-                        sector_index=int(ident),
-                    )
-                )
+                world.drones.append(Drone(id=int(ident), position=Point2(float(x), float(y)), role=DroneRole(role)))
             elif head == "enemy":
                 _, ident, x, y, _mark = parts
                 world.enemies.append(Enemy(id=int(ident), position=Point2(float(x), float(y)), spawned_at=0))
                 world.next_enemy_id = max(world.next_enemy_id, int(ident) + 1)
             elif head == "ea":
-                _, ident, x, y, mode = parts
-                world.eas.append(
-                    EnforcementAgentState(id=int(ident), position=Point2(float(x), float(y)), mode=EAMode(mode))
-                )
+                _, ident, x, y, target = parts
+                pursued = None if target == "-" else int(target)
+                world.eas.append(EnforcementAgentState(int(ident), Point2(float(x), float(y)), pursue_target=pursued))
             else:
                 raise ValueError(f"unknown entity kind {head!r}")
         except (ValueError, IndexError) as exc:
             raise SnapshotError(f"line {line_no}: {exc}") from None
-    return world, validate(cfg)
+    return world, cfg

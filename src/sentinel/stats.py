@@ -91,19 +91,12 @@ _TABLE_ROWS = (
     ("Malicious Std", "malicious_std", 2),
 )
 
-SUMMARY_CSV_HEADER = (
-    "label,ea,n_runs,success_rate_pct,avg_duration_s,duration_std_s,avg_steps,"
-    "avg_reformed,reformed_std,avg_malicious,malicious_std"
-)
+SUMMARY_CSV_HEADER = ",".join(["label", "ea", "n_runs"] + [attr for _, attr, _ in _TABLE_ROWS])
 
 
 def summary_csv_row(label: str, stats: AggregateStats) -> str:
-    return (
-        f"{label},{stats.ea},{stats.n_runs},{stats.success_rate_pct:.1f},"
-        f"{stats.avg_duration_s:.1f},{stats.duration_std_s:.1f},{stats.avg_steps:.1f},"
-        f"{stats.avg_reformed:.2f},{stats.reformed_std:.2f},"
-        f"{stats.avg_malicious:.2f},{stats.malicious_std:.2f}"
-    )
+    metrics = [f"{getattr(stats, attr):.{decimals}f}" for _, attr, decimals in _TABLE_ROWS]
+    return ",".join([label, str(stats.ea), str(stats.n_runs)] + metrics)
 
 
 def format_summary_table(columns: list[tuple[str, AggregateStats]]) -> str:

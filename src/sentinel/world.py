@@ -62,11 +62,6 @@ class DroneRole(Enum):
     REFORMED = "reformed"
 
 
-class EAMode(Enum):
-    PATROL = "patrol"
-    PURSUE = "pursue"
-
-
 class Outcome(Enum):
     SUCCESS = "success"
     FAIL = "fail"
@@ -74,12 +69,12 @@ class Outcome(Enum):
 
 @dataclass
 class Drone:
-    """A patrol drone. patrol_dir is +1 counter-clockwise, -1 clockwise."""
+    """A patrol drone. Its id is also its sector index; patrol_dir is +1
+    counter-clockwise, -1 clockwise."""
 
     id: int
     position: Point2
     role: DroneRole
-    sector_index: int
     patrol_dir: int = 1
     last_move: Point2 = Point2(0.0, 0.0)
 
@@ -93,12 +88,12 @@ class Enemy:
 
 @dataclass
 class EnforcementAgentState:
-    """A supervisory agent. suspicion maps drone id to consecutive violations."""
+    """A supervisory agent. suspicion maps drone id to consecutive
+    violations; the agent pursues exactly when pursue_target is set."""
 
     id: int
     position: Point2
     suspicion: dict[int, int] = field(default_factory=dict)
-    mode: EAMode = EAMode.PATROL
     pursue_target: int | None = None
     pursue_since: int | None = None
 
@@ -139,7 +134,7 @@ def initial_world(cfg: SimConfig, seed) -> WorldState:
         angle = 2.0 * math.pi * i / n
         pos = Point2(cx + cfg.patrol_radius * math.cos(angle), cy + cfg.patrol_radius * math.sin(angle))
         role = DroneRole.MALICIOUS if i in malicious else DroneRole.COMPLIANT
-        drones.append(Drone(id=i, position=pos, role=role, sector_index=i))
+        drones.append(Drone(id=i, position=pos, role=role))
     eas = []
     for j in range(cfg.num_eas):
         angle = 2.0 * math.pi * j / cfg.num_eas

@@ -175,6 +175,28 @@ def test_render_draws_a_non_default_map_whole(tmp_path, capsys):
     assert "800x800" in capsys.readouterr().out
 
 
+def test_render_draws_a_small_map(tmp_path, capsys):
+    cfg = apply_overrides(
+        default_config(), map_size=50.0, center=(25.0, 25.0), patrol_radius=20.0, ea_orbit_radius=10.0
+    )
+    snapshot = tmp_path / "world.txt"
+    snapshot.write_text(write_snapshot(initial_world(cfg, 7), cfg))
+    out = tmp_path / "frame.ppm"
+    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"P6\n200 200\n255\n")
+    assert "200x200" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", ["-1", "nan"])
+def test_render_rejects_an_impossible_map(tmp_path, capsys, size):
+    snapshot = tmp_path / "world.txt"
+    snapshot.write_text(f"map {size} 25 25 5\n")
+    out = tmp_path / "x.ppm"
+    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
+    assert "error: line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):
     snapshot = tmp_path / "world.txt"
     snapshot.write_text("drone one two three\n")
@@ -207,6 +229,16 @@ def test_huge_finite_speed_config_finishes(tmp_path):
     assert len(read_records(tmp_path / "records.csv", time_limit_steps=60)) == 2
 
 
+def test_map_too_large_to_walk_its_perimeter_is_a_runtime_error(tmp_path, capsys):
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("map_size = 4.5e307\n")
+    out = tmp_path / "records.csv"
+    code = main(["simulate", "--eas", "1", "--runs", "1", "--seed", "1", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    assert "NonFiniteValue: 4*map_size=inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_orbit_radius_beyond_half_map_is_a_runtime_error(tmp_path, capsys):
     cfg_file = tmp_path / "orbit.cfg"
     cfg_file.write_text("ea_orbit_radius = 70\n")
@@ -225,6 +257,7 @@ def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys, fram
     assert code == 1
     assert "error: SENTINEL_THREADS" in capsys.readouterr().err
     assert not out.exists()
+    assert not (tmp_path / "frames").exists()
 
 
 def test_module_entry_point_runs_as_a_subprocess(tmp_path):

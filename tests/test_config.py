@@ -96,6 +96,22 @@ def test_every_non_finite_float_is_rejected_by_name():
         assert "NonFiniteValue" in err.value.violations, override
 
 
+@pytest.mark.parametrize(
+    "overrides, derived",
+    [
+        ({"map_size": 4.5e307}, "4*map_size=inf"),
+        ({"patrol_radius": 1.1e-308, "center_radius": 2.2e-313}, "drone_speed/patrol_radius=inf"),
+        ({"ea_orbit_radius": 5e-324, "num_eas": 1}, "drone_speed/ea_orbit_radius=inf"),
+    ],
+    ids=["spawn_perimeter", "patrol_step", "orbit_step"],
+)
+def test_finite_fields_whose_derived_value_overflows_are_rejected(overrides, derived):
+    with pytest.raises(ConfigError) as err:
+        validate(apply_overrides(default_config(), **overrides))
+    assert err.value.violations == ["NonFiniteValue"]
+    assert derived in str(err.value)
+
+
 def test_load_config_rejects_an_infinite_speed(tmp_path):
     path = tmp_path / "inf.cfg"
     path.write_text("drone_speed = inf\n")
@@ -215,8 +231,8 @@ def test_randomized_valid_overrides_pass_validation():
 
 # --- property tests of the file loader ----------------------------------------------
 
-# Derandomized so that every run of the suite checks the same examples.
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# The shared profile of conftest.py, with this file's example count.
+PROPERTY_SETTINGS = settings(max_examples=150)
 
 KEYS = [f.name for f in dataclasses.fields(SimConfig)] + ["center_x", "center_y"]
 # Codepoints up to U+07FF: ASCII, Latin, Greek, Cyrillic and the Arabic-Indic

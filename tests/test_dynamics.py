@@ -1,12 +1,16 @@
 """Per-step behavior: spawning, policies, interception, and the step order."""
 
 import copy
+import dataclasses
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from sentinel.config import apply_overrides, default_config
+from sentinel.config import ConfigError, SimConfig, apply_overrides, default_config, validate
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
     _fold_into_sector,
@@ -41,7 +45,7 @@ def bare_world(*drones, enemies=(), step_index=0):
 
 
 def compliant(drone_id, x, y):
-    return Drone(id=drone_id, position=Point2(x, y), role=DroneRole.COMPLIANT, sector_index=drone_id)
+    return Drone(id=drone_id, position=Point2(x, y), role=DroneRole.COMPLIANT)
 
 
 # --- spawning ---------------------------------------------------------------
@@ -191,7 +195,7 @@ def test_patrol_stays_inside_the_own_sector():
     cx, cy = cfg.center
     half = math.pi / cfg.total_drones
     d = world.drones[1]
-    sector_center = 2.0 * math.pi * d.sector_index / cfg.total_drones
+    sector_center = 2.0 * math.pi * d.id / cfg.total_drones
     for _ in range(200):
         v = compliant_policy(d, world, cfg)
         d.position = Point2(d.position.x + v.x, d.position.y + v.y)
@@ -235,7 +239,7 @@ def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
     world = initial_world(cfg, 8)
     cx, cy = cfg.center
     d = world.drones[1]
-    sector_center = 2.0 * math.pi * d.sector_index / cfg.total_drones
+    sector_center = 2.0 * math.pi * d.id / cfg.total_drones
     for _ in range(3):
         v = compliant_policy(d, world, cfg)
         d.position = Point2(d.position.x + v.x, d.position.y + v.y)
@@ -257,7 +261,7 @@ def test_displaced_drone_returns_to_its_arc():
 
 def test_malicious_policy_never_pursues():
     cfg = default_config()
-    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS, sector_index=0)
+    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS)
     world = bare_world(d, enemies=[Enemy(0, Point2(63.0, 60.0), 0)])
     v = malicious_policy(d, world, cfg)
     # patrol velocity, not a straight line onto the threat 3 units away
@@ -292,7 +296,7 @@ def test_interception_removes_enemies_in_range_of_compliant_drones():
 
 def test_malicious_drones_never_intercept():
     cfg = default_config()
-    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS, sector_index=0)
+    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS)
     world = bare_world(d, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert len(world.enemies) == 1
@@ -301,7 +305,7 @@ def test_malicious_drones_never_intercept():
 
 def test_reformed_drones_do_intercept():
     cfg = default_config()
-    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.REFORMED, sector_index=0)
+    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.REFORMED)
     world = bare_world(d, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
@@ -450,3 +454,32 @@ def test_positions_stay_inside_the_map_for_random_configs():
             for a in world.eas:
                 assert 0.0 <= a.position.x <= cfg.map_size
                 assert 0.0 <= a.position.y <= cfg.map_size
+
+
+# --- every accepted config runs ----------------------------------------------
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type is float]
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(st.sampled_from(FLOAT_FIELDS), st.floats(min_value=5e-324, max_value=1.7e308), max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+)
+def test_every_accepted_config_steps_to_the_end(overrides, num_eas, seed):
+    # Any positive finite value, from the smallest subnormal to near the
+    # largest float, for up to four fields at once.
+    cfg = apply_overrides(default_config(), num_eas=num_eas, time_limit_steps=40, **overrides)
+    try:
+        validate(cfg)
+    except ConfigError:
+        reject()
+    rng = random.Random(seed)
+    world = initial_world(cfg, rng)
+    started = time.perf_counter()
+    while world.outcome is None:
+        step(world, cfg, rng)
+        entities = world.drones + world.enemies + world.eas
+        assert all(math.isfinite(c) for e in entities for c in e.position), overrides
+    assert time.perf_counter() - started < 5.0

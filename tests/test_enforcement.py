@@ -19,7 +19,6 @@ from sentinel.enforcement import (
 from sentinel.world import (
     Drone,
     DroneRole,
-    EAMode,
     Enemy,
     EnforcementAgentState,
     Outcome,
@@ -45,7 +44,6 @@ def drone_at(drone_id, x, y, role=DroneRole.COMPLIANT, last_move=(0.0, 0.0)):
         id=drone_id,
         position=Point2(x, y),
         role=role,
-        sector_index=drone_id,
         last_move=Point2(*last_move),
     )
 
@@ -185,7 +183,7 @@ def test_threshold_crossing_flips_the_agent_into_pursuit():
         world.step = i + 1
         update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert ea.suspicion[2] == cfg.suspicion_threshold
-    assert ea.mode is EAMode.PURSUE
+    assert ea.pursue_target is not None
     assert ea.pursue_target == 2
     assert ea.pursue_since == cfg.suspicion_threshold
     raised = [e for e in world.events if e.kind == "suspicion_raised"]
@@ -207,7 +205,7 @@ def test_one_clean_observation_resets_the_count():
     world.step += 1
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert ea.suspicion[2] == 0
-    assert ea.mode is EAMode.PATROL
+    assert ea.pursue_target is None
 
 
 def test_unobserved_drones_keep_their_suspicion():
@@ -230,7 +228,7 @@ def test_simultaneous_threshold_crossings_pick_the_lowest_id():
         eas=[ea],
     )
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
-    assert ea.mode is EAMode.PURSUE
+    assert ea.pursue_target is not None
     assert ea.pursue_target == 1
 
 
@@ -243,7 +241,7 @@ def test_compliant_behavior_never_accumulates_suspicion():
     while world.outcome is None:
         step(world, cfg, rng)
         for agent in world.eas:
-            assert agent.mode is EAMode.PATROL
+            assert agent.pursue_target is None
             assert all(count == 0 for count in agent.suspicion.values())
     assert world.outcome is Outcome.SUCCESS
 
@@ -275,7 +273,7 @@ def test_displaced_agent_returns_to_its_orbit():
 
 def test_pursuit_runs_straight_at_the_suspect():
     cfg = default_config()
-    ea = ea_at(0, 60.0, 20.0, mode=EAMode.PURSUE, pursue_target=3)
+    ea = ea_at(0, 60.0, 20.0, pursue_target=3)
     suspect = drone_at(3, 60.0, 90.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
     v = ea_policy(ea, world, cfg)
@@ -285,7 +283,7 @@ def test_pursuit_runs_straight_at_the_suspect():
 
 def test_pursuit_parks_once_within_reform_range():
     cfg = default_config()
-    ea = ea_at(0, 60.0, 60.0, mode=EAMode.PURSUE, pursue_target=3)
+    ea = ea_at(0, 60.0, 60.0, pursue_target=3)
     suspect = drone_at(3, 60.0, 69.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
     assert ea_policy(ea, world, cfg) == Point2(0.0, 0.0)
@@ -297,7 +295,7 @@ def test_pursuit_parks_once_within_reform_range():
 def pursuit_scene(gap, role=DroneRole.MALICIOUS):
     cfg = default_config()
     suspect = drone_at(2, 60.0 + gap, 60.0, role=role)
-    ea = ea_at(0, 60.0, 60.0, mode=EAMode.PURSUE, pursue_target=2, pursue_since=1, suspicion={2: 5})
+    ea = ea_at(0, 60.0, 60.0, pursue_target=2, pursue_since=1, suspicion={2: 5})
     world = make_world(drones=[suspect], eas=[ea], step_index=9)
     return cfg, world, ea, suspect
 
@@ -306,7 +304,6 @@ def test_reformation_inside_reform_radius():
     cfg, world, ea, suspect = pursuit_scene(9.0)
     attempt_reformation(ea, world, cfg)
     assert suspect.role is DroneRole.REFORMED
-    assert ea.mode is EAMode.PATROL
     assert ea.pursue_target is None
     assert 2 not in ea.suspicion
     events = [e for e in world.events if e.kind == "reformation"]
@@ -318,22 +315,21 @@ def test_no_reformation_out_of_reach():
     cfg, world, ea, suspect = pursuit_scene(11.0)
     attempt_reformation(ea, world, cfg)
     assert suspect.role is DroneRole.MALICIOUS
-    assert ea.mode is EAMode.PURSUE
+    assert ea.pursue_target == 2
     assert world.events == []
 
 
 def test_racing_agents_yield_exactly_one_reformation():
     cfg = default_config()
     suspect = drone_at(2, 60.0, 60.0, role=DroneRole.MALICIOUS)
-    first = ea_at(0, 55.0, 60.0, mode=EAMode.PURSUE, pursue_target=2, pursue_since=1, suspicion={2: 5})
-    second = ea_at(1, 65.0, 60.0, mode=EAMode.PURSUE, pursue_target=2, pursue_since=1, suspicion={2: 6})
+    first = ea_at(0, 55.0, 60.0, pursue_target=2, pursue_since=1, suspicion={2: 5})
+    second = ea_at(1, 65.0, 60.0, pursue_target=2, pursue_since=1, suspicion={2: 6})
     world = make_world(drones=[suspect], eas=[first, second], step_index=9)
     attempt_reformation(first, world, cfg)
     attempt_reformation(second, world, cfg)
     assert suspect.role is DroneRole.REFORMED
     assert sum(1 for e in world.events if e.kind == "reformation") == 1
     for agent in (first, second):
-        assert agent.mode is EAMode.PATROL
         assert agent.pursue_target is None
         assert 2 not in agent.suspicion
 
@@ -342,7 +338,6 @@ def test_catching_a_compliant_suspect_stands_down_without_event():
     cfg, world, ea, suspect = pursuit_scene(9.0, role=DroneRole.COMPLIANT)
     attempt_reformation(ea, world, cfg)
     assert suspect.role is DroneRole.COMPLIANT
-    assert ea.mode is EAMode.PATROL
     assert ea.pursue_target is None
     assert 2 not in ea.suspicion
     assert world.events == []
@@ -391,7 +386,7 @@ def test_fresh_agent_has_no_suspicion_and_no_failsafe():
 
 def test_failsafe_stays_silent_when_disabled():
     cfg = default_config()
-    ea = ea_at(0, 0.0, 0.0, mode=EAMode.PURSUE, pursue_target=1, pursue_since=0)
+    ea = ea_at(0, 0.0, 0.0, pursue_target=1, pursue_since=0)
     drone = drone_at(1, 90.0, 60.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[drone], eas=[ea], step_index=1000)
     assert failsafe_due(ea, world, cfg) is False
@@ -400,7 +395,7 @@ def test_failsafe_stays_silent_when_disabled():
 def test_failsafe_window_is_four_thresholds_exclusive():
     cfg = apply_overrides(default_config(), failsafe_enabled=True)
     window = 4 * cfg.suspicion_threshold
-    ea = ea_at(0, 0.0, 0.0, mode=EAMode.PURSUE, pursue_target=1, pursue_since=10)
+    ea = ea_at(0, 0.0, 0.0, pursue_target=1, pursue_since=10)
     drone = drone_at(1, 90.0, 60.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[drone], eas=[ea], step_index=10 + window)
     assert failsafe_due(ea, world, cfg) is False
@@ -420,7 +415,6 @@ def test_failsafe_terminates_the_episode_through_step():
     world = initial_world(cfg, rng)
     ea = world.eas[0]
     ea.position = Point2(0.0, 0.0)
-    ea.mode = EAMode.PURSUE
     ea.pursue_target = next(d.id for d in world.drones if d.role is DroneRole.MALICIOUS)
     ea.pursue_since = 0
     while world.outcome is None:
@@ -438,5 +432,5 @@ def test_pursue_targets_are_always_malicious_in_integrated_runs():
         step(world, cfg, rng)
         roles = {d.id: d.role for d in world.drones}
         for agent in world.eas:
-            if agent.mode is EAMode.PURSUE:
+            if agent.pursue_target is not None:
                 assert roles[agent.pursue_target] is DroneRole.MALICIOUS

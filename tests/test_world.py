@@ -6,7 +6,6 @@ import random
 from sentinel.config import apply_overrides, default_config
 from sentinel.world import (
     DroneRole,
-    EAMode,
     Enemy,
     Point2,
     breach_occurred,
@@ -60,7 +59,6 @@ def test_initial_world_places_drones_evenly_on_the_patrol_circle():
     center = Point2(*cfg.center)
     for i, d in enumerate(world.drones):
         assert d.id == i
-        assert d.sector_index == i
         assert abs(distance(d.position, center) - cfg.patrol_radius) < 1e-9
         angle = 2.0 * math.pi * i / cfg.total_drones
         expected = Point2(
@@ -86,7 +84,7 @@ def test_initial_world_spreads_eas_on_their_orbit():
     center = Point2(*cfg.center)
     for ea in world.eas:
         assert abs(distance(ea.position, center) - cfg.ea_orbit_radius) < 1e-9
-        assert ea.mode is EAMode.PATROL
+        assert ea.pursue_target is None
         assert ea.suspicion == {}
     # two agents start on opposite sides of the circle
     assert abs(distance(world.eas[0].position, world.eas[1].position) - 2 * cfg.ea_orbit_radius) < 1e-9
