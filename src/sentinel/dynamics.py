@@ -3,7 +3,8 @@
 step() applies one tick in a fixed sub-step order so that episodes are pure
 functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
-the step index the call advances the world to.
+the step index the call advances the world to. A policy returns the position
+its entity moves to; step() clamps it to the map.
 """
 
 import math
@@ -62,12 +63,11 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     the sector boundaries. Updates drone.patrol_dir as a side effect.
     """
     cx, cy = cfg.center
-    center = Point2(cx, cy)
     radius = cfg.patrol_radius
     half = math.pi / cfg.total_drones
     sector_center = 2.0 * math.pi * drone.id / cfg.total_drones
 
-    r = distance(drone.position, center)
+    r = distance(drone.position, cfg.center)
     if r == 0.0:
         offset = 0.0
     else:
@@ -84,30 +84,29 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
 
 
 def compliant_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
-    """Velocity for a cooperating drone: intercept the nearest detected
-    threat, otherwise sweep the own sector."""
+    """Next position of a cooperating drone: toward the nearest detected
+    threat, otherwise along the own sector."""
     enemy = nearest_enemy(drone.position, world.enemies)
     if enemy is not None and distance(drone.position, enemy.position) <= cfg.detection_radius:
-        new_pos = move_toward(drone.position, enemy.position, cfg.drone_speed)
-    else:
-        new_pos = _sector_patrol_move(drone, cfg)
-    return Point2(new_pos.x - drone.position.x, new_pos.y - drone.position.y)
+        return move_toward(drone.position, enemy.position, cfg.drone_speed)
+    return _sector_patrol_move(drone, cfg)
 
 
 def malicious_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
-    """Velocity for a defecting drone: patrol as usual, never pursue."""
-    new_pos = _sector_patrol_move(drone, cfg)
-    return Point2(new_pos.x - drone.position.x, new_pos.y - drone.position.y)
+    """Next position of a defecting drone: patrol as usual, never pursue."""
+    return _sector_patrol_move(drone, cfg)
 
 
 def enemy_policy(enemy: Enemy, cfg: SimConfig) -> Point2:
-    """Velocity straight toward the protected center; zero once there."""
-    cx, cy = cfg.center
-    gap = distance(enemy.position, Point2(cx, cy))
+    """Next position: enemy_speed straight toward the protected center,
+    which it may overshoot; unchanged once there."""
+    p = enemy.position
+    gap = distance(p, cfg.center)
     if gap == 0.0:
-        return Point2(0.0, 0.0)
+        return p
+    cx, cy = cfg.center
     f = cfg.enemy_speed / gap
-    return Point2((cx - enemy.position.x) * f, (cy - enemy.position.y) * f)
+    return Point2(p.x + (cx - p.x) * f, p.y + (cy - p.y) * f)
 
 
 def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
@@ -174,15 +173,13 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 1) spawning
     spawn_enemies(world, cfg, rng)
 
-    # 2) drone motion, all velocities from the pre-move snapshot
-    velocities = []
-    for d in world.drones:
-        if d.role is DroneRole.MALICIOUS:
-            velocities.append(malicious_policy(d, world, cfg))
-        else:
-            velocities.append(compliant_policy(d, world, cfg))
-    for d, v in zip(world.drones, velocities):
-        new_pos = clamp_to_map(Point2(d.position.x + v.x, d.position.y + v.y), cfg)
+    # 2) drone motion, every next position chosen from the pre-move snapshot
+    targets = [
+        malicious_policy(d, world, cfg) if d.role is DroneRole.MALICIOUS else compliant_policy(d, world, cfg)
+        for d in world.drones
+    ]
+    for d, target in zip(world.drones, targets):
+        new_pos = clamp_to_map(target, cfg)
         d.last_move = Point2(new_pos.x - d.position.x, new_pos.y - d.position.y)
         d.position = new_pos
 
@@ -193,8 +190,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
 
     # 4) enemy motion
     for e in world.enemies:
-        v = enemy_policy(e, cfg)
-        e.position = clamp_to_map(Point2(e.position.x + v.x, e.position.y + v.y), cfg)
+        e.position = clamp_to_map(enemy_policy(e, cfg), cfg)
 
     # 5) interception
     resolve_interceptions(world, cfg)

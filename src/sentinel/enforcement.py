@@ -8,7 +8,6 @@ are merely mid-turn.
 """
 
 import math
-from dataclasses import dataclass
 
 from .config import SimConfig
 from .world import (
@@ -34,16 +33,6 @@ PURSUIT_ANGLE_TOLERANCE_DEG = 15.0
 FAILSAFE_THRESHOLDS = 4
 
 
-@dataclass
-class Observation:
-    """One judged drone: how close its nearest threat is, and whether the
-    drone's last displacement counts as pursuing that threat."""
-
-    drone_id: int
-    nearest_enemy_distance: float | None
-    pursuing: bool
-
-
 def _points_toward(displacement: Point2, origin: Point2, target: Point2) -> bool:
     dx, dy = displacement
     tx, ty = target.x - origin.x, target.y - origin.y
@@ -55,8 +44,10 @@ def _points_toward(displacement: Point2, origin: Point2, target: Point2) -> bool
     return cos_angle >= math.cos(math.radians(PURSUIT_ANGLE_TOLERANCE_DEG)) - 1e-12
 
 
-def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> list[Observation]:
-    """Observations for every drone within monitor range of the agent.
+def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> dict[int, bool]:
+    """A verdict for every drone within monitor range of the agent, by drone
+    id: True when the drone violates, i.e. a threat lies within detection
+    range and the drone's last displacement does not pursue it.
 
     Proximity and the pursuit cone are judged from the position the drone
     moved from this step, i.e. against what the drone could see when it
@@ -67,44 +58,29 @@ def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> lis
         if e.spawned_at == world.step and distance(ea.position, e.position) <= cfg.ea_monitor_radius:
             world.events.append(Event(step=world.step, kind="entry_point", data={"ea": ea.id, "enemy": e.id}))
 
-    observations = []
+    verdicts = {}
     for drone in world.drones:
         if distance(ea.position, drone.position) > cfg.ea_monitor_radius:
             continue
         vantage = Point2(drone.position.x - drone.last_move.x, drone.position.y - drone.last_move.y)
         enemy = nearest_enemy(vantage, world.enemies)
-        if enemy is None:
-            observations.append(Observation(drone_id=drone.id, nearest_enemy_distance=None, pursuing=False))
-            continue
-        gap = distance(vantage, enemy.position)
-        pursuing = gap <= cfg.detection_radius and _points_toward(drone.last_move, vantage, enemy.position)
-        observations.append(Observation(drone_id=drone.id, nearest_enemy_distance=gap, pursuing=pursuing))
-    return observations
-
-
-def update_suspicion(
-    ea: EnforcementAgentState,
-    observations: list[Observation],
-    world: WorldState,
-    cfg: SimConfig,
-) -> None:
-    """Fold one round of observations into the agent's suspicion map.
-
-    A violation (threat in detection range, drone not pursuing it) adds one;
-    any clean observation resets to zero; unobserved drones keep their
-    counts. Crossing suspicion_threshold flips the agent into pursuit of the
-    lowest-id offender and logs a suspicion-raised event.
-    """
-    for ob in observations:
-        violating = (
-            ob.nearest_enemy_distance is not None
-            and ob.nearest_enemy_distance <= cfg.detection_radius
-            and not ob.pursuing
+        verdicts[drone.id] = (
+            enemy is not None
+            and distance(vantage, enemy.position) <= cfg.detection_radius
+            and not _points_toward(drone.last_move, vantage, enemy.position)
         )
-        if violating:
-            ea.suspicion[ob.drone_id] = ea.suspicion.get(ob.drone_id, 0) + 1
-        else:
-            ea.suspicion[ob.drone_id] = 0
+    return verdicts
+
+
+def update_suspicion(ea: EnforcementAgentState, verdicts: dict[int, bool], world: WorldState, cfg: SimConfig) -> None:
+    """Fold one round of verdicts into the agent's suspicion map.
+
+    A violation adds one; any clean verdict resets to zero; unobserved
+    drones keep their counts. Crossing suspicion_threshold flips the agent
+    into pursuit of the lowest-id offender and logs a suspicion-raised event.
+    """
+    for drone_id, violating in verdicts.items():
+        ea.suspicion[drone_id] = ea.suspicion.get(drone_id, 0) + 1 if violating else 0
 
     hot = sorted(d for d, count in ea.suspicion.items() if count >= cfg.suspicion_threshold)
     if hot:
@@ -126,7 +102,7 @@ def _orbit_move(ea: EnforcementAgentState, cfg: SimConfig) -> Point2:
     # along it.
     cx, cy = cfg.center
     radius = cfg.ea_orbit_radius
-    r = distance(ea.position, Point2(cx, cy))
+    r = distance(ea.position, cfg.center)
     angle = 0.0 if r == 0.0 else math.atan2(ea.position.y - cy, ea.position.x - cx)
     on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
     if on_orbit:
@@ -139,16 +115,14 @@ def _drone_by_id(world: WorldState, drone_id: int):
 
 
 def ea_policy(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> Point2:
-    """Velocity for the agent: orbital patrol, or a straight chase that
-    parks once the suspect is within reform range."""
-    if ea.pursue_target is not None:
-        suspect = _drone_by_id(world, ea.pursue_target)
-        if distance(ea.position, suspect.position) <= cfg.reform_radius:
-            return Point2(0.0, 0.0)
-        new_pos = move_toward(ea.position, suspect.position, cfg.drone_speed)
-    else:
-        new_pos = _orbit_move(ea, cfg)
-    return Point2(new_pos.x - ea.position.x, new_pos.y - ea.position.y)
+    """Next position of the agent: along its orbit, or a straight chase
+    that parks once the suspect is within reform range."""
+    if ea.pursue_target is None:
+        return _orbit_move(ea, cfg)
+    suspect = _drone_by_id(world, ea.pursue_target)
+    if distance(ea.position, suspect.position) <= cfg.reform_radius:
+        return ea.position
+    return move_toward(ea.position, suspect.position, cfg.drone_speed)
 
 
 def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> None:
@@ -197,10 +171,8 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
     """
     failsafe_fired = False
     for ea in world.eas:
-        observations = observe(ea, world, cfg)
-        update_suspicion(ea, observations, world, cfg)
-        v = ea_policy(ea, world, cfg)
-        ea.position = clamp_to_map(Point2(ea.position.x + v.x, ea.position.y + v.y), cfg)
+        update_suspicion(ea, observe(ea, world, cfg), world, cfg)
+        ea.position = clamp_to_map(ea_policy(ea, world, cfg), cfg)
         attempt_reformation(ea, world, cfg)
         if failsafe_due(ea, world, cfg):
             world.events.append(Event(step=world.step, kind="failsafe", data={"ea": ea.id, "drone": ea.pursue_target}))

@@ -114,12 +114,21 @@ class SnapshotError(ValueError):
     pass
 
 
+def _point(x: str, y: str) -> Point2:
+    # Rendering scales every coordinate to a pixel, so both must be finite.
+    p = Point2(float(x), float(y))
+    if not all(math.isfinite(v) and math.isfinite(v * SCALE) for v in p):
+        raise ValueError(f"coordinates {x} {y} must be finite, also at {SCALE} pixels per unit")
+    return p
+
+
 def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
     """Rebuild the renderable part of a world from snapshot text, with the
     default config carrying the snapshot's map geometry.
 
-    Only the geometry that rendering reads is checked: finite values, the
-    center strictly inside the map and a positive center radius.
+    Only what rendering reads is checked: finite map values, the center
+    strictly inside the map, a positive center radius, and entity
+    coordinates that stay finite once scaled to pixels.
     """
     world = WorldState(step=0, drones=[], enemies=[], eas=[])
     cfg = default_config()
@@ -143,15 +152,15 @@ def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
                 world.outcome = Outcome(parts[1])
             elif head == "drone":
                 _, ident, x, y, role = parts
-                world.drones.append(Drone(id=int(ident), position=Point2(float(x), float(y)), role=DroneRole(role)))
+                world.drones.append(Drone(id=int(ident), position=_point(x, y), role=DroneRole(role)))
             elif head == "enemy":
                 _, ident, x, y, _mark = parts
-                world.enemies.append(Enemy(id=int(ident), position=Point2(float(x), float(y)), spawned_at=0))
+                world.enemies.append(Enemy(id=int(ident), position=_point(x, y), spawned_at=0))
                 world.next_enemy_id = max(world.next_enemy_id, int(ident) + 1)
             elif head == "ea":
                 _, ident, x, y, target = parts
                 pursued = None if target == "-" else int(target)
-                world.eas.append(EnforcementAgentState(int(ident), Point2(float(x), float(y)), pursue_target=pursued))
+                world.eas.append(EnforcementAgentState(int(ident), _point(x, y), pursue_target=pursued))
             else:
                 raise ValueError(f"unknown entity kind {head!r}")
         except (ValueError, IndexError) as exc:

@@ -19,8 +19,9 @@ class Point2(NamedTuple):
 ON_CIRCLE_EPS = 1e-9
 
 
-def distance(a: Point2, b: Point2) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
+# Euclidean distance between two (x, y) pairs, such as a Point2 and
+# cfg.center; bit for bit the same as math.hypot(a.x - b.x, a.y - b.y).
+distance = math.dist
 
 
 def nearest_enemy(position: Point2, enemies: list["Enemy"]) -> "Enemy | None":
@@ -145,5 +146,4 @@ def initial_world(cfg: SimConfig, seed) -> WorldState:
 
 def breach_occurred(world: WorldState, cfg: SimConfig) -> bool:
     """True iff any live enemy is inside the protected zone."""
-    c = Point2(*cfg.center)
-    return any(distance(e.position, c) <= cfg.center_radius for e in world.enemies)
+    return any(distance(e.position, cfg.center) <= cfg.center_radius for e in world.enemies)

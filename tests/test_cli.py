@@ -197,6 +197,18 @@ def test_render_rejects_an_impossible_map(tmp_path, capsys, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "entity", ["drone 0 inf 10 compliant", "enemy 0 10 nan -", "ea 0 1e308 10 -"], ids=["inf", "nan", "1e308"]
+)
+def test_render_rejects_a_coordinate_that_has_no_pixel(tmp_path, capsys, entity):
+    snapshot = tmp_path / "world.txt"
+    snapshot.write_text(f"step 0\ndrone 1 10 10 compliant\n{entity}\n")
+    out = tmp_path / "x.ppm"
+    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3:")
+    assert not out.exists()
+
+
 def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):
     snapshot = tmp_path / "world.txt"
     snapshot.write_text("drone one two three\n")

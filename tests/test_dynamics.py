@@ -125,9 +125,15 @@ def test_spawned_enemy_ids_are_unique_and_monotone():
 
 def test_enemy_policy_heads_straight_for_the_center():
     cfg = default_config()
-    assert enemy_policy(Enemy(0, Point2(120.0, 60.0), 0), cfg) == Point2(-1.0, 0.0)
-    assert enemy_policy(Enemy(0, Point2(60.0, 0.0), 0), cfg) == Point2(0.0, 1.0)
-    assert enemy_policy(Enemy(0, Point2(60.0, 60.0), 0), cfg) == Point2(0.0, 0.0)
+    assert enemy_policy(Enemy(0, Point2(120.0, 60.0), 0), cfg) == Point2(119.0, 60.0)
+    assert enemy_policy(Enemy(0, Point2(60.0, 0.0), 0), cfg) == Point2(60.0, 1.0)
+    assert enemy_policy(Enemy(0, Point2(60.0, 60.0), 0), cfg) == Point2(60.0, 60.0)
+
+
+def test_enemy_policy_overshoots_the_center():
+    # A full enemy_speed step, not a stop on the center like move_toward.
+    cfg = default_config()
+    assert enemy_policy(Enemy(0, Point2(60.5, 60.0), 0), cfg) == Point2(59.5, 60.0)
 
 
 def test_enemy_policy_speed_is_exact_off_axis():
@@ -137,8 +143,7 @@ def test_enemy_policy_speed_is_exact_off_axis():
         e = Enemy(0, Point2(rng.uniform(0, 120), rng.uniform(0, 120)), 0)
         if e.position == Point2(60.0, 60.0):
             continue
-        v = enemy_policy(e, cfg)
-        assert math.hypot(v.x, v.y) == pytest.approx(cfg.enemy_speed, abs=1e-12)
+        assert distance(enemy_policy(e, cfg), e.position) == pytest.approx(cfg.enemy_speed, abs=1e-12)
 
 
 def test_nearest_enemy_prefers_distance_then_lowest_id():
@@ -156,17 +161,16 @@ def test_compliant_policy_pursues_the_nearest_detected_enemy():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
     world = bare_world(d, enemies=[Enemy(2, Point2(68.0, 60.0), 0), Enemy(1, Point2(69.0, 60.0), 0)])
-    v = compliant_policy(d, world, cfg)
-    assert v.x > 0 and abs(v.y) < 1e-12
-    assert math.hypot(v.x, v.y) <= cfg.drone_speed + 1e-9
+    p = compliant_policy(d, world, cfg)
+    assert p.x > 60.0 and p.y == 60.0
+    assert distance(p, d.position) <= cfg.drone_speed + 1e-9
 
 
 def test_compliant_policy_breaks_distance_ties_by_lowest_id():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
     world = bare_world(d, enemies=[Enemy(7, Point2(52.0, 60.0), 0), Enemy(3, Point2(68.0, 60.0), 0)])
-    v = compliant_policy(d, world, cfg)
-    assert v.x > 0  # toward enemy 3 at x=68, not enemy 7 at x=52
+    assert compliant_policy(d, world, cfg).x > 60.0  # toward enemy 3 at x=68, not enemy 7 at x=52
 
 
 def test_compliant_policy_ignores_enemies_beyond_detection_radius():
@@ -184,8 +188,7 @@ def test_patrol_keeps_the_drone_on_its_circle():
     center = Point2(*cfg.center)
     d = world.drones[2]
     for _ in range(100):
-        v = compliant_policy(d, world, cfg)
-        d.position = Point2(d.position.x + v.x, d.position.y + v.y)
+        d.position = compliant_policy(d, world, cfg)
         assert abs(distance(d.position, center) - cfg.patrol_radius) < 1e-6
 
 
@@ -197,8 +200,7 @@ def test_patrol_stays_inside_the_own_sector():
     d = world.drones[1]
     sector_center = 2.0 * math.pi * d.id / cfg.total_drones
     for _ in range(200):
-        v = compliant_policy(d, world, cfg)
-        d.position = Point2(d.position.x + v.x, d.position.y + v.y)
+        d.position = compliant_policy(d, world, cfg)
         angle = math.atan2(d.position.y - cy, d.position.x - cx)
         offset = math.atan2(math.sin(angle - sector_center), math.cos(angle - sector_center))
         assert abs(offset) <= half + 1e-9
@@ -211,8 +213,7 @@ def test_patrol_reverses_direction_instead_of_leaving_the_sector():
     directions = set()
     for _ in range(200):
         directions.add(d.patrol_dir)
-        v = compliant_policy(d, world, cfg)
-        d.position = Point2(d.position.x + v.x, d.position.y + v.y)
+        d.position = compliant_policy(d, world, cfg)
     assert directions == {1, -1}
 
 
@@ -241,8 +242,7 @@ def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
     d = world.drones[1]
     sector_center = 2.0 * math.pi * d.id / cfg.total_drones
     for _ in range(3):
-        v = compliant_policy(d, world, cfg)
-        d.position = Point2(d.position.x + v.x, d.position.y + v.y)
+        d.position = compliant_policy(d, world, cfg)
         offset = math.atan2(d.position.y - cy, d.position.x - cx) - sector_center
         assert abs(math.atan2(math.sin(offset), math.cos(offset))) <= math.pi / cfg.total_drones + 1e-9
 
@@ -254,8 +254,7 @@ def test_displaced_drone_returns_to_its_arc():
     d = world.drones[3]
     d.position = Point2(10.0, 10.0)
     for _ in range(40):
-        v = compliant_policy(d, world, cfg)
-        d.position = Point2(d.position.x + v.x, d.position.y + v.y)
+        d.position = compliant_policy(d, world, cfg)
     assert abs(distance(d.position, center) - cfg.patrol_radius) < 1e-6
 
 
@@ -263,10 +262,8 @@ def test_malicious_policy_never_pursues():
     cfg = default_config()
     d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS)
     world = bare_world(d, enemies=[Enemy(0, Point2(63.0, 60.0), 0)])
-    v = malicious_policy(d, world, cfg)
-    # patrol velocity, not a straight line onto the threat 3 units away
-    moved = Point2(d.position.x + v.x, d.position.y + v.y)
-    assert distance(moved, Point2(63.0, 60.0)) > 1e-6
+    # a patrol step, not a straight line onto the threat 3 units away
+    assert distance(malicious_policy(d, world, cfg), Point2(63.0, 60.0)) > 1e-6
 
 
 def test_malicious_policy_matches_compliant_patrol_when_no_threats():
@@ -274,10 +271,10 @@ def test_malicious_policy_matches_compliant_patrol_when_no_threats():
     world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
     a = world.drones[4]
     b = copy.deepcopy(a)
-    va = compliant_policy(a, world, cfg)
+    pa = compliant_policy(a, world, cfg)
     b.role = DroneRole.MALICIOUS
-    vb = malicious_policy(b, bare_world(b), cfg)
-    assert va == vb
+    pb = malicious_policy(b, bare_world(b), cfg)
+    assert pa == pb
 
 
 # --- interception --------------------------------------------------------------

@@ -24,6 +24,7 @@ from sentinel.world import (
     Outcome,
     Point2,
     WorldState,
+    clamp_to_map,
     distance,
     initial_world,
 )
@@ -59,7 +60,7 @@ def test_drones_outside_monitor_radius_are_unobserved():
     cfg = apply_overrides(default_config(), ea_monitor_radius=20.0)
     ea = ea_at(0, 60.0, 60.0)
     world = make_world(drones=[drone_at(0, 85.0, 60.0)], eas=[ea])
-    assert observe(ea, world, cfg) == []
+    assert observe(ea, world, cfg) == {}
 
 
 def test_observation_without_nearby_enemy_is_clean():
@@ -70,15 +71,12 @@ def test_observation_without_nearby_enemy_is_clean():
         enemies=[Enemy(0, Point2(0.0, 0.0), 0)],
         eas=[ea],
     )
-    obs = observe(ea, world, cfg)
-    assert len(obs) == 1
-    assert obs[0].pursuing is False
-    assert obs[0].nearest_enemy_distance is None or obs[0].nearest_enemy_distance > cfg.detection_radius
+    assert observe(ea, world, cfg) == {0: False}
 
 
 def test_patrolling_near_a_threat_is_a_violation_signature():
     # A drone whose last displacement was a patrol sweep, with an enemy six
-    # units off: observed as not pursuing at exactly that distance.
+    # units off: a violation up to a detection radius of exactly that distance.
     cfg = default_config()
     moving_up = (0.0, cfg.drone_speed)
     d = drone_at(3, 60.0, 60.0 + cfg.drone_speed, role=DroneRole.MALICIOUS, last_move=moving_up)
@@ -87,24 +85,21 @@ def test_patrolling_near_a_threat_is_a_violation_signature():
         enemies=[Enemy(0, Point2(66.0, 60.0), 0)],
         eas=[ea_at(0, 62.0, 62.0)],
     )
-    obs = observe(world.eas[0], world, cfg)
-    assert len(obs) == 1
-    assert obs[0].drone_id == 3
-    assert obs[0].nearest_enemy_distance == pytest.approx(6.0, abs=1e-12)
-    assert obs[0].pursuing is False
+    assert observe(world.eas[0], world, cfg) == {3: True}
+    assert observe(world.eas[0], world, apply_overrides(cfg, detection_radius=6.0)) == {3: True}
+    assert observe(world.eas[0], world, apply_overrides(cfg, detection_radius=5.99)) == {3: False}
 
 
 def test_moving_onto_the_enemy_counts_as_pursuit():
+    # From the same vantage, 8 units off the enemy, standing still violates
+    # and moving onto the enemy is clean.
     cfg = default_config()
+    enemies = [Enemy(0, Point2(68.0, 60.0), 0)]
+    still = make_world(drones=[drone_at(1, 60.0, 60.0)], enemies=enemies, eas=[ea_at(0, 60.0, 60.0)])
+    assert observe(still.eas[0], still, cfg) == {1: True}
     d = drone_at(1, 63.6, 60.0, last_move=(3.6, 0.0))
-    world = make_world(
-        drones=[d],
-        enemies=[Enemy(0, Point2(68.0, 60.0), 0)],
-        eas=[ea_at(0, 60.0, 60.0)],
-    )
-    obs = observe(world.eas[0], world, cfg)
-    assert obs[0].pursuing is True
-    assert obs[0].nearest_enemy_distance == pytest.approx(8.0, abs=1e-12)
+    world = make_world(drones=[d], enemies=enemies, eas=[ea_at(0, 60.0, 60.0)])
+    assert observe(world.eas[0], world, cfg) == {1: False}
 
 
 def test_pursuit_cone_boundary_is_inclusive_at_the_tolerance():
@@ -115,41 +110,41 @@ def test_pursuit_cone_boundary_is_inclusive_at_the_tolerance():
         move = (2.0 * math.cos(rad), 2.0 * math.sin(rad))
         d = drone_at(0, 60.0 + move[0], 60.0 + move[1], last_move=move)
         world = make_world(drones=[d], enemies=[enemy], eas=[ea_at(0, 60.0, 60.0)])
-        obs = observe(world.eas[0], world, cfg)
-        assert obs[0].pursuing is expected
+        assert observe(world.eas[0], world, cfg) == {0: not expected}
 
 
 def test_standing_still_is_never_pursuit():
     cfg = default_config()
     d = drone_at(0, 60.0, 60.0, last_move=(0.0, 0.0))
     world = make_world(drones=[d], enemies=[Enemy(0, Point2(65.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
-    assert observe(world.eas[0], world, cfg)[0].pursuing is False
+    assert observe(world.eas[0], world, cfg) == {0: True}
 
 
 def test_observation_judges_from_the_premove_vantage():
     # The drone moved three units away from the threat this step. Its new
     # position is out of detection range, but the move decision was made in
-    # range, so the observation still counts it.
+    # range (10 units, the detection radius), so it is still a violation.
     cfg = default_config()
     d = drone_at(0, 63.0, 60.0, last_move=(3.0, 0.0))
     world = make_world(drones=[d], enemies=[Enemy(0, Point2(50.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
-    obs = observe(world.eas[0], world, cfg)
-    assert obs[0].nearest_enemy_distance == pytest.approx(10.0, abs=1e-12)
-    assert obs[0].pursuing is False
+    assert observe(world.eas[0], world, cfg) == {0: True}
 
 
-def test_pursuing_is_false_beyond_detection_radius_randomized():
+def test_drones_beyond_detection_radius_are_clean_randomized():
     cfg = default_config()
     rng = random.Random(81)
     ea = ea_at(0, 60.0, 60.0)
+    beyond = 0
     for _ in range(200):
         move = (rng.uniform(-3.6, 3.6), rng.uniform(-3.6, 3.6))
         d = drone_at(0, 60.0 + move[0], 60.0 + move[1], last_move=move)
         enemy = Enemy(0, Point2(rng.uniform(0, 120), rng.uniform(0, 120)), 0)
         world = make_world(drones=[d], enemies=[enemy], eas=[ea])
-        ob = observe(ea, world, cfg)[0]
-        if ob.nearest_enemy_distance is None or ob.nearest_enemy_distance > cfg.detection_radius:
-            assert ob.pursuing is False
+        vantage = Point2(d.position.x - move[0], d.position.y - move[1])
+        if distance(vantage, enemy.position) > cfg.detection_radius:
+            assert observe(ea, world, cfg) == {0: False}
+            beyond += 1
+    assert beyond > 0
 
 
 def test_fresh_spawns_inside_monitor_radius_log_entry_points():
@@ -255,8 +250,7 @@ def test_patrol_orbit_keeps_its_radius():
     ea = ea_at(0, center.x + cfg.ea_orbit_radius, center.y)
     world = make_world(eas=[ea])
     for _ in range(100):
-        v = ea_policy(ea, world, cfg)
-        ea.position = Point2(ea.position.x + v.x, ea.position.y + v.y)
+        ea.position = ea_policy(ea, world, cfg)
         assert abs(distance(ea.position, center) - cfg.ea_orbit_radius) < 1e-6
 
 
@@ -266,8 +260,7 @@ def test_displaced_agent_returns_to_its_orbit():
     ea = ea_at(0, 100.0, 100.0)
     world = make_world(eas=[ea])
     for _ in range(40):
-        v = ea_policy(ea, world, cfg)
-        ea.position = Point2(ea.position.x + v.x, ea.position.y + v.y)
+        ea.position = ea_policy(ea, world, cfg)
     assert abs(distance(ea.position, center) - cfg.ea_orbit_radius) < 1e-6
 
 
@@ -276,9 +269,9 @@ def test_pursuit_runs_straight_at_the_suspect():
     ea = ea_at(0, 60.0, 20.0, pursue_target=3)
     suspect = drone_at(3, 60.0, 90.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
-    v = ea_policy(ea, world, cfg)
-    assert v.x == pytest.approx(0.0, abs=1e-12)
-    assert v.y == pytest.approx(cfg.drone_speed, abs=1e-12)
+    p = ea_policy(ea, world, cfg)
+    assert p.x == pytest.approx(60.0, abs=1e-12)
+    assert p.y == pytest.approx(20.0 + cfg.drone_speed, abs=1e-12)
 
 
 def test_pursuit_parks_once_within_reform_range():
@@ -286,7 +279,7 @@ def test_pursuit_parks_once_within_reform_range():
     ea = ea_at(0, 60.0, 60.0, pursue_target=3)
     suspect = drone_at(3, 60.0, 69.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
-    assert ea_policy(ea, world, cfg) == Point2(0.0, 0.0)
+    assert ea_policy(ea, world, cfg) == Point2(60.0, 60.0)
 
 
 # --- reformation ----------------------------------------------------------------
@@ -345,7 +338,7 @@ def test_catching_a_compliant_suspect_stands_down_without_event():
 
 def test_reformed_drone_runs_the_compliant_policy_afterwards():
     # Replay an episode that contains a reformation and recompute the
-    # reformed drone's moves independently from each pre-step snapshot.
+    # reformed drone's positions independently from each pre-step snapshot.
     cfg = apply_overrides(default_config(), num_eas=2)
     reforming_seed = None
     for s in range(1, 31):
@@ -366,8 +359,7 @@ def test_reformed_drone_runs_the_compliant_policy_afterwards():
         step(world, cfg, rng)
         for probe, actual in zip(before.drones, world.drones):
             if probe.role is DroneRole.REFORMED:
-                expected = compliant_policy(probe, before, cfg)
-                assert actual.last_move == expected
+                assert actual.position == clamp_to_map(compliant_policy(probe, before, cfg), cfg)
                 checked += 1
     assert checked > 0
 

@@ -172,12 +172,21 @@ def test_two_agent_recomputation_matches_the_reference():
     assert verify_against_reference(aggregate(load_fixture("two_ea"))) == []
 
 
+def flagged_labels(messages):
+    return [message.split(":")[0] for message in messages]
+
+
 def test_one_agent_recomputation_diverges_from_the_reference():
     messages = verify_against_reference(aggregate(load_fixture("one_ea")))
+    assert flagged_labels(messages) == [
+        "Success Rate (%)",
+        "Avg Duration (s)",
+        "Duration Std (s)",
+        "Avg Steps",
+        "Avg Reformed",
+        "Reformed Std",
+    ]
     joined = "\n".join(messages)
-    assert "Success Rate (%)" in joined
-    assert "Avg Steps" in joined
-    assert "Avg Reformed" in joined
     assert "7.4" in joined
     assert "263.5" in joined
     assert "0.20" in joined
@@ -185,9 +194,10 @@ def test_one_agent_recomputation_diverges_from_the_reference():
 
 def test_no_agent_recomputation_flags_the_known_steps_drift():
     messages = verify_against_reference(aggregate(load_fixture("no_ea")))
-    joined = "\n".join(messages)
-    assert "Avg Steps" in joined
-    assert "168.3" in joined
+    assert messages == [
+        "Duration Std (s): recomputed 8.02 vs reference 7.9",
+        "Avg Steps: recomputed 169.00 vs reference 168.3",
+    ]
 
 
 def test_unknown_configurations_have_no_reference_column():
