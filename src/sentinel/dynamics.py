@@ -83,17 +83,29 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     return circle_step(drone.position, on_arc, sector_center + offset, radius, cfg)
 
 
+def scan_for_threat(drone: Drone, world: WorldState, cfg: SimConfig) -> Enemy | None:
+    """The nearest enemy within detection range of the drone, or None; also
+    stored as drone.threat, which enforcement agents judge the move by."""
+    enemy = nearest_enemy(drone.position, world.enemies)
+    if enemy is not None and distance(drone.position, enemy.position) > cfg.detection_radius:
+        enemy = None
+    drone.threat = enemy
+    return enemy
+
+
 def compliant_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
     """Next position of a cooperating drone: toward the nearest detected
     threat, otherwise along the own sector."""
-    enemy = nearest_enemy(drone.position, world.enemies)
-    if enemy is not None and distance(drone.position, enemy.position) <= cfg.detection_radius:
+    enemy = scan_for_threat(drone, world, cfg)
+    if enemy is not None:
         return move_toward(drone.position, enemy.position, cfg.drone_speed)
     return _sector_patrol_move(drone, cfg)
 
 
 def malicious_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
-    """Next position of a defecting drone: patrol as usual, never pursue."""
+    """Next position of a defecting drone: it sees the threat like any
+    drone, but patrols as usual and never pursues."""
+    scan_for_threat(drone, world, cfg)
     return _sector_patrol_move(drone, cfg)
 
 
@@ -173,15 +185,15 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 1) spawning
     spawn_enemies(world, cfg, rng)
 
-    # 2) drone motion, every next position chosen from the pre-move snapshot
+    # 2) drone motion, every next position chosen from the pre-move snapshot;
+    #    each drone keeps the threat it saw and the position it moved from
     targets = [
         malicious_policy(d, world, cfg) if d.role is DroneRole.MALICIOUS else compliant_policy(d, world, cfg)
         for d in world.drones
     ]
     for d, target in zip(world.drones, targets):
-        new_pos = clamp_to_map(target, cfg)
-        d.last_move = Point2(new_pos.x - d.position.x, new_pos.y - d.position.y)
-        d.position = new_pos
+        d.prev_position = d.position
+        d.position = clamp_to_map(target, cfg)
 
     # 3) enforcement agents observe, judge, move, and possibly reform
     if enforcement.run_enforcement_phase(world, cfg):

@@ -21,7 +21,7 @@ from .world import (
     clamp_to_map,
     distance,
     move_toward,
-    nearest_enemy,
+    nearest_enemy,  # noqa: F401  perfbench/tracing.py wraps this name; nothing here calls it
 )
 
 # A displacement counts as pursuit when it points at the nearest in-range
@@ -33,8 +33,8 @@ PURSUIT_ANGLE_TOLERANCE_DEG = 15.0
 FAILSAFE_THRESHOLDS = 4
 
 
-def _points_toward(displacement: Point2, origin: Point2, target: Point2) -> bool:
-    dx, dy = displacement
+def _moved_toward(origin: Point2, end: Point2, target: Point2) -> bool:
+    dx, dy = end.x - origin.x, end.y - origin.y
     tx, ty = target.x - origin.x, target.y - origin.y
     d_norm = math.hypot(dx, dy)
     t_norm = math.hypot(tx, ty)
@@ -46,13 +46,13 @@ def _points_toward(displacement: Point2, origin: Point2, target: Point2) -> bool
 
 def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> dict[int, bool]:
     """A verdict for every drone within monitor range of the agent, by drone
-    id: True when the drone violates, i.e. a threat lies within detection
-    range and the drone's last displacement does not pursue it.
+    id: True when the drone violates, i.e. it saw a threat this step and
+    its move does not pursue it.
 
-    Proximity and the pursuit cone are judged from the position the drone
-    moved from this step, i.e. against what the drone could see when it
-    chose its move. Fresh spawns inside monitor range are logged as
-    entry-point events.
+    The agent reads the scan the drone acted on (drone.threat, taken from
+    drone.prev_position when it chose its move) and judges the move from
+    prev_position to position against the pursuit cone. Fresh spawns inside
+    monitor range are logged as entry-point events.
     """
     for e in world.enemies:
         if e.spawned_at == world.step and distance(ea.position, e.position) <= cfg.ea_monitor_radius:
@@ -62,12 +62,9 @@ def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> dic
     for drone in world.drones:
         if distance(ea.position, drone.position) > cfg.ea_monitor_radius:
             continue
-        vantage = Point2(drone.position.x - drone.last_move.x, drone.position.y - drone.last_move.y)
-        enemy = nearest_enemy(vantage, world.enemies)
-        verdicts[drone.id] = (
-            enemy is not None
-            and distance(vantage, enemy.position) <= cfg.detection_radius
-            and not _points_toward(drone.last_move, vantage, enemy.position)
+        threat = drone.threat
+        verdicts[drone.id] = threat is not None and not _moved_toward(
+            drone.prev_position, drone.position, threat.position
         )
     return verdicts
 

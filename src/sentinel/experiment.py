@@ -171,8 +171,11 @@ def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_re
     workers = _worker_count(num_runs)
     if workers <= 1:
         return list(map(episode, *args))
+    # About eight chunks per worker: few enough round trips for short
+    # episodes, enough chunks to even out long ones.
+    chunksize = max(1, num_runs // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(episode, *args))
+        return list(pool.map(episode, *args, chunksize=chunksize))
 
 
 def format_record(rec: RunRecord) -> str:

@@ -36,8 +36,12 @@ def nearest_enemy(position: Point2, enemies: list["Enemy"]) -> "Enemy | None":
 
 
 def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
-    # Positions saturate at the walls, they never wrap.
-    return Point2(min(max(p.x, 0.0), cfg.map_size), min(max(p.y, 0.0), cfg.map_size))
+    # Positions saturate at the walls, they never wrap. A point already on
+    # the map comes back as is, the same value the saturation would build.
+    m = cfg.map_size
+    if 0.0 <= p.x <= m and 0.0 <= p.y <= m:
+        return p
+    return Point2(min(max(p.x, 0.0), m), min(max(p.y, 0.0), m))
 
 
 def move_toward(p: Point2, target: Point2, max_step: float) -> Point2:
@@ -71,13 +75,21 @@ class Outcome(Enum):
 @dataclass
 class Drone:
     """A patrol drone. Its id is also its sector index; patrol_dir is +1
-    counter-clockwise, -1 clockwise."""
+    counter-clockwise, -1 clockwise.
+
+    prev_position is where the drone stood before its last move, and threat
+    the nearest enemy within detection range of that position when the
+    drone chose the move, or None. Every policy makes that scan, so a drone
+    that ignores the threat can be judged against what it saw. Both are
+    None until the first step.
+    """
 
     id: int
     position: Point2
     role: DroneRole
     patrol_dir: int = 1
-    last_move: Point2 = Point2(0.0, 0.0)
+    prev_position: Point2 | None = None
+    threat: "Enemy | None" = None
 
 
 @dataclass

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from sentinel import dynamics, enforcement
 from sentinel.config import apply_overrides, default_config
-from sentinel.dynamics import compliant_policy, step
+from sentinel.dynamics import compliant_policy, scan_for_threat, step
 from sentinel.enforcement import (
     PURSUIT_ANGLE_TOLERANCE_DEG,
     attempt_reformation,
@@ -40,13 +41,21 @@ def make_world(drones=(), enemies=(), eas=(), step_index=1):
     )
 
 
-def drone_at(drone_id, x, y, role=DroneRole.COMPLIANT, last_move=(0.0, 0.0)):
-    return Drone(
-        id=drone_id,
-        position=Point2(x, y),
-        role=role,
-        last_move=Point2(*last_move),
-    )
+def drone_at(drone_id, x, y, role=DroneRole.COMPLIANT):
+    return Drone(id=drone_id, position=Point2(x, y), role=role)
+
+
+def move_after_scan(world, cfg, moves=None):
+    """Do to every drone what step() does before enforcement: scan for its
+    threat under cfg from where it stands, remember that position, then move
+    it by moves[drone id] (default: stay put). Returns the world."""
+    moves = moves or {}
+    for d in world.drones:
+        scan_for_threat(d, world, cfg)
+        d.prev_position = d.position
+        dx, dy = moves.get(d.id, (0.0, 0.0))
+        d.position = Point2(d.position.x + dx, d.position.y + dy)
+    return world
 
 
 def ea_at(ea_id, x, y, **kwargs):
@@ -59,7 +68,7 @@ def ea_at(ea_id, x, y, **kwargs):
 def test_drones_outside_monitor_radius_are_unobserved():
     cfg = apply_overrides(default_config(), ea_monitor_radius=20.0)
     ea = ea_at(0, 60.0, 60.0)
-    world = make_world(drones=[drone_at(0, 85.0, 60.0)], eas=[ea])
+    world = move_after_scan(make_world(drones=[drone_at(0, 85.0, 60.0)], eas=[ea]), cfg)
     assert observe(ea, world, cfg) == {}
 
 
@@ -71,23 +80,27 @@ def test_observation_without_nearby_enemy_is_clean():
         enemies=[Enemy(0, Point2(0.0, 0.0), 0)],
         eas=[ea],
     )
+    move_after_scan(world, cfg)
     assert observe(ea, world, cfg) == {0: False}
 
 
 def test_patrolling_near_a_threat_is_a_violation_signature():
-    # A drone whose last displacement was a patrol sweep, with an enemy six
-    # units off: a violation up to a detection radius of exactly that distance.
+    # A drone that sweeps its patrol with an enemy six units off: a violation
+    # up to a detection radius of exactly that distance.
+    def observed(cfg):
+        d = drone_at(3, 60.0, 60.0, role=DroneRole.MALICIOUS)
+        world = make_world(
+            drones=[d],
+            enemies=[Enemy(0, Point2(66.0, 60.0), 0)],
+            eas=[ea_at(0, 62.0, 62.0)],
+        )
+        move_after_scan(world, cfg, {3: (0.0, cfg.drone_speed)})
+        return observe(world.eas[0], world, cfg)
+
     cfg = default_config()
-    moving_up = (0.0, cfg.drone_speed)
-    d = drone_at(3, 60.0, 60.0 + cfg.drone_speed, role=DroneRole.MALICIOUS, last_move=moving_up)
-    world = make_world(
-        drones=[d],
-        enemies=[Enemy(0, Point2(66.0, 60.0), 0)],
-        eas=[ea_at(0, 62.0, 62.0)],
-    )
-    assert observe(world.eas[0], world, cfg) == {3: True}
-    assert observe(world.eas[0], world, apply_overrides(cfg, detection_radius=6.0)) == {3: True}
-    assert observe(world.eas[0], world, apply_overrides(cfg, detection_radius=5.99)) == {3: False}
+    assert observed(cfg) == {3: True}
+    assert observed(apply_overrides(cfg, detection_radius=6.0)) == {3: True}
+    assert observed(apply_overrides(cfg, detection_radius=5.99)) == {3: False}
 
 
 def test_moving_onto_the_enemy_counts_as_pursuit():
@@ -96,9 +109,10 @@ def test_moving_onto_the_enemy_counts_as_pursuit():
     cfg = default_config()
     enemies = [Enemy(0, Point2(68.0, 60.0), 0)]
     still = make_world(drones=[drone_at(1, 60.0, 60.0)], enemies=enemies, eas=[ea_at(0, 60.0, 60.0)])
+    move_after_scan(still, cfg)
     assert observe(still.eas[0], still, cfg) == {1: True}
-    d = drone_at(1, 63.6, 60.0, last_move=(3.6, 0.0))
-    world = make_world(drones=[d], enemies=enemies, eas=[ea_at(0, 60.0, 60.0)])
+    world = make_world(drones=[drone_at(1, 60.0, 60.0)], enemies=enemies, eas=[ea_at(0, 60.0, 60.0)])
+    move_after_scan(world, cfg, {1: (3.6, 0.0)})
     assert observe(world.eas[0], world, cfg) == {1: False}
 
 
@@ -108,15 +122,16 @@ def test_pursuit_cone_boundary_is_inclusive_at_the_tolerance():
     for degrees, expected in ((PURSUIT_ANGLE_TOLERANCE_DEG, True), (PURSUIT_ANGLE_TOLERANCE_DEG + 1.0, False)):
         rad = math.radians(degrees)
         move = (2.0 * math.cos(rad), 2.0 * math.sin(rad))
-        d = drone_at(0, 60.0 + move[0], 60.0 + move[1], last_move=move)
-        world = make_world(drones=[d], enemies=[enemy], eas=[ea_at(0, 60.0, 60.0)])
+        world = make_world(drones=[drone_at(0, 60.0, 60.0)], enemies=[enemy], eas=[ea_at(0, 60.0, 60.0)])
+        move_after_scan(world, cfg, {0: move})
         assert observe(world.eas[0], world, cfg) == {0: not expected}
 
 
 def test_standing_still_is_never_pursuit():
     cfg = default_config()
-    d = drone_at(0, 60.0, 60.0, last_move=(0.0, 0.0))
+    d = drone_at(0, 60.0, 60.0)
     world = make_world(drones=[d], enemies=[Enemy(0, Point2(65.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
+    move_after_scan(world, cfg, {0: (0.0, 0.0)})
     assert observe(world.eas[0], world, cfg) == {0: True}
 
 
@@ -125,8 +140,10 @@ def test_observation_judges_from_the_premove_vantage():
     # position is out of detection range, but the move decision was made in
     # range (10 units, the detection radius), so it is still a violation.
     cfg = default_config()
-    d = drone_at(0, 63.0, 60.0, last_move=(3.0, 0.0))
+    d = drone_at(0, 60.0, 60.0)
     world = make_world(drones=[d], enemies=[Enemy(0, Point2(50.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
+    move_after_scan(world, cfg, {0: (3.0, 0.0)})
+    assert d.position == Point2(63.0, 60.0)
     assert observe(world.eas[0], world, cfg) == {0: True}
 
 
@@ -137,14 +154,36 @@ def test_drones_beyond_detection_radius_are_clean_randomized():
     beyond = 0
     for _ in range(200):
         move = (rng.uniform(-3.6, 3.6), rng.uniform(-3.6, 3.6))
-        d = drone_at(0, 60.0 + move[0], 60.0 + move[1], last_move=move)
         enemy = Enemy(0, Point2(rng.uniform(0, 120), rng.uniform(0, 120)), 0)
-        world = make_world(drones=[d], enemies=[enemy], eas=[ea])
-        vantage = Point2(d.position.x - move[0], d.position.y - move[1])
-        if distance(vantage, enemy.position) > cfg.detection_radius:
+        world = make_world(drones=[drone_at(0, 60.0, 60.0)], enemies=[enemy], eas=[ea])
+        move_after_scan(world, cfg, {0: move})
+        if distance(Point2(60.0, 60.0), enemy.position) > cfg.detection_radius:
             assert observe(ea, world, cfg) == {0: False}
             beyond += 1
     assert beyond > 0
+
+
+def test_each_drone_scans_once_per_step_and_observers_reuse_the_scan(monkeypatch):
+    cfg = apply_overrides(default_config(), num_eas=2, time_limit_steps=60)
+    calls = {"dynamics": 0, "enforcement": 0}
+
+    def count_calls(module, name):
+        original = module.nearest_enemy
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, "nearest_enemy", wrapper)
+
+    count_calls(dynamics, "dynamics")
+    count_calls(enforcement, "enforcement")
+    rng = random.Random(7)
+    world = initial_world(cfg, rng)
+    while world.outcome is None:
+        step(world, cfg, rng)
+    assert world.step == 60
+    assert calls == {"dynamics": 60 * cfg.total_drones, "enforcement": 0}
 
 
 def test_fresh_spawns_inside_monitor_radius_log_entry_points():
@@ -164,16 +203,17 @@ def test_fresh_spawns_inside_monitor_radius_log_entry_points():
 # --- suspicion ----------------------------------------------------------------
 
 
-def violating_world(ea, drone):
+def violating_world(ea, drone, cfg):
     # enemy parked right next to the drone, drone idle
-    return make_world(drones=[drone], enemies=[Enemy(0, Point2(drone.position.x + 4.0, drone.position.y), 0)], eas=[ea])
+    enemy = Enemy(0, Point2(drone.position.x + 4.0, drone.position.y), 0)
+    return move_after_scan(make_world(drones=[drone], enemies=[enemy], eas=[ea]), cfg)
 
 
 def test_threshold_crossing_flips_the_agent_into_pursuit():
     cfg = default_config()
     ea = ea_at(0, 60.0, 60.0)
     d = drone_at(2, 65.0, 60.0, role=DroneRole.MALICIOUS)
-    world = violating_world(ea, d)
+    world = violating_world(ea, d, cfg)
     for i in range(cfg.suspicion_threshold):
         world.step = i + 1
         update_suspicion(ea, observe(ea, world, cfg), world, cfg)
@@ -190,13 +230,13 @@ def test_one_clean_observation_resets_the_count():
     cfg = default_config()
     ea = ea_at(0, 60.0, 60.0)
     d = drone_at(2, 65.0, 60.0)
-    world = violating_world(ea, d)
+    world = violating_world(ea, d, cfg)
     for i in range(cfg.suspicion_threshold - 1):
         world.step = i + 1
         update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert ea.suspicion[2] == cfg.suspicion_threshold - 1
     # now the drone lunges straight at the threat
-    d.last_move = Point2(2.0, 0.0)
+    move_after_scan(world, cfg, {2: (2.0, 0.0)})
     world.step += 1
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert ea.suspicion[2] == 0
@@ -207,7 +247,7 @@ def test_unobserved_drones_keep_their_suspicion():
     cfg = apply_overrides(default_config(), ea_monitor_radius=20.0)
     ea = ea_at(0, 60.0, 60.0, suspicion={5: 3})
     far_drone = drone_at(5, 110.0, 60.0)
-    world = make_world(drones=[far_drone], eas=[ea])
+    world = move_after_scan(make_world(drones=[far_drone], eas=[ea]), cfg)
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert ea.suspicion[5] == 3
 
@@ -222,6 +262,7 @@ def test_simultaneous_threshold_crossings_pick_the_lowest_id():
         enemies=[Enemy(0, Point2(60.0, 63.0), 0)],
         eas=[ea],
     )
+    move_after_scan(world, cfg)
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert ea.pursue_target is not None
     assert ea.pursue_target == 1

@@ -127,6 +127,18 @@ def test_parallel_batches_match_serial_output(monkeypatch):
     assert parallel == serial
 
 
+def test_chunked_parallel_batches_match_serial_output(monkeypatch):
+    # 37 runs on 2 workers go out in chunks of 37 // 16 = 2 runs, the last
+    # chunk holding one.
+    cfg = apply_overrides(default_config(), time_limit_steps=20)
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    serial = run_batch(cfg, 37, 5)
+    monkeypatch.setenv("SENTINEL_THREADS", "2")
+    parallel = run_batch(cfg, 37, 5)
+    assert [r.run for r in parallel] == list(range(1, 38))
+    assert parallel == serial
+
+
 def test_worker_count_parsing(monkeypatch):
     monkeypatch.delenv("SENTINEL_THREADS", raising=False)
     assert _worker_count(30) == 1

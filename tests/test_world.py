@@ -38,6 +38,31 @@ def test_clamp_saturates_at_the_walls():
     assert clamp_to_map(Point2(60.0, 60.0), cfg) == Point2(60.0, 60.0)
 
 
+def test_clamp_matches_the_saturation_formula_bit_for_bit():
+    # The in-map fast path must return what the plain saturation returns,
+    # down to the sign of zero, and an in-map point itself.
+    cfg = default_config()
+    m = cfg.map_size
+
+    def saturated(p):
+        return Point2(min(max(p.x, 0.0), m), min(max(p.y, 0.0), m))
+
+    def bits(v):
+        return (v, math.copysign(1.0, v))
+
+    edges = [0.0, -0.0, m, 1e308, -1e308]
+    for edge in (0.0, m):
+        edges += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    rng = random.Random(5)
+    values = edges + [rng.uniform(-2.0 * m, 3.0 * m) for _ in range(500)]
+    for x in values:
+        for y in edges + [rng.choice(values)]:
+            p = Point2(x, y)
+            got, want = clamp_to_map(p, cfg), saturated(p)
+            assert (bits(got.x), bits(got.y)) == (bits(want.x), bits(want.y)), (x, y)
+            assert (got is p) == (0.0 <= x <= m and 0.0 <= y <= m), (x, y)
+
+
 def test_move_toward_never_overshoots():
     assert move_toward(Point2(0, 0), Point2(10, 0), 4.0) == Point2(4.0, 0.0)
     assert move_toward(Point2(0, 0), Point2(1, 0), 4.0) == Point2(1.0, 0.0)

@@ -1,0 +1,81 @@
+"""Benchmark every workload on a fixed seed set and write the medians.
+
+    python3 tools/bench.py LABEL [--checkout DIR]
+
+Runs ``perfbench/run.py --trace 0`` of the checkout DIR (default: the one
+this script is in) for every workload in its BENCHMARK.json, on seeds 2, 3,
+4 and the held-out 4070, one run at a time, each for the benchmark's
+``run_seconds``. Writes ``BENCH_<LABEL>.json`` to the current directory:
+per workload, the median of each end-to-end metric over the seeds, every
+seed's values, and the total attempted and failed operations. To compare
+two commits, run it on a checkout of each.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (2, 3, 4, 4070)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one untraced benchmark run."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"bench: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label")
+    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    args = parser.parse_args(argv)
+
+    checkout = args.checkout.resolve()
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+    results = {w: {} for w in workloads}
+    for seed in SEEDS:
+        for workload in workloads:
+            result = run_once(checkout, workload, seed, spec["run_seconds"])
+            results[workload][seed] = result
+            print(f"{workload} seed {seed}: correct={result['correct']}", file=sys.stderr)
+
+    summary = {}
+    for workload, by_seed in results.items():
+        values = {str(s): {m: r["metrics"][m]["value"] for m in metrics} for s, r in by_seed.items()}
+        summary[workload] = {
+            "median": {m: statistics.median(v[m] for v in values.values()) for m in metrics},
+            "by_seed": values,
+            "correct": all(r["correct"] for r in by_seed.values()),
+            "attempted": sum(r["attempted"] for r in by_seed.values()),
+            "failed": sum(r["failed"] for r in by_seed.values()),
+        }
+    out = {
+        "label": args.label,
+        "commit": commit,
+        "seeds": list(SEEDS),
+        "run_seconds": spec["run_seconds"],
+        "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
+        "workloads": summary,
+    }
+    dest = Path(f"BENCH_{args.label}.json")
+    dest.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    print(dest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
