@@ -9,7 +9,6 @@ non-negative integer is a ValueError).
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -174,6 +173,9 @@ def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_re
     # About eight chunks per worker: few enough round trips for short
     # episodes, enough chunks to even out long ones.
     chunksize = max(1, num_runs // (8 * workers))
+    # Imported here: only a pooled batch pays for loading concurrent.futures.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(episode, *args, chunksize=chunksize))
 

@@ -33,18 +33,21 @@ def round_half_up(v: float) -> int:
 
 
 def _fill_disc(frame: Frame, cx: int, cy: int, radius: float, color: tuple[int, int, int]) -> None:
-    r, g, b = color
+    """Paint the pixels with dx*dx + dy*dy <= radius*radius, clipped to the
+    frame, as one run of bytes per row."""
     span = int(math.ceil(radius))
-    r2 = radius * radius
+    # dx*dx + dy*dy is an integer, so the floor of the square admits the same
+    # pixels; the cap, which no pixel of the span box exceeds, keeps a square
+    # that overflowed to inf from breaking the floor.
+    limit = math.floor(min(radius * radius, 2 * span * span))
+    run, width = bytes(color), frame.width
     for py in range(max(0, cy - span), min(frame.height, cy + span + 1)):
-        dy = py - cy
-        for px in range(max(0, cx - span), min(frame.width, cx + span + 1)):
-            dx = px - cx
-            if dx * dx + dy * dy <= r2:
-                base = (py * frame.width + px) * 3
-                frame.pixels[base] = r
-                frame.pixels[base + 1] = g
-                frame.pixels[base + 2] = b
+        room = limit - (py - cy) ** 2
+        if room >= 0:
+            half = math.isqrt(room)
+            x0, x1 = max(0, cx - half), min(width, cx + half + 1)
+            if x0 < x1:  # an empty run's stop could index from the end
+                frame.pixels[(py * width + x0) * 3 : (py * width + x1) * 3] = run * (x1 - x0)
 
 
 def _px(v: float) -> int:
@@ -59,7 +62,10 @@ def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     rounded half up after scaling by SCALE.
     """
     side = _px(cfg.map_size)
-    frame = Frame(width=side, height=side, pixels=bytearray(WHITE * (side * side)))
+    try:
+        frame = Frame(width=side, height=side, pixels=bytearray(bytes(WHITE) * (side * side)))
+    except (OverflowError, MemoryError):
+        raise ValueError(f"cannot draw a {side}x{side} frame: too large") from None
     cx, cy = cfg.center
     _fill_disc(frame, _px(cx), _px(cy), cfg.center_radius * SCALE, ZONE_GRAY)
     for e in world.enemies:
@@ -71,16 +77,20 @@ def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     return frame
 
 
+def _ppm_header(frame: Frame) -> bytes:
+    return f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
+
+
 def ppm_bytes(frame: Frame) -> bytes:
     """Binary portable pixmap encoding: P6 header, then raw RGB rows."""
-    header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    return header + bytes(frame.pixels)
+    return _ppm_header(frame) + bytes(frame.pixels)
 
 
 def write_image(frame: Frame, dest) -> None:
     """Write the frame as a P6 file; I/O failures surface with the path."""
     with open(dest, "wb") as fh:
-        fh.write(ppm_bytes(frame))
+        fh.write(_ppm_header(frame))
+        fh.write(frame.pixels)
 
 
 # --- debug snapshots ---------------------------------------------------------
@@ -126,9 +136,9 @@ def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
     """Rebuild the renderable part of a world from snapshot text, with the
     default config carrying the snapshot's map geometry.
 
-    Only what rendering reads is checked: finite map values, the center
-    strictly inside the map, a positive center radius, and entity
-    coordinates that stay finite once scaled to pixels.
+    Only what rendering reads is checked: map values and entity
+    coordinates that stay finite once scaled to pixels, the center strictly
+    inside the map, and a positive center radius.
     """
     world = WorldState(step=0, drones=[], enemies=[], eas=[])
     cfg = default_config()
@@ -141,8 +151,9 @@ def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
             head = parts[0]
             if head == "map":
                 size, x, y, radius = values = tuple(map(float, parts[1:]))
-                if not (all(map(math.isfinite, values)) and 0 < x < size and 0 < y < size and radius > 0):
-                    raise ValueError("map values must be finite, the center strictly inside, the radius positive")
+                in_pixels = all(math.isfinite(v * SCALE) for v in values)
+                if not (in_pixels and 0 < x < size and 0 < y < size and radius > 0):
+                    raise ValueError("map values must be finite in pixels, the center strictly inside, the radius positive")
                 cfg = apply_overrides(cfg, map_size=size, center=(x, y), center_radius=radius)
             elif head == "step":
                 world.step = int(parts[1])

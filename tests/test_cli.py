@@ -187,10 +187,15 @@ def test_render_draws_a_small_map(tmp_path, capsys):
     assert "200x200" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("size", ["-1", "nan"])
-def test_render_rejects_an_impossible_map(tmp_path, capsys, size):
+@pytest.mark.parametrize(
+    "map_line",
+    ["map -1 25 25 5", "map nan 25 25 5", "map 1e308 25 25 5", "map 50 25 25 1e308"],
+    ids=["-1", "nan", "1e308", "radius-1e308"],
+)
+def test_render_rejects_an_impossible_map(tmp_path, capsys, map_line):
+    # 1e308 is finite, but not once scaled to pixels.
     snapshot = tmp_path / "world.txt"
-    snapshot.write_text(f"map {size} 25 25 5\n")
+    snapshot.write_text(map_line + "\n")
     out = tmp_path / "x.ppm"
     assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
     assert "error: line 1" in capsys.readouterr().err
@@ -207,6 +212,27 @@ def test_render_rejects_a_coordinate_that_has_no_pixel(tmp_path, capsys, entity)
     assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: line 3:")
     assert not out.exists()
+
+
+def test_render_of_a_frame_too_large_to_draw_is_a_runtime_error(tmp_path, capsys):
+    # 4e9 x 4e9 pixels overflow the canvas length before anything is allocated.
+    snapshot = tmp_path / "world.txt"
+    snapshot.write_text("map 1000000000.0 60.0 60.0 5.0\n")
+    out = tmp_path / "x.ppm"
+    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cannot draw a 4000000000x4000000000 frame: too large\n"
+    assert not out.exists()
+
+
+def test_simulate_frames_too_large_to_draw_is_a_runtime_error(tmp_path, capsys):
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("map_size = 1000000000.0\n")
+    out, frames = tmp_path / "records.csv", tmp_path / "frames"
+    argv = ["simulate", "--eas", "1", "--runs", "1", "--seed", "1", "--config", str(cfg_file)]
+    assert main(argv + ["--out", str(out), "--frames", str(frames)]) == 1
+    assert capsys.readouterr().err == "error: cannot draw a 4000000000x4000000000 frame: too large\n"
+    assert not out.exists()
+    assert not any(frames.iterdir())
 
 
 def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):
@@ -270,6 +296,13 @@ def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys, fram
     assert "error: SENTINEL_THREADS" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "frames").exists()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # Only a pooled batch needs concurrent.futures; every start-up would pay for it.
+    code = "import sys, sentinel, sentinel.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_module_entry_point_runs_as_a_subprocess(tmp_path):

@@ -1,5 +1,8 @@
 """Rasterizer: colors, draw order, the portable-pixmap encoding, snapshots."""
 
+import math
+import random
+
 import pytest
 
 from sentinel.config import apply_overrides, default_config
@@ -12,6 +15,7 @@ from sentinel.render import (
     WHITE,
     ZONE_GRAY,
     SnapshotError,
+    _fill_disc,
     ppm_bytes,
     read_snapshot,
     render_frame,
@@ -56,6 +60,39 @@ def disc_cardinality(radius):
         for dx in range(-span, span + 1)
         if dx * dx + dy * dy <= radius * radius
     )
+
+
+def fill_disc_per_pixel(frame, cx, cy, radius, color):
+    """Reference for _fill_disc: test every pixel of the frame on its own."""
+    for py in range(frame.height):
+        for px in range(frame.width):
+            if (px - cx) ** 2 + (py - cy) ** 2 <= radius * radius:
+                base = (py * frame.width + px) * 3
+                frame.pixels[base : base + 3] = bytes(color)
+
+
+def test_disc_fill_matches_the_per_pixel_reference_randomized():
+    rng = random.Random(7)
+    # Zero, fractional, the entity and default zone radii, one ulp either side
+    # of an integer, and a zone radius whose square overflows to inf.
+    radii = [0.0, 0.5, 1.5, 2.7, ENTITY_RADIUS_PX, 20.0, 4e300]
+    radii += [math.nextafter(float(k), toward) for k in (1, 2, 3, 20) for toward in (0.0, math.inf)]
+    for _ in range(2000):
+        width, height = rng.randint(1, 30), rng.randint(1, 30)
+        radius = rng.choice(radii + [rng.uniform(0.0, 25.0)])
+        reach = min(math.ceil(radius), 40)
+        # Centres inside, on and just past every edge, and beyond the disc's reach.
+        cx, cy = (
+            rng.choice([-reach - 1, -reach, -1, 0, rng.randrange(side), side - 1, side, side + reach, side + reach + 1])
+            for side in (width, height)
+        )
+        color = tuple(rng.randrange(256) for _ in range(3))
+        background = bytes(rng.randrange(256) for _ in range(width * height * 3))
+        fast = Frame(width, height, bytearray(background))
+        slow = Frame(width, height, bytearray(background))
+        _fill_disc(fast, cx, cy, radius, color)
+        fill_disc_per_pixel(slow, cx, cy, radius, color)
+        assert fast.pixels == slow.pixels, (width, height, cx, cy, radius)
 
 
 def test_round_half_up_behavior():
