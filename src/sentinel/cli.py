@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .config import ConfigError, apply_overrides, default_config, load_config, validate
 from .experiment import RecordError, read_records, run_batch, run_episode, write_records
-from .render import SnapshotError, read_snapshot, render_frame, write_image
+from .render import SnapshotError, frame_side, read_snapshot, render_frame, write_image
 from .stats import (
     SUMMARY_CSV_HEADER,
     StatsError,
@@ -74,6 +74,7 @@ def _cmd_simulate(args) -> int:
     validate(cfg)
 
     if args.frames:
+        frame_side(cfg)  # a frame too large to draw fails before the batch runs
         records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, Path(args.frames)))
     else:
         records = run_batch(cfg, args.runs, args.seed)

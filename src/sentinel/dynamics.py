@@ -60,27 +60,32 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
 
     Off the arc (after a pursuit) the drone heads straight back to the
     nearest point of its arc; on it, it sweeps at drone_speed, reversing at
-    the sector boundaries. Updates drone.patrol_dir as a side effect.
+    the sector boundaries. Updates drone.patrol_dir and drone.arc as it goes.
     """
-    cx, cy = cfg.center
     radius = cfg.patrol_radius
     half = math.pi / cfg.total_drones
     sector_center = 2.0 * math.pi * drone.id / cfg.total_drones
 
-    r = distance(drone.position, cfg.center)
-    if r == 0.0:
-        offset = 0.0
+    if drone.arc is not None and drone.arc[0] == drone.position:
+        offset, on_arc = drone.arc[1], True
     else:
-        angle = math.atan2(drone.position.y - cy, drone.position.x - cx)
-        offset = _wrap_angle(angle - sector_center)
+        r = distance(drone.position, cfg.center)
+        if r == 0.0:
+            offset = 0.0
+        else:
+            cx, cy = cfg.center
+            offset = _wrap_angle(math.atan2(drone.position.y - cy, drone.position.x - cx) - sector_center)
+        on_arc = abs(r - radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12
 
-    on_arc = abs(r - radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12
     if on_arc:
-        step_angle = cfg.drone_speed / radius
-        offset, drone.patrol_dir = _fold_into_sector(offset + drone.patrol_dir * step_angle, half, drone.patrol_dir)
+        offset += drone.patrol_dir * (cfg.drone_speed / radius)
+        if offset > half or offset < -half:
+            offset, drone.patrol_dir = _fold_into_sector(offset, half, drone.patrol_dir)
     else:
         offset = min(max(offset, -half), half)
-    return circle_step(drone.position, on_arc, sector_center + offset, radius, cfg)
+    target = circle_step(drone.position, on_arc, sector_center + offset, radius, cfg)
+    drone.arc = (target, offset) if on_arc else None
+    return target
 
 
 def scan_for_threat(drone: Drone, world: WorldState, cfg: SimConfig) -> Enemy | None:
@@ -157,13 +162,10 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
     survivors = []
     for enemy in world.enemies:
         best = None
-        best_key = None
         for d in interceptors:
             gap = distance(d.position, enemy.position)
-            if gap <= cfg.intercept_radius:
-                key = (gap, d.id)
-                if best_key is None or key < best_key:
-                    best, best_key = d, key
+            if gap <= cfg.intercept_radius and (best is None or gap < best_gap or (gap == best_gap and d.id < best.id)):
+                best, best_gap = d, gap
         if best is None:
             survivors.append(enemy)
         else:

@@ -27,6 +27,7 @@ from .world import (
 # A displacement counts as pursuit when it points at the nearest in-range
 # threat within this cone.
 PURSUIT_ANGLE_TOLERANCE_DEG = 15.0
+_PURSUIT_MIN_COS = math.cos(math.radians(PURSUIT_ANGLE_TOLERANCE_DEG)) - 1e-12
 
 # With the failsafe on, a pursuit that lasts more than this many suspicion
 # thresholds ends the episode.
@@ -41,7 +42,7 @@ def _moved_toward(origin: Point2, end: Point2, target: Point2) -> bool:
     if d_norm == 0.0 or t_norm == 0.0:
         return False
     cos_angle = (dx * tx + dy * ty) / (d_norm * t_norm)
-    return cos_angle >= math.cos(math.radians(PURSUIT_ANGLE_TOLERANCE_DEG)) - 1e-12
+    return cos_angle >= _PURSUIT_MIN_COS
 
 
 def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> dict[int, bool]:
@@ -79,32 +80,37 @@ def update_suspicion(ea: EnforcementAgentState, verdicts: dict[int, bool], world
     for drone_id, violating in verdicts.items():
         ea.suspicion[drone_id] = ea.suspicion.get(drone_id, 0) + 1 if violating else 0
 
-    hot = sorted(d for d, count in ea.suspicion.items() if count >= cfg.suspicion_threshold)
-    if hot:
-        target = hot[0]
-        if ea.pursue_target != target:
-            ea.pursue_target = target
-            ea.pursue_since = world.step
-            world.events.append(
-                Event(
-                    step=world.step,
-                    kind="suspicion_raised",
-                    data={"ea": ea.id, "drone": target, "count": ea.suspicion[target]},
-                )
+    hot = [d for d, count in ea.suspicion.items() if count >= cfg.suspicion_threshold]
+    target = min(hot) if hot else None
+    if target is not None and ea.pursue_target != target:
+        ea.pursue_target = target
+        ea.pursue_since = world.step
+        world.events.append(
+            Event(
+                step=world.step,
+                kind="suspicion_raised",
+                data={"ea": ea.id, "drone": target, "count": ea.suspicion[target]},
             )
+        )
 
 
 def _orbit_move(ea: EnforcementAgentState, cfg: SimConfig) -> Point2:
     # Return to the orbit circle if displaced, else advance counter-clockwise
-    # along it.
-    cx, cy = cfg.center
+    # along it. Standing on the point it was last sent to, the agent carries
+    # that point's angle; fmod keeps the carried angle bounded.
     radius = cfg.ea_orbit_radius
-    r = distance(ea.position, cfg.center)
-    angle = 0.0 if r == 0.0 else math.atan2(ea.position.y - cy, ea.position.x - cx)
-    on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
+    if ea.arc is not None and ea.arc[0] == ea.position:
+        angle, on_orbit = ea.arc[1], True
+    else:
+        cx, cy = cfg.center
+        r = distance(ea.position, cfg.center)
+        angle = 0.0 if r == 0.0 else math.atan2(ea.position.y - cy, ea.position.x - cx)
+        on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
     if on_orbit:
-        angle += cfg.drone_speed / radius
-    return circle_step(ea.position, on_orbit, angle, radius, cfg)
+        angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)
+    target = circle_step(ea.position, on_orbit, angle, radius, cfg)
+    ea.arc = (target, angle) if on_orbit else None
+    return target
 
 
 def _drone_by_id(world: WorldState, drone_id: int):

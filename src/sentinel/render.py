@@ -2,6 +2,7 @@
 and the snapshot text format that the render CLI reads."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import SimConfig, apply_overrides, default_config
@@ -54,6 +55,14 @@ def _px(v: float) -> int:
     return round_half_up(v * SCALE)
 
 
+def frame_side(cfg: SimConfig) -> int:
+    """Pixel side of cfg's square frame; a ValueError, allocating nothing, if too large."""
+    side = _px(cfg.map_size)
+    if 3 * side * side > sys.maxsize:
+        raise ValueError(f"cannot draw a {side}x{side} frame: too large")
+    return side
+
+
 def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     """Rasterize the world: white ground, gray protected zone, then enemies,
     drones, and enforcement agents as small discs, in that draw order.
@@ -61,10 +70,10 @@ def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     World x maps to pixel column, world y to pixel row; coordinates are
     rounded half up after scaling by SCALE.
     """
-    side = _px(cfg.map_size)
+    side = frame_side(cfg)
     try:
         frame = Frame(width=side, height=side, pixels=bytearray(bytes(WHITE) * (side * side)))
-    except (OverflowError, MemoryError):
+    except MemoryError:
         raise ValueError(f"cannot draw a {side}x{side} frame: too large") from None
     cx, cy = cfg.center
     _fill_disc(frame, _px(cx), _px(cy), cfg.center_radius * SCALE, ZONE_GRAY)

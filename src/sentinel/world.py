@@ -27,11 +27,10 @@ distance = math.dist
 def nearest_enemy(position: Point2, enemies: list["Enemy"]) -> "Enemy | None":
     """Closest live enemy; ties broken by lowest enemy id."""
     best = None
-    best_key = None
     for e in enemies:
-        key = (distance(position, e.position), e.id)
-        if best_key is None or key < best_key:
-            best, best_key = e, key
+        gap = distance(position, e.position)
+        if best is None or gap < best_gap or (gap == best_gap and e.id < best.id):
+            best, best_gap = e, gap
     return best
 
 
@@ -82,6 +81,9 @@ class Drone:
     drone chose the move, or None. Every policy makes that scan, so a drone
     that ignores the threat can be judged against what it saw. Both are
     None until the first step.
+
+    arc is the point of its arc the drone was last sent to and that point's
+    sector offset; while it stands there, the patrol carries the offset.
     """
 
     id: int
@@ -90,6 +92,7 @@ class Drone:
     patrol_dir: int = 1
     prev_position: Point2 | None = None
     threat: "Enemy | None" = None
+    arc: tuple[Point2, float] | None = None
 
 
 @dataclass
@@ -102,13 +105,16 @@ class Enemy:
 @dataclass
 class EnforcementAgentState:
     """A supervisory agent. suspicion maps drone id to consecutive
-    violations; the agent pursues exactly when pursue_target is set."""
+    violations; the agent pursues exactly when pursue_target is set. arc is
+    the orbit point it was last sent to with that point's angle, as for a
+    Drone."""
 
     id: int
     position: Point2
     suspicion: dict[int, int] = field(default_factory=dict)
     pursue_target: int | None = None
     pursue_since: int | None = None
+    arc: tuple[Point2, float] | None = None
 
 
 @dataclass

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from sentinel import cli
 from sentinel.cli import main
 from sentinel.config import apply_overrides, default_config
 from sentinel.experiment import read_records
@@ -224,15 +225,20 @@ def test_render_of_a_frame_too_large_to_draw_is_a_runtime_error(tmp_path, capsys
     assert not out.exists()
 
 
-def test_simulate_frames_too_large_to_draw_is_a_runtime_error(tmp_path, capsys):
+def test_simulate_frames_too_large_to_draw_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # The frame size is checked before the batch starts, so not one run is played.
+    def no_batch(*args):
+        raise AssertionError("run_batch was called")
+
+    monkeypatch.setattr(cli, "run_batch", no_batch)
     cfg_file = tmp_path / "huge.cfg"
     cfg_file.write_text("map_size = 1000000000.0\n")
     out, frames = tmp_path / "records.csv", tmp_path / "frames"
-    argv = ["simulate", "--eas", "1", "--runs", "1", "--seed", "1", "--config", str(cfg_file)]
+    argv = ["simulate", "--eas", "1", "--runs", "400", "--seed", "1", "--config", str(cfg_file)]
     assert main(argv + ["--out", str(out), "--frames", str(frames)]) == 1
     assert capsys.readouterr().err == "error: cannot draw a 4000000000x4000000000 frame: too large\n"
     assert not out.exists()
-    assert list(frames.glob("*.ppm")) == []
+    assert not frames.exists()
 
 
 def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):

@@ -23,6 +23,7 @@ from sentinel.dynamics import (
     step,
 )
 from sentinel.world import (
+    ON_CIRCLE_EPS,
     Drone,
     DroneRole,
     Enemy,
@@ -256,6 +257,51 @@ def test_displaced_drone_returns_to_its_arc():
     for _ in range(40):
         d.position = compliant_policy(d, world, cfg)
     assert abs(distance(d.position, center) - cfg.patrol_radius) < 1e-6
+
+
+def test_a_moved_drone_measures_its_angle_instead_of_reusing_the_carry():
+    cfg = default_config()
+    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    d = world.drones[2]
+    d.position = compliant_policy(d, world, cfg)
+    assert d.arc is not None and d.arc[0] == d.position
+    cx, cy = cfg.center
+    elsewhere = 2.0 * math.pi * d.id / cfg.total_drones - 0.5 * math.pi / cfg.total_drones
+    on_arc = Point2(cx + cfg.patrol_radius * math.cos(elsewhere), cy + cfg.patrol_radius * math.sin(elsewhere))
+    for moved in (on_arc, Point2(10.0, 10.0)):
+        d.position = moved
+        fresh = Drone(id=d.id, position=moved, role=d.role, patrol_dir=d.patrol_dir)
+        assert compliant_policy(d, world, cfg) == compliant_policy(fresh, world, cfg)
+        assert d.arc == fresh.arc
+
+
+@pytest.mark.parametrize("num_eas", [0, 2])
+def test_carried_angles_match_the_measured_ones(num_eas):
+    # A walker standing on its carried point skips measuring its angle, so
+    # the carry must agree with the measurement it replaces: on the circle
+    # within ON_CIRCLE_EPS, inside the sector, and at the same angle.
+    cfg = apply_overrides(default_config(), num_eas=num_eas)
+    cx, cy = cfg.center
+    half = math.pi / cfg.total_drones
+    carried = 0
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        world = initial_world(cfg, rng)
+        while world.outcome is None:
+            step(world, cfg, rng)
+            walkers = [(d, cfg.patrol_radius, 2.0 * math.pi * d.id / cfg.total_drones, half) for d in world.drones]
+            walkers += [(ea, cfg.ea_orbit_radius, 0.0, math.pi) for ea in world.eas]
+            for walker, radius, zero, bound in walkers:
+                if walker.arc is None or walker.arc[0] != walker.position:
+                    continue
+                carried += 1
+                x, y = walker.position
+                offset = math.atan2(y - cy, x - cx) - zero
+                assert abs(math.hypot(x - cx, y - cy) - radius) <= ON_CIRCLE_EPS
+                assert abs(math.atan2(math.sin(offset), math.cos(offset))) <= bound + 1e-12
+                gap = walker.arc[1] - offset
+                assert abs(math.atan2(math.sin(gap), math.cos(gap))) <= 1e-12
+    assert carried > 5000
 
 
 def test_malicious_policy_never_pursues():

@@ -305,6 +305,21 @@ def test_displaced_agent_returns_to_its_orbit():
     assert abs(distance(ea.position, center) - cfg.ea_orbit_radius) < 1e-6
 
 
+def test_a_moved_agent_measures_its_angle_instead_of_reusing_the_carry():
+    cfg = default_config()
+    center = Point2(*cfg.center)
+    ea = ea_at(0, center.x + cfg.ea_orbit_radius, center.y)
+    world = make_world(eas=[ea])
+    ea.position = ea_policy(ea, world, cfg)
+    assert ea.arc is not None and ea.arc[0] == ea.position
+    on_orbit = Point2(center.x + cfg.ea_orbit_radius * math.cos(2.0), center.y + cfg.ea_orbit_radius * math.sin(2.0))
+    for moved in (on_orbit, Point2(100.0, 100.0)):
+        ea.position = moved
+        fresh = ea_at(0, *moved)
+        assert ea_policy(ea, world, cfg) == ea_policy(fresh, make_world(eas=[fresh]), cfg)
+        assert ea.arc == fresh.arc
+
+
 def test_pursuit_runs_straight_at_the_suspect():
     cfg = default_config()
     ea = ea_at(0, 60.0, 20.0, pursue_target=3)

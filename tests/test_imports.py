@@ -1,0 +1,86 @@
+"""Design rules of the package's imports: the runtime uses the standard
+library and itself only, and its modules import each other without a cycle."""
+
+import ast
+import sys
+from pathlib import Path
+
+import sentinel
+
+PACKAGE_DIR = Path(sentinel.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
+def _imports(node, at_module_level=True):
+    """Every import statement under node, each with whether it runs when the
+    module is imported, i.e. outside any function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, at_module_level
+        inside_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        yield from _imports(child, at_module_level and not inside_function)
+
+
+def _package_targets(node):
+    """The package modules an import statement loads; none for the rest."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") for alias in node.names]
+        return [parts[1] if len(parts) > 1 else "__init__" for parts in names if parts[0] == "sentinel"]
+    if node.level == 0 and (node.module or "").split(".")[0] != "sentinel":
+        return []
+    module = node.module or ""
+    if node.level == 0:
+        module = module.partition(".")[2]
+    if module:
+        return [module.split(".")[0]]
+    return [alias.name if alias.name in TREES else "__init__" for alias in node.names]
+
+
+def _module_level_targets(tree):
+    return {target for node, at_top in _imports(tree) if at_top for target in _package_targets(node)}
+
+
+def test_the_runtime_imports_only_the_standard_library_and_itself():
+    allowed, outside = set(sys.stdlib_module_names) | {"sentinel"}, []
+    for name, tree in TREES.items():
+        for node, _ in _imports(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            else:
+                roots = [] if node.level else [node.module.split(".")[0]]
+            outside += [f"{name}: {root}" for root in roots if root not in allowed]
+    assert outside == []
+
+
+def _find_cycle(graph):
+    """One import cycle of graph as a list of module names that starts and
+    ends with the same name, or None."""
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name) :] + [name]
+        if name in done:
+            return None
+        path.append(name)
+        for target in sorted(graph.get(name, ())):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return None
+
+    return next((cycle for cycle in map(visit, sorted(graph)) if cycle), None)
+
+
+def test_module_level_imports_form_no_cycle():
+    graph = {name: _module_level_targets(tree) for name, tree in TREES.items()}
+    assert {"config", "world", "enforcement"} <= graph["dynamics"]  # relative imports are seen
+    assert _find_cycle(graph) is None
+
+
+def test_the_checks_see_a_cycle_and_skip_function_level_imports():
+    tree = ast.parse("from . import world\nfrom .config import SimConfig\n\ndef f():\n    from . import render\n")
+    assert _module_level_targets(tree) == {"world", "config"}
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -12,10 +13,12 @@ from sentinel.render import (
     ENTITY_RADIUS_PX,
     Frame,
     ROLE_COLORS,
+    SCALE,
     WHITE,
     ZONE_GRAY,
     SnapshotError,
     _fill_disc,
+    frame_side,
     ppm_bytes,
     read_snapshot,
     render_frame,
@@ -114,6 +117,14 @@ def test_default_scale_yields_480_square_frames():
     assert frame.width == 480
     assert frame.height == 480
     assert len(frame.pixels) == 480 * 480 * 3
+
+
+def test_frame_side_accepts_the_largest_indexable_canvas_only():
+    # The largest side whose RGB canvas fits an index, found without allocating it.
+    side = math.isqrt(sys.maxsize // 3)
+    assert frame_side(apply_overrides(default_config(), map_size=side / SCALE)) == side
+    with pytest.raises(ValueError, match=f"cannot draw a {side + 1}x{side + 1} frame: too large"):
+        frame_side(apply_overrides(default_config(), map_size=(side + 1) / SCALE))
 
 
 def test_empty_world_shows_only_background_and_zone():
