@@ -67,9 +67,7 @@ def _framed_episode(frames_dir: Path, cfg, run_index: int, seed: int):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = default_config()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if args.config else default_config()
     cfg = apply_overrides(cfg, num_eas=args.eas, failsafe_enabled=args.failsafe or cfg.failsafe_enabled)
     validate(cfg)
 

@@ -189,13 +189,12 @@ def _parse_value(key: str, raw: str, line_no: int):
     raise ConfigError([("BadValue", f"line {line_no}: {key}={raw!r} is not a boolean")])
 
 
-def load_config(path, base: SimConfig | None = None) -> SimConfig:
-    """Load overrides from a flat key=value file on top of ``base``.
+def load_config(path) -> SimConfig:
+    """Load overrides from a flat key=value file on top of the default config.
 
     Blank lines and lines starting with '#' are skipped. Unknown keys are
     errors. The result is validated.
     """
-    base = base if base is not None else default_config()
     text = Path(path).read_text(encoding="utf-8")
     fields: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -210,6 +209,7 @@ def load_config(path, base: SimConfig | None = None) -> SimConfig:
         if key not in _KEY_TYPES:
             raise ConfigError([("UnknownConfigKey", f"line {line_no}: {key!r}")])
         fields[key] = _parse_value(key, raw, line_no)
+    base = default_config()
     cx, cy = base.center
     center = (fields.pop("center_x", cx), fields.pop("center_y", cy))
     return validate(dataclasses.replace(base, center=center, **fields))

@@ -155,8 +155,8 @@ def spawn_enemies(world: WorldState, cfg: SimConfig, rng: random.Random) -> None
 def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
     """Remove every enemy within intercept range of a non-malicious drone.
 
-    Each removed enemy increments the destroyed counter exactly once and is
-    credited to the nearest qualifying drone (lowest id on ties).
+    Each removed enemy is logged as exactly one interception event, credited
+    to the nearest qualifying drone (lowest id on ties).
     """
     interceptors = [d for d in world.drones if d.role is not DroneRole.MALICIOUS]
     survivors = []
@@ -169,7 +169,6 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
         if best is None:
             survivors.append(enemy)
         else:
-            world.enemies_destroyed += 1
             world.events.append(
                 Event(step=world.step, kind="interception", data={"enemy": enemy.id, "drone": best.id})
             )

@@ -94,8 +94,10 @@ def check_record(
         bad.append("negative role count")
     if rec.reformed > rec.malicious:
         bad.append(f"reformed {rec.reformed} > malicious {rec.malicious}")
+    # A run ends by the time limit (success) or earlier by a breach or the
+    # failsafe (fail); either of those may also land on the last step.
     if time_limit_steps is not None:
-        if (rec.result == "success") != (rec.steps == time_limit_steps):
+        if rec.steps > time_limit_steps or (rec.result == "success" and rec.steps != time_limit_steps):
             bad.append(f"result {rec.result!r} inconsistent with steps {rec.steps} of {time_limit_steps}")
     if fps is not None:
         expected = round(rec.steps / fps, 2)
@@ -204,17 +206,11 @@ def parse_record_line(line: str, line_number: int) -> RunRecord:
         raise RecordParseError(line_number, str(exc)) from None
 
 
-def read_records(
-    source,
-    *,
-    time_limit_steps: int | None = None,
-    fps: int | None = None,
-    total_drones: int | None = None,
-) -> list[RunRecord]:
+def read_records(source) -> list[RunRecord]:
     """Parse a records file; errors carry 1-based line numbers.
 
-    Keyword expectations enable the config-dependent invariant checks, as in
-    check_record.
+    Only the structural invariants of check_record are enforced, because the
+    file does not carry its config.
     """
     text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -227,7 +223,7 @@ def read_records(
             continue
         rec = parse_record_line(line, line_number)
         try:
-            check_record(rec, time_limit_steps=time_limit_steps, fps=fps, total_drones=total_drones)
+            check_record(rec)
         except RecordInvariantError as exc:
             raise RecordParseError(line_number, str(exc)) from None
         records.append(rec)

@@ -7,8 +7,7 @@ FIXTURE_NAMES = ("no_ea", "one_ea", "two_ea")
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled fixture, by name or filename."""
-    stem = name.removesuffix(".csv")
-    if stem not in FIXTURE_NAMES:
+    """Filesystem path of a bundled fixture, by name."""
+    if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
-    return Path(str(resources.files(__package__).joinpath(f"{stem}.csv")))
+    return Path(str(resources.files(__package__).joinpath(f"{name}.csv")))

@@ -72,7 +72,7 @@ def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     """
     side = frame_side(cfg)
     try:
-        frame = Frame(width=side, height=side, pixels=bytearray(bytes(WHITE) * (side * side)))
+        frame = Frame(width=side, height=side, pixels=bytearray(WHITE) * (side * side))
     except MemoryError:
         raise ValueError(f"cannot draw a {side}x{side} frame: too large") from None
     cx, cy = cfg.center
@@ -112,11 +112,7 @@ def write_image(frame: Frame, dest) -> None:
 
 def write_snapshot(world: WorldState, cfg: SimConfig) -> str:
     cx, cy = cfg.center
-    lines = [
-        f"map {cfg.map_size!r} {cx!r} {cy!r} {cfg.center_radius!r}",
-        f"step {world.step}",
-        f"destroyed {world.enemies_destroyed}",
-    ]
+    lines = [f"map {cfg.map_size!r} {cx!r} {cy!r} {cfg.center_radius!r}", f"step {world.step}"]
     if world.outcome is not None:
         lines.append(f"outcome {world.outcome.value}")
     for d in world.drones:
@@ -166,8 +162,6 @@ def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
                 cfg = apply_overrides(cfg, map_size=size, center=(x, y), center_radius=radius)
             elif head == "step":
                 world.step = int(parts[1])
-            elif head == "destroyed":
-                world.enemies_destroyed = int(parts[1])
             elif head == "outcome":
                 world.outcome = Outcome(parts[1])
             elif head == "drone":

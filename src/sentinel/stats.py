@@ -4,8 +4,8 @@ Values are kept at full precision; rounding happens only in the display
 helpers (percentages and seconds to 1 decimal, means to 2 decimals).
 """
 
-import statistics
 from dataclasses import dataclass
+from statistics import fmean, stdev
 
 from .experiment import RunRecord
 
@@ -22,21 +22,9 @@ class MixedConfigurationsError(StatsError):
     """Records with differing ea counts cannot share one summary column."""
 
 
-def mean(values) -> float:
-    values = list(values)
-    if not values:
-        raise EmptyInputError("mean of no values")
-    return statistics.fmean(values)
-
-
-def sample_std(values) -> float:
+def sample_std(values: list) -> float:
     """Standard deviation with the n-1 denominator; 0.0 for a single value."""
-    values = list(values)
-    if not values:
-        raise EmptyInputError("sample_std of no values")
-    if len(values) == 1:
-        return 0.0
-    return statistics.stdev(values)
+    return stdev(values) if len(values) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,12 +55,12 @@ def aggregate(records: list[RunRecord]) -> AggregateStats:
         ea=eas.pop(),
         n_runs=len(records),
         success_rate_pct=100.0 * sum(1 for r in records if r.result == "success") / len(records),
-        avg_duration_s=mean(times),
+        avg_duration_s=fmean(times),
         duration_std_s=sample_std(times),
-        avg_steps=mean([r.steps for r in records]),
-        avg_reformed=mean(reformed),
+        avg_steps=fmean([r.steps for r in records]),
+        avg_reformed=fmean(reformed),
         reformed_std=sample_std(reformed),
-        avg_malicious=mean(malicious),
+        avg_malicious=fmean(malicious),
         malicious_std=sample_std(malicious),
     )
 

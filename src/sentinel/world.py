@@ -130,21 +130,17 @@ class WorldState:
     drones: list[Drone]
     enemies: list[Enemy]
     eas: list[EnforcementAgentState]
-    enemies_destroyed: int = 0
     events: list[Event] = field(default_factory=list)
     outcome: Outcome | None = None
     next_enemy_id: int = 0
 
 
-def initial_world(cfg: SimConfig, seed) -> WorldState:
+def initial_world(cfg: SimConfig, rng: random.Random) -> WorldState:
     """Deterministic symmetric start: drones and enforcement agents evenly
-    spaced on their circles, roles drawn from the seeded generator.
-
-    ``seed`` is an int, or an already-constructed random.Random when the
-    caller wants the same stream to keep driving the episode afterwards.
-    The role draw is the only randomness consumed here.
+    spaced on their circles, roles drawn from ``rng``, the generator that
+    keeps driving the episode afterwards. The role draw is the only
+    randomness consumed here.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cx, cy = cfg.center
     n = cfg.total_drones
     malicious = set(rng.sample(range(n), cfg.num_malicious))

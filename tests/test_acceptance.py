@@ -16,6 +16,7 @@ from sentinel.config import apply_overrides, default_config, validate
 from sentinel.dynamics import step
 from sentinel.experiment import (
     RunRecord,
+    check_record,
     read_records,
     run_episode,
     write_records,
@@ -331,7 +332,9 @@ def test_criterion_7_format_round_trips(tmp_path):
 
     for name in ("no_ea", "one_ea", "two_ea"):
         try:
-            parsed = read_records(fixture_path(name), time_limit_steps=1200, total_drones=6)
+            parsed = read_records(fixture_path(name))
+            for rec in parsed:
+                check_record(rec, time_limit_steps=1200, total_drones=6)
         except Exception as exc:
             failures.append(f"fixture {name} failed to parse: {exc}")
         else:

@@ -1,5 +1,6 @@
 """Command line behavior: flags, exit codes, and the three subcommands."""
 
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from sentinel import cli
 from sentinel.cli import main
 from sentinel.config import apply_overrides, default_config
-from sentinel.experiment import read_records
+from sentinel.experiment import check_record, read_records
 from sentinel.fixtures import fixture_path
 from sentinel.render import write_snapshot
 from sentinel.world import initial_world
@@ -39,7 +40,9 @@ def test_simulate_writes_a_parsable_record_file(tmp_path, capsys):
     out = tmp_path / "records.csv"
     code = main(["simulate", "--eas", "0", "--runs", "3", "--seed", "5", "--out", str(out)])
     assert code == 0
-    records = read_records(out, time_limit_steps=1200, fps=10, total_drones=6)
+    records = read_records(out)
+    for rec in records:
+        check_record(rec, time_limit_steps=1200, fps=10, total_drones=6)
     assert len(records) == 3
     assert all(r.result == "fail" for r in records)
     stdout = capsys.readouterr().out
@@ -97,6 +100,20 @@ def test_simulate_layers_config_file_under_the_flags(tmp_path, capsys):
     # the config shortened the episode; the explicit flag won over num_eas
     assert all(r.steps == 50 and r.result == "success" for r in records)
     assert all(r.ea == 0 for r in records)
+    capsys.readouterr()
+
+
+def test_breach_on_the_last_allowed_step_is_a_fail_record(tmp_path, capsys):
+    # Run 1 of base seed 1 breaches on step 389, so a 389-step budget ends
+    # it by a breach on its last step, which beats the time limit.
+    cfg_file = tmp_path / "limit.cfg"
+    cfg_file.write_text("time_limit_steps=389\n")
+    out = tmp_path / "records.csv"
+    code = main(
+        ["simulate", "--eas", "0", "--runs", "1", "--seed", "1", "--config", str(cfg_file), "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text().splitlines()[1] == "1,0,fail,389,38.90,5,1,0"
     capsys.readouterr()
 
 
@@ -158,7 +175,7 @@ def test_aggregate_missing_file_is_a_runtime_error(tmp_path, capsys):
 def test_render_produces_an_image_from_a_snapshot(tmp_path, capsys):
     cfg = apply_overrides(default_config(), num_eas=2)
     snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, 7), cfg))
+    snapshot.write_text(write_snapshot(initial_world(cfg, random.Random(7)), cfg))
     out = tmp_path / "frame.ppm"
     code = main(["render", "--world", str(snapshot), "--out", str(out)])
     assert code == 0
@@ -169,7 +186,7 @@ def test_render_produces_an_image_from_a_snapshot(tmp_path, capsys):
 def test_render_draws_a_non_default_map_whole(tmp_path, capsys):
     cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
     snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, 7), cfg))
+    snapshot.write_text(write_snapshot(initial_world(cfg, random.Random(7)), cfg))
     out = tmp_path / "frame.ppm"
     assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 0
     assert out.read_bytes().startswith(b"P6\n800 800\n255\n")
@@ -181,7 +198,7 @@ def test_render_draws_a_small_map(tmp_path, capsys):
         default_config(), map_size=50.0, center=(25.0, 25.0), patrol_radius=20.0, ea_orbit_radius=10.0
     )
     snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, 7), cfg))
+    snapshot.write_text(write_snapshot(initial_world(cfg, random.Random(7)), cfg))
     out = tmp_path / "frame.ppm"
     assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 0
     assert out.read_bytes().startswith(b"P6\n200 200\n255\n")
@@ -270,7 +287,10 @@ def test_infinite_speed_config_exits_1_instead_of_hanging(tmp_path):
 def test_huge_finite_speed_config_finishes(tmp_path):
     proc = simulate_in_subprocess(tmp_path, "drone_speed = 1e9\ntime_limit_steps = 60\n")
     assert proc.returncode == 0, proc.stderr
-    assert len(read_records(tmp_path / "records.csv", time_limit_steps=60)) == 2
+    records = read_records(tmp_path / "records.csv")
+    for rec in records:
+        check_record(rec, time_limit_steps=60)
+    assert len(records) == 2
 
 
 def test_map_too_large_to_walk_its_perimeter_is_a_runtime_error(tmp_path, capsys):

@@ -176,7 +176,7 @@ def test_compliant_policy_breaks_distance_ties_by_lowest_id():
 
 def test_compliant_policy_ignores_enemies_beyond_detection_radius():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 4)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(4))
     d = world.drones[0]
     world.enemies.append(Enemy(0, Point2(0.0, 0.0), 0))
     patrol = malicious_policy(copy.deepcopy(d), world, cfg)
@@ -185,7 +185,7 @@ def test_compliant_policy_ignores_enemies_beyond_detection_radius():
 
 def test_patrol_keeps_the_drone_on_its_circle():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
     center = Point2(*cfg.center)
     d = world.drones[2]
     for _ in range(100):
@@ -195,7 +195,7 @@ def test_patrol_keeps_the_drone_on_its_circle():
 
 def test_patrol_stays_inside_the_own_sector():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
     cx, cy = cfg.center
     half = math.pi / cfg.total_drones
     d = world.drones[1]
@@ -209,7 +209,7 @@ def test_patrol_stays_inside_the_own_sector():
 
 def test_patrol_reverses_direction_instead_of_leaving_the_sector():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
     d = world.drones[0]
     directions = set()
     for _ in range(200):
@@ -238,7 +238,7 @@ def test_sector_fold_drops_whole_periods_without_changing_the_direction():
 
 def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
     cfg = apply_overrides(default_config(), num_malicious=0, drone_speed=1e9)
-    world = initial_world(cfg, 8)
+    world = initial_world(cfg, random.Random(8))
     cx, cy = cfg.center
     d = world.drones[1]
     sector_center = 2.0 * math.pi * d.id / cfg.total_drones
@@ -250,7 +250,7 @@ def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
 
 def test_displaced_drone_returns_to_its_arc():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
     center = Point2(*cfg.center)
     d = world.drones[3]
     d.position = Point2(10.0, 10.0)
@@ -261,7 +261,7 @@ def test_displaced_drone_returns_to_its_arc():
 
 def test_a_moved_drone_measures_its_angle_instead_of_reusing_the_carry():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
     d = world.drones[2]
     d.position = compliant_policy(d, world, cfg)
     assert d.arc is not None and d.arc[0] == d.position
@@ -314,7 +314,7 @@ def test_malicious_policy_never_pursues():
 
 def test_malicious_policy_matches_compliant_patrol_when_no_threats():
     cfg = default_config()
-    world = initial_world(apply_overrides(cfg, num_malicious=0), 8)
+    world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
     a = world.drones[4]
     b = copy.deepcopy(a)
     pa = compliant_policy(a, world, cfg)
@@ -332,7 +332,6 @@ def test_interception_removes_enemies_in_range_of_compliant_drones():
     world = bare_world(d, enemies=[Enemy(0, Point2(61.9, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
-    assert world.enemies_destroyed == 1
     assert [e.kind for e in world.events] == ["interception"]
     assert world.events[0].data == {"enemy": 0, "drone": 0}
 
@@ -343,7 +342,7 @@ def test_malicious_drones_never_intercept():
     world = bare_world(d, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert len(world.enemies) == 1
-    assert world.enemies_destroyed == 0
+    assert world.events == []
 
 
 def test_reformed_drones_do_intercept():
@@ -352,7 +351,7 @@ def test_reformed_drones_do_intercept():
     world = bare_world(d, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
-    assert world.enemies_destroyed == 1
+    assert [e.kind for e in world.events] == ["interception"]
 
 
 def test_two_drones_near_one_enemy_remove_it_once():
@@ -362,8 +361,7 @@ def test_two_drones_near_one_enemy_remove_it_once():
     world = bare_world(a, b, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
-    assert world.enemies_destroyed == 1
-    assert len(world.events) == 1
+    assert [e.kind for e in world.events] == ["interception"]
     # credit goes to the closer drone
     assert world.events[0].data["drone"] == 1
 
@@ -384,7 +382,7 @@ def test_interception_boundary_is_inclusive():
 
 def test_step_reaches_success_at_the_time_limit():
     cfg = apply_overrides(default_config(), first_spawn_step=5000)
-    world = initial_world(cfg, 3)
+    world = initial_world(cfg, random.Random(3))
     world.step = 1199
     step(world, cfg, random.Random(0))
     assert world.step == 1200
@@ -393,7 +391,7 @@ def test_step_reaches_success_at_the_time_limit():
 
 def test_step_fails_when_an_enemy_breaches():
     cfg = apply_overrides(default_config(), first_spawn_step=5000)
-    world = initial_world(cfg, 3)
+    world = initial_world(cfg, random.Random(3))
     world.enemies.append(Enemy(0, Point2(60.0, 65.9), 0))
     world.next_enemy_id = 1
     step(world, cfg, random.Random(0))
@@ -403,7 +401,7 @@ def test_step_fails_when_an_enemy_breaches():
 
 def test_stepping_a_terminated_episode_raises():
     cfg = apply_overrides(default_config(), first_spawn_step=5000)
-    world = initial_world(cfg, 3)
+    world = initial_world(cfg, random.Random(3))
     world.step = 1199
     step(world, cfg, random.Random(0))
     with pytest.raises(SteppingTerminatedEpisode):
@@ -412,7 +410,7 @@ def test_stepping_a_terminated_episode_raises():
 
 def test_step_increments_the_counter_exactly_once():
     cfg = default_config()
-    world = initial_world(cfg, 3)
+    world = initial_world(cfg, random.Random(3))
     rng = random.Random(1)
     for expected in range(1, 31):
         if world.outcome is not None:
@@ -461,7 +459,8 @@ def test_enemy_count_matches_the_spawn_ledger():
     while world.outcome is None:
         step(world, cfg, rng)
         spawned = sum(1 for e in world.events if e.kind == "spawn")
-        assert len(world.enemies) == spawned - world.enemies_destroyed
+        intercepted = sum(1 for e in world.events if e.kind == "interception")
+        assert len(world.enemies) == spawned - intercepted
 
 
 def test_event_steps_are_non_decreasing():

@@ -17,6 +17,7 @@ from sentinel.enforcement import (
     observe,
     update_suspicion,
 )
+from sentinel.experiment import mix_seed
 from sentinel.world import (
     Drone,
     DroneRole,
@@ -29,6 +30,7 @@ from sentinel.world import (
     distance,
     initial_world,
 )
+from test_acceptance import random_valid_config
 
 
 def make_world(drones=(), enemies=(), eas=(), step_index=1):
@@ -425,7 +427,7 @@ def test_reformed_drone_runs_the_compliant_policy_afterwards():
 
 def test_fresh_agent_has_no_suspicion_and_no_failsafe():
     cfg = apply_overrides(default_config(), num_eas=1, failsafe_enabled=True)
-    world = initial_world(cfg, 3)
+    world = initial_world(cfg, random.Random(3))
     ea = world.eas[0]
     assert ea.suspicion == {}
     assert failsafe_due(ea, world, cfg) is False
@@ -472,13 +474,63 @@ def test_failsafe_terminates_the_episode_through_step():
     assert any(e.kind == "failsafe" for e in world.events)
 
 
-def test_pursue_targets_are_always_malicious_in_integrated_runs():
-    cfg = apply_overrides(default_config(), num_eas=2, time_limit_steps=400)
-    rng = random.Random(19)
+def steps_with_roles(cfg, seed):
+    """Play one episode, yielding after each step the world, the drone roles
+    at the start of that step, and the events the step logged."""
+    rng = random.Random(seed)
     world = initial_world(cfg, rng)
     while world.outcome is None:
-        step(world, cfg, rng)
         roles = {d.id: d.role for d in world.drones}
-        for agent in world.eas:
-            if agent.pursue_target is not None:
-                assert roles[agent.pursue_target] is DroneRole.MALICIOUS
+        logged = len(world.events)
+        step(world, cfg, rng)
+        yield world, roles, world.events[logged:]
+
+
+def test_pursue_targets_are_always_malicious_in_integrated_runs():
+    # The detector's invariant: an agent accuses, and so pursues, only a drone
+    # that was malicious when the step began. Checked over default two-agent
+    # runs and criterion-6 configs.
+    two_agents = apply_overrides(default_config(), num_eas=2)
+    cases = [(apply_overrides(two_agents, time_limit_steps=400), 19)]
+    cases += [(two_agents, mix_seed(1, i)) for i in range(1, 61)]
+    rng = random.Random(20260819)
+    for _ in range(60):
+        cfg = random_valid_config(rng)
+        cases += [(cfg, rng.randint(0, 2**32)) for _ in range(3)]
+    accusations = 0
+    for cfg, seed in cases:
+        for world, roles, logged in steps_with_roles(cfg, seed):
+            for e in logged:
+                if e.kind == "suspicion_raised":
+                    accusations += 1
+                    assert roles[e.data["drone"]] is DroneRole.MALICIOUS, (cfg, seed, e)
+            now = {d.id: d.role for d in world.drones}
+            for agent in world.eas:
+                if agent.pursue_target is not None:
+                    assert now[agent.pursue_target] is DroneRole.MALICIOUS
+    assert accusations >= 20
+
+
+def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():
+    # At a speed too small to resolve a move, a drone's step toward its threat
+    # reads as no move, so the invariant above fails: a compliant drone is
+    # accused. The agent reaches it, stands down instead of reforming it, and
+    # no compliant drone changes role.
+    cfg = apply_overrides(default_config(), drone_speed=1e-20, num_eas=2, reform_radius=20.0, time_limit_steps=300)
+    seed = mix_seed(1, 3)
+    compliant = {d.id for d in initial_world(cfg, random.Random(seed)).drones if d.role is DroneRole.COMPLIANT}
+    wrongly_accused, wrongly_pursued, stood_down = [], {}, []
+    for world, roles, logged in steps_with_roles(cfg, seed):
+        for e in logged:
+            if e.kind == "suspicion_raised" and roles[e.data["drone"]] is not DroneRole.MALICIOUS:
+                wrongly_accused.append(e.data["drone"])
+                wrongly_pursued[e.data["ea"]] = e.data["drone"]
+        for ea_id, drone_id in list(wrongly_pursued.items()):
+            # A drone that was not malicious cannot be reformed, so an
+            # agent that stopped pursuing it stood down.
+            if world.eas[ea_id].pursue_target is None:
+                stood_down.append((ea_id, drone_id))
+                del wrongly_pursued[ea_id]
+        assert all(d.role is DroneRole.COMPLIANT for d in world.drones if d.id in compliant)
+    assert wrongly_accused
+    assert stood_down

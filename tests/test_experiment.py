@@ -1,5 +1,6 @@
 """Batch protocol: seed mixing, episode records, files, and parallel parity."""
 
+import dataclasses
 import random
 
 import pytest
@@ -230,6 +231,11 @@ def test_check_record_validates_result_against_the_step_budget():
     with pytest.raises(RecordInvariantError):
         check_record(rec, time_limit_steps=1200)
     check_record(rec)  # structural checks alone cannot see the budget
+    # A breach or the failsafe may end a run on its last allowed step.
+    check_record(dataclasses.replace(rec, result="fail", steps=1200, time_s=120.0), time_limit_steps=1200)
+    for result in ("fail", "success"):
+        with pytest.raises(RecordInvariantError):
+            check_record(dataclasses.replace(rec, result=result, steps=1201, time_s=120.1), time_limit_steps=1200)
 
 
 def test_check_record_validates_simulated_time():
@@ -251,7 +257,9 @@ def test_check_record_rejects_unknown_results():
 def test_fixture_files_parse_cleanly_without_the_time_check():
     assert FIXTURE_NAMES == ("no_ea", "one_ea", "two_ea")
     for name, expected_ea in zip(FIXTURE_NAMES, (0, 1, 2)):
-        records = read_records(fixture_path(name), time_limit_steps=1200, total_drones=6)
+        records = read_records(fixture_path(name))
+        for rec in records:
+            check_record(rec, time_limit_steps=1200, total_drones=6)
         assert len(records) == 30
         assert [r.run for r in records] == list(range(1, 31))
         assert all(r.ea == expected_ea for r in records)

@@ -79,7 +79,7 @@ def test_move_toward_never_overshoots():
 
 def test_initial_world_places_drones_evenly_on_the_patrol_circle():
     cfg = default_config()
-    world = initial_world(cfg, 5)
+    world = initial_world(cfg, random.Random(5))
     assert len(world.drones) == cfg.total_drones
     center = Point2(*cfg.center)
     for i, d in enumerate(world.drones):
@@ -96,7 +96,7 @@ def test_initial_world_places_drones_evenly_on_the_patrol_circle():
 def test_initial_world_draws_exactly_one_malicious_drone():
     cfg = default_config()
     for seed in range(30):
-        world = initial_world(cfg, seed)
+        world = initial_world(cfg, random.Random(seed))
         roles = [d.role for d in world.drones]
         assert roles.count(DroneRole.MALICIOUS) == 1
         assert roles.count(DroneRole.COMPLIANT) == 5
@@ -104,7 +104,7 @@ def test_initial_world_draws_exactly_one_malicious_drone():
 
 def test_initial_world_spreads_eas_on_their_orbit():
     cfg = apply_overrides(default_config(), num_eas=2)
-    world = initial_world(cfg, 5)
+    world = initial_world(cfg, random.Random(5))
     assert len(world.eas) == 2
     center = Point2(*cfg.center)
     for ea in world.eas:
@@ -116,7 +116,7 @@ def test_initial_world_spreads_eas_on_their_orbit():
 
 
 def test_initial_world_with_zero_eas_has_empty_ea_list():
-    world = initial_world(default_config(), 9)
+    world = initial_world(default_config(), random.Random(9))
     assert world.eas == []
     assert world.enemies == []
     assert world.step == 0
@@ -125,12 +125,12 @@ def test_initial_world_with_zero_eas_has_empty_ea_list():
 
 def test_initial_world_is_deterministic_per_seed():
     cfg = apply_overrides(default_config(), num_eas=2)
-    a = initial_world(cfg, 42)
-    b = initial_world(cfg, 42)
+    a = initial_world(cfg, random.Random(42))
+    b = initial_world(cfg, random.Random(42))
     assert a == b
-    c = initial_world(cfg, 43)
+    c = initial_world(cfg, random.Random(43))
     roles_differ_somewhere = any(
-        initial_world(cfg, s) != initial_world(cfg, 42) for s in range(43, 60)
+        initial_world(cfg, random.Random(s)) != initial_world(cfg, random.Random(42)) for s in range(43, 60)
     )
     assert c.step == 0
     assert roles_differ_somewhere
@@ -141,14 +141,14 @@ def test_malicious_draw_is_uniform_enough_across_seeds():
     cfg = default_config()
     picked = set()
     for seed in range(200):
-        world = initial_world(cfg, seed)
+        world = initial_world(cfg, random.Random(seed))
         picked.add(next(d.id for d in world.drones if d.role is DroneRole.MALICIOUS))
     assert picked == set(range(cfg.total_drones))
 
 
 def test_breach_true_only_inside_center_radius():
     cfg = default_config()
-    world = initial_world(cfg, 1)
+    world = initial_world(cfg, random.Random(1))
     assert not breach_occurred(world, cfg)
     world.enemies.append(Enemy(id=0, position=Point2(60.0, 60.0), spawned_at=0))
     assert breach_occurred(world, cfg)
