@@ -81,13 +81,16 @@ def validate(cfg: SimConfig) -> SimConfig:
     """Return ``cfg`` unchanged, or raise ConfigError naming every violation."""
     bad: list[tuple[str, str]] = []
 
-    def check(ok: bool, name: str, detail: str) -> None:
-        if not ok:
-            bad.append((name, detail))
-
     cx, cy = cfg.center
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    floats = {k: v for k, v in {**values, "center_x": cx, "center_y": cy}.items() if isinstance(v, float)}
+    values.update(center_x=cx, center_y=cy)
+
+    def check(ok: bool, name: str, detail: str) -> None:
+        # detail is a str.format template over values, filled in only when broken.
+        if not ok:
+            bad.append((name, detail.format(half_map=cfg.map_size / 2, **values)))
+
+    floats = {k: v for k, v in values.items() if isinstance(v, float)}
     if all(map(math.isfinite, floats.values())):
         # What the dynamics derive from finite fields must be finite too: the
         # spawn perimeter and the angular steps along the patrol and orbit.
@@ -96,64 +99,63 @@ def validate(cfg: SimConfig) -> SimConfig:
             floats["drone_speed/patrol_radius"] = cfg.drone_speed / cfg.patrol_radius
         if cfg.ea_orbit_radius > 0:
             floats["drone_speed/ea_orbit_radius"] = cfg.drone_speed / cfg.ea_orbit_radius
-    for name, value in floats.items():
-        check(math.isfinite(value), "NonFiniteValue", f"{name}={value}")
-    check(cfg.total_drones > 0, "TotalDronesNotPositive", f"total_drones={cfg.total_drones}")
-    check(cfg.num_malicious >= 0, "MaliciousCountNegative", f"num_malicious={cfg.num_malicious}")
+    bad += [("NonFiniteValue", f"{name}={value}") for name, value in floats.items() if not math.isfinite(value)]
+    check(cfg.total_drones > 0, "TotalDronesNotPositive", "total_drones={total_drones}")
+    check(cfg.num_malicious >= 0, "MaliciousCountNegative", "num_malicious={num_malicious}")
     check(
         cfg.num_malicious <= cfg.total_drones,
         "MaliciousExceedsTotalDrones",
-        f"num_malicious={cfg.num_malicious} > total_drones={cfg.total_drones}",
+        "num_malicious={num_malicious} > total_drones={total_drones}",
     )
-    check(cfg.num_eas >= 0, "EnforcementCountNegative", f"num_eas={cfg.num_eas}")
+    check(cfg.num_eas >= 0, "EnforcementCountNegative", "num_eas={num_eas}")
     check(
         cfg.num_eas <= cfg.total_drones,
         "EnforcementExceedsTotalDrones",
-        f"num_eas={cfg.num_eas} > total_drones={cfg.total_drones}",
+        "num_eas={num_eas} > total_drones={total_drones}",
     )
-    check(cfg.map_size > 0, "MapSizeNotPositive", f"map_size={cfg.map_size}")
-    check(cfg.center_radius > 0, "CenterRadiusNotPositive", f"center_radius={cfg.center_radius}")
+    check(cfg.map_size > 0, "MapSizeNotPositive", "map_size={map_size}")
+    check(cfg.center_radius > 0, "CenterRadiusNotPositive", "center_radius={center_radius}")
     check(
         cfg.center_radius < cfg.patrol_radius,
         "CenterRadiusExceedsPatrolRadius",
-        f"center_radius={cfg.center_radius} not < patrol_radius={cfg.patrol_radius}",
+        "center_radius={center_radius} not < patrol_radius={patrol_radius}",
     )
     check(
         cfg.patrol_radius < cfg.map_size / 2,
         "PatrolRadiusExceedsHalfMap",
-        f"patrol_radius={cfg.patrol_radius} not < map_size/2={cfg.map_size / 2}",
+        "patrol_radius={patrol_radius} not < map_size/2={half_map}",
     )
     check(
         cfg.ea_orbit_radius < cfg.map_size / 2,
         "OrbitRadiusExceedsHalfMap",
-        f"ea_orbit_radius={cfg.ea_orbit_radius} not < map_size/2={cfg.map_size / 2}",
+        "ea_orbit_radius={ea_orbit_radius} not < map_size/2={half_map}",
     )
-    check(cfg.intercept_radius > 0, "InterceptRadiusNotPositive", f"intercept_radius={cfg.intercept_radius}")
+    check(cfg.intercept_radius > 0, "InterceptRadiusNotPositive", "intercept_radius={intercept_radius}")
     check(
         cfg.detection_radius > cfg.intercept_radius,
         "DetectionRadiusNotAboveInterceptRadius",
-        f"detection_radius={cfg.detection_radius} not > intercept_radius={cfg.intercept_radius}",
+        "detection_radius={detection_radius} not > intercept_radius={intercept_radius}",
     )
-    check(cfg.time_limit_steps > 0, "TimeLimitNotPositive", f"time_limit_steps={cfg.time_limit_steps}")
-    check(cfg.enemy_spawn_period > 0, "SpawnPeriodNotPositive", f"enemy_spawn_period={cfg.enemy_spawn_period}")
-    check(cfg.first_spawn_step >= 0, "FirstSpawnNegative", f"first_spawn_step={cfg.first_spawn_step}")
+    check(cfg.time_limit_steps > 0, "TimeLimitNotPositive", "time_limit_steps={time_limit_steps}")
+    check(cfg.enemy_spawn_period > 0, "SpawnPeriodNotPositive", "enemy_spawn_period={enemy_spawn_period}")
+    check(cfg.first_spawn_step >= 0, "FirstSpawnNegative", "first_spawn_step={first_spawn_step}")
     check(
         0 < cx < cfg.map_size and 0 < cy < cfg.map_size,
         "CenterOutsideMap",
-        f"center=({cx}, {cy}) not strictly inside a {cfg.map_size} map",
+        "center=({center_x}, {center_y}) not strictly inside a {map_size} map",
     )
-    check(cfg.fps > 0, "FpsNotPositive", f"fps={cfg.fps}")
-    check(cfg.drone_speed > 0, "DroneSpeedNotPositive", f"drone_speed={cfg.drone_speed}")
-    check(cfg.enemy_speed > 0, "EnemySpeedNotPositive", f"enemy_speed={cfg.enemy_speed}")
-    check(cfg.patrol_radius > 0, "PatrolRadiusNotPositive", f"patrol_radius={cfg.patrol_radius}")
-    check(cfg.ea_orbit_radius > 0, "OrbitRadiusNotPositive", f"ea_orbit_radius={cfg.ea_orbit_radius}")
-    check(cfg.ea_monitor_radius > 0, "MonitorRadiusNotPositive", f"ea_monitor_radius={cfg.ea_monitor_radius}")
+    check(cfg.fps > 0, "FpsNotPositive", "fps={fps}")
+    check(cfg.drone_speed > 0, "DroneSpeedNotPositive", "drone_speed={drone_speed}")
+    check(cfg.enemy_speed > 0, "EnemySpeedNotPositive", "enemy_speed={enemy_speed}")
+    check(cfg.patrol_radius > 0, "PatrolRadiusNotPositive", "patrol_radius={patrol_radius}")
+    check(cfg.ea_orbit_radius > 0, "OrbitRadiusNotPositive", "ea_orbit_radius={ea_orbit_radius}")
+    check(cfg.ea_monitor_radius > 0, "MonitorRadiusNotPositive", "ea_monitor_radius={ea_monitor_radius}")
     check(
         cfg.suspicion_threshold >= 1,
         "SuspicionThresholdNotPositive",
-        f"suspicion_threshold={cfg.suspicion_threshold}",
+        "suspicion_threshold={suspicion_threshold}",
     )
-    check(cfg.reform_radius > 0, "ReformRadiusNotPositive", f"reform_radius={cfg.reform_radius}")
+    check(cfg.reform_radius > 0, "ReformRadiusNotPositive", "reform_radius={reform_radius}")
 
     if bad:
         raise ConfigError(bad)
@@ -192,11 +194,12 @@ def _parse_value(key: str, raw: str, line_no: int):
 def load_config(path) -> SimConfig:
     """Load overrides from a flat key=value file on top of the default config.
 
-    Blank lines and lines starting with '#' are skipped. Unknown keys are
-    errors. The result is validated.
+    Blank lines and lines starting with '#' are skipped. Unknown keys and
+    keys given twice are errors. The result is validated.
     """
     text = Path(path).read_text(encoding="utf-8")
     fields: dict = {}
+    key_lines: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -208,6 +211,9 @@ def load_config(path) -> SimConfig:
         raw = raw.strip()
         if key not in _KEY_TYPES:
             raise ConfigError([("UnknownConfigKey", f"line {line_no}: {key!r}")])
+        if key in key_lines:
+            raise ConfigError([("DuplicateConfigKey", f"line {line_no}: {key!r} already set on line {key_lines[key]}")])
+        key_lines[key] = line_no
         fields[key] = _parse_value(key, raw, line_no)
     base = default_config()
     cx, cy = base.center

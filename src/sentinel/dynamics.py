@@ -73,8 +73,8 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
         if r == 0.0:
             offset = 0.0
         else:
-            cx, cy = cfg.center
-            offset = _wrap_angle(math.atan2(drone.position.y - cy, drone.position.x - cx) - sector_center)
+            (x, y), (cx, cy) = drone.position, cfg.center
+            offset = _wrap_angle(math.atan2(y - cy, x - cx) - sector_center)
         on_arc = abs(r - radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12
 
     if on_arc:
@@ -121,9 +121,9 @@ def enemy_policy(enemy: Enemy, cfg: SimConfig) -> Point2:
     gap = distance(p, cfg.center)
     if gap == 0.0:
         return p
-    cx, cy = cfg.center
+    (x, y), (cx, cy) = p, cfg.center
     f = cfg.enemy_speed / gap
-    return Point2(p.x + (cx - p.x) * f, p.y + (cy - p.y) * f)
+    return (x + (cx - x) * f, y + (cy - y) * f)
 
 
 def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
@@ -132,12 +132,12 @@ def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
     side, along = divmod(u, m)
     side = int(side) % 4
     if side == 0:
-        return Point2(along, 0.0)
+        return (along, 0.0)
     if side == 1:
-        return Point2(m, along)
+        return (m, along)
     if side == 2:
-        return Point2(m - along, m)
-    return Point2(0.0, m - along)
+        return (m - along, m)
+    return (0.0, m - along)
 
 
 def spawn_enemies(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:

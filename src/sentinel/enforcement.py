@@ -35,8 +35,9 @@ FAILSAFE_THRESHOLDS = 4
 
 
 def _moved_toward(origin: Point2, end: Point2, target: Point2) -> bool:
-    dx, dy = end.x - origin.x, end.y - origin.y
-    tx, ty = target.x - origin.x, target.y - origin.y
+    (ox, oy), (ex, ey), (gx, gy) = origin, end, target
+    dx, dy = ex - ox, ey - oy
+    tx, ty = gx - ox, gy - oy
     d_norm = math.hypot(dx, dy)
     t_norm = math.hypot(tx, ty)
     if d_norm == 0.0 or t_norm == 0.0:
@@ -102,9 +103,9 @@ def _orbit_move(ea: EnforcementAgentState, cfg: SimConfig) -> Point2:
     if ea.arc is not None and ea.arc[0] == ea.position:
         angle, on_orbit = ea.arc[1], True
     else:
-        cx, cy = cfg.center
+        (x, y), (cx, cy) = ea.position, cfg.center
         r = distance(ea.position, cfg.center)
-        angle = 0.0 if r == 0.0 else math.atan2(ea.position.y - cy, ea.position.x - cx)
+        angle = 0.0 if r == 0.0 else math.atan2(y - cy, x - cx)
         on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
     if on_orbit:
         angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)

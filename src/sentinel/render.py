@@ -78,11 +78,14 @@ def render_frame(world: WorldState, cfg: SimConfig) -> Frame:
     cx, cy = cfg.center
     _fill_disc(frame, _px(cx), _px(cy), cfg.center_radius * SCALE, ZONE_GRAY)
     for e in world.enemies:
-        _fill_disc(frame, _px(e.position.x), _px(e.position.y), ENTITY_RADIUS_PX, ENEMY_BLACK)
+        x, y = e.position
+        _fill_disc(frame, _px(x), _px(y), ENTITY_RADIUS_PX, ENEMY_BLACK)
     for d in world.drones:
-        _fill_disc(frame, _px(d.position.x), _px(d.position.y), ENTITY_RADIUS_PX, ROLE_COLORS[d.role])
+        x, y = d.position
+        _fill_disc(frame, _px(x), _px(y), ENTITY_RADIUS_PX, ROLE_COLORS[d.role])
     for ea in world.eas:
-        _fill_disc(frame, _px(ea.position.x), _px(ea.position.y), ENTITY_RADIUS_PX, EA_ORANGE)
+        x, y = ea.position
+        _fill_disc(frame, _px(x), _px(y), ENTITY_RADIUS_PX, EA_ORANGE)
     return frame
 
 
@@ -116,12 +119,12 @@ def write_snapshot(world: WorldState, cfg: SimConfig) -> str:
     if world.outcome is not None:
         lines.append(f"outcome {world.outcome.value}")
     for d in world.drones:
-        lines.append(f"drone {d.id} {d.position.x!r} {d.position.y!r} {d.role.value}")
+        lines.append(f"drone {d.id} {d.position[0]!r} {d.position[1]!r} {d.role.value}")
     for e in world.enemies:
-        lines.append(f"enemy {e.id} {e.position.x!r} {e.position.y!r} -")
+        lines.append(f"enemy {e.id} {e.position[0]!r} {e.position[1]!r} -")
     for ea in world.eas:
         target = "-" if ea.pursue_target is None else ea.pursue_target
-        lines.append(f"ea {ea.id} {ea.position.x!r} {ea.position.y!r} {target}")
+        lines.append(f"ea {ea.id} {ea.position[0]!r} {ea.position[1]!r} {target}")
     return "\n".join(lines) + "\n"
 
 
@@ -131,7 +134,7 @@ class SnapshotError(ValueError):
 
 def _point(x: str, y: str) -> Point2:
     # Rendering scales every coordinate to a pixel, so both must be finite.
-    p = Point2(float(x), float(y))
+    p = (float(x), float(y))
     if not all(math.isfinite(v) and math.isfinite(v * SCALE) for v in p):
         raise ValueError(f"coordinates {x} {y} must be finite, also at {SCALE} pixels per unit")
     return p

@@ -4,14 +4,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .config import SimConfig
 
-
-class Point2(NamedTuple):
-    x: float
-    y: float
+# A position on the map: a plain (x, y) tuple of floats, not a class, since a
+# step builds about ten and a NamedTuple's __new__ costs ten times a tuple.
+Point2 = tuple[float, float]
 
 
 # Tolerance for "sitting exactly on a patrol circle". Circle walking
@@ -19,8 +17,8 @@ class Point2(NamedTuple):
 ON_CIRCLE_EPS = 1e-9
 
 
-# Euclidean distance between two (x, y) pairs, such as a Point2 and
-# cfg.center; bit for bit the same as math.hypot(a.x - b.x, a.y - b.y).
+# Euclidean distance between two (x, y) pairs, such as a position and
+# cfg.center; bit for bit the same as math.hypot(ax - bx, ay - by).
 distance = math.dist
 
 
@@ -38,9 +36,10 @@ def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
     # Positions saturate at the walls, they never wrap. A point already on
     # the map comes back as is, the same value the saturation would build.
     m = cfg.map_size
-    if 0.0 <= p.x <= m and 0.0 <= p.y <= m:
+    x, y = p
+    if 0.0 <= x <= m and 0.0 <= y <= m:
         return p
-    return Point2(min(max(p.x, 0.0), m), min(max(p.y, 0.0), m))
+    return (min(max(x, 0.0), m), min(max(y, 0.0), m))
 
 
 def move_toward(p: Point2, target: Point2, max_step: float) -> Point2:
@@ -49,14 +48,15 @@ def move_toward(p: Point2, target: Point2, max_step: float) -> Point2:
     if gap <= max_step or gap == 0.0:
         return target
     f = max_step / gap
-    return Point2(p.x + (target.x - p.x) * f, p.y + (target.y - p.y) * f)
+    (x, y), (tx, ty) = p, target
+    return (x + (tx - x) * f, y + (ty - y) * f)
 
 
 def circle_step(position: Point2, on_track: bool, angle: float, radius: float, cfg: SimConfig) -> Point2:
     """The point at ``angle`` on the circle of ``radius`` around the center
     when ``on_track``; otherwise one drone_speed step toward that point."""
     cx, cy = cfg.center
-    target = Point2(cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
     return target if on_track else move_toward(position, target, cfg.drone_speed)
 
 
@@ -147,13 +147,13 @@ def initial_world(cfg: SimConfig, rng: random.Random) -> WorldState:
     drones = []
     for i in range(n):
         angle = 2.0 * math.pi * i / n
-        pos = Point2(cx + cfg.patrol_radius * math.cos(angle), cy + cfg.patrol_radius * math.sin(angle))
+        pos = (cx + cfg.patrol_radius * math.cos(angle), cy + cfg.patrol_radius * math.sin(angle))
         role = DroneRole.MALICIOUS if i in malicious else DroneRole.COMPLIANT
         drones.append(Drone(id=i, position=pos, role=role))
     eas = []
     for j in range(cfg.num_eas):
         angle = 2.0 * math.pi * j / cfg.num_eas
-        pos = Point2(cx + cfg.ea_orbit_radius * math.cos(angle), cy + cfg.ea_orbit_radius * math.sin(angle))
+        pos = (cx + cfg.ea_orbit_radius * math.cos(angle), cy + cfg.ea_orbit_radius * math.sin(angle))
         eas.append(EnforcementAgentState(id=j, position=pos))
     return WorldState(step=0, drones=drones, enemies=[], eas=eas)
 

@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps sentinel module attributes by name
 (perfbench/tracing.py). These tests fail when a wrapped name is renamed,
-deleted or no longer called on the traced path."""
+deleted or no longer called on the traced path. The last ones check that
+tools/bench.py fails on a wrong run."""
 
 import importlib
+import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -65,3 +67,39 @@ def test_traced_episode_counts_every_layer_and_restores_the_modules(tracing):
         assert vars(module).keys() == before[name].keys(), name
         changed = [attr for attr, value in vars(module).items() if value is not before[name][attr]]
         assert changed == [], name
+
+
+@pytest.fixture
+def bench(monkeypatch, tmp_path):
+    # tools/bench.py with run_once faked: a run is wrong where wrong[(workload, seed)] says so.
+    path = PERFBENCH.parent / "tools" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.wrong = {}
+
+    def run_once(checkout, workload, seed, seconds):
+        correct, failed = module.wrong.get((workload, seed), (True, 0))
+        metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "sim_steps_per_s", "step_us_p50", "peak_rss_mb")}
+        return {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    return module
+
+
+def test_bench_exits_0_when_every_run_is_correct(bench, tmp_path, capsys):
+    assert bench.main(["ok", "--checkout", str(PERFBENCH.parent)]) == 0
+    assert "wrong run" not in capsys.readouterr().err
+    assert (tmp_path / "BENCH_ok.json").exists()
+
+
+def test_bench_writes_the_file_then_exits_1_naming_each_wrong_run(bench, tmp_path, capsys):
+    bench.wrong = {("cli-frames", 3): (False, 0), ("episodes-0ea", 4070): (True, 2)}
+    assert bench.main(["bad", "--checkout", str(PERFBENCH.parent)]) == 1
+    wrong = [line for line in capsys.readouterr().err.splitlines() if "wrong run" in line]
+    assert wrong == [
+        "bench: wrong run, episodes-0ea seed 4070: correct=True, failed=2",
+        "bench: wrong run, cli-frames seed 3: correct=False, failed=0",
+    ]
+    assert (tmp_path / "BENCH_bad.json").exists()

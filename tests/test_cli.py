@@ -125,6 +125,14 @@ def test_simulate_with_invalid_config_file_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_with_a_config_key_given_twice_is_a_runtime_error(tmp_path, capsys):
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("drone_speed = 3.6\ndrone_speed = 99\n")
+    code = main(["simulate", "--eas", "0", "--runs", "1", "--seed", "1", "--config", str(cfg_file)])
+    assert code == 1
+    assert "DuplicateConfigKey: line 2: 'drone_speed' already set on line 1" in capsys.readouterr().err
+
+
 def test_aggregate_prints_csv_and_table(capsys):
     code = main(["aggregate", "--in", str(fixture_path("two_ea"))])
     assert code == 0

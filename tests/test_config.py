@@ -60,6 +60,63 @@ def test_validation_names_every_violation_at_once():
     assert "FpsNotPositive" in names
 
 
+def test_a_config_breaking_every_rule_pins_the_whole_message():
+    cfg = apply_overrides(
+        default_config(),
+        total_drones=-5,
+        num_malicious=-1,
+        num_eas=-1,
+        map_size=-10.0,
+        center=(-1.0, math.nan),
+        center_radius=-1.0,
+        patrol_radius=-2.0,
+        ea_orbit_radius=-3.0,
+        intercept_radius=-1.0,
+        detection_radius=-2.0,
+        time_limit_steps=0,
+        enemy_spawn_period=0,
+        first_spawn_step=-1,
+        fps=0,
+        drone_speed=-math.inf,
+        enemy_speed=-1.0,
+        ea_monitor_radius=-1.0,
+        suspicion_threshold=0,
+        reform_radius=-1.0,
+    )
+    expected = [
+        ("NonFiniteValue", "drone_speed=-inf"),
+        ("NonFiniteValue", "center_y=nan"),
+        ("TotalDronesNotPositive", "total_drones=-5"),
+        ("MaliciousCountNegative", "num_malicious=-1"),
+        ("MaliciousExceedsTotalDrones", "num_malicious=-1 > total_drones=-5"),
+        ("EnforcementCountNegative", "num_eas=-1"),
+        ("EnforcementExceedsTotalDrones", "num_eas=-1 > total_drones=-5"),
+        ("MapSizeNotPositive", "map_size=-10.0"),
+        ("CenterRadiusNotPositive", "center_radius=-1.0"),
+        ("CenterRadiusExceedsPatrolRadius", "center_radius=-1.0 not < patrol_radius=-2.0"),
+        ("PatrolRadiusExceedsHalfMap", "patrol_radius=-2.0 not < map_size/2=-5.0"),
+        ("OrbitRadiusExceedsHalfMap", "ea_orbit_radius=-3.0 not < map_size/2=-5.0"),
+        ("InterceptRadiusNotPositive", "intercept_radius=-1.0"),
+        ("DetectionRadiusNotAboveInterceptRadius", "detection_radius=-2.0 not > intercept_radius=-1.0"),
+        ("TimeLimitNotPositive", "time_limit_steps=0"),
+        ("SpawnPeriodNotPositive", "enemy_spawn_period=0"),
+        ("FirstSpawnNegative", "first_spawn_step=-1"),
+        ("CenterOutsideMap", "center=(-1.0, nan) not strictly inside a -10.0 map"),
+        ("FpsNotPositive", "fps=0"),
+        ("DroneSpeedNotPositive", "drone_speed=-inf"),
+        ("EnemySpeedNotPositive", "enemy_speed=-1.0"),
+        ("PatrolRadiusNotPositive", "patrol_radius=-2.0"),
+        ("OrbitRadiusNotPositive", "ea_orbit_radius=-3.0"),
+        ("MonitorRadiusNotPositive", "ea_monitor_radius=-1.0"),
+        ("SuspicionThresholdNotPositive", "suspicion_threshold=0"),
+        ("ReformRadiusNotPositive", "reform_radius=-1.0"),
+    ]
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert err.value.violations == [name for name, _ in expected]
+    assert str(err.value) == "; ".join(f"{name}: {detail}" for name, detail in expected)
+
+
 def test_malicious_count_bounded_by_drone_count():
     cfg = apply_overrides(default_config(), num_malicious=7)
     with pytest.raises(ConfigError) as err:
@@ -179,6 +236,26 @@ def test_load_config_rejects_bad_values_with_line_numbers(tmp_path):
         load_config(path)
     assert "BadValue" in err.value.violations
     assert "line 2" in str(err.value)
+
+
+def test_load_config_rejects_a_key_given_twice_citing_both_lines(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("drone_speed = 3.6\n# faster\ndrone_speed = 99\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == ["DuplicateConfigKey"]
+    assert str(err.value) == "DuplicateConfigKey: line 3: 'drone_speed' already set on line 1"
+
+
+def test_load_config_counts_center_x_and_center_y_as_separate_keys(tmp_path):
+    path = tmp_path / "center.cfg"
+    path.write_text("center_x = 50\ncenter_y = 55\n")
+    assert load_config(path).center == (50.0, 55.0)
+    path.write_text("center_x = 50\ncenter_y = 55\ncenter_y = 56\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == ["DuplicateConfigKey"]
+    assert "line 3: 'center_y' already set on line 2" in str(err.value)
 
 
 def test_load_config_rejects_lines_without_equals(tmp_path):

@@ -28,7 +28,6 @@ from sentinel.world import (
     DroneRole,
     Enemy,
     Outcome,
-    Point2,
     WorldState,
     distance,
     initial_world,
@@ -46,7 +45,7 @@ def bare_world(*drones, enemies=(), step_index=0):
 
 
 def compliant(drone_id, x, y):
-    return Drone(id=drone_id, position=Point2(x, y), role=DroneRole.COMPLIANT)
+    return Drone(id=drone_id, position=(x, y), role=DroneRole.COMPLIANT)
 
 
 # --- spawning ---------------------------------------------------------------
@@ -126,34 +125,34 @@ def test_spawned_enemy_ids_are_unique_and_monotone():
 
 def test_enemy_policy_heads_straight_for_the_center():
     cfg = default_config()
-    assert enemy_policy(Enemy(0, Point2(120.0, 60.0), 0), cfg) == Point2(119.0, 60.0)
-    assert enemy_policy(Enemy(0, Point2(60.0, 0.0), 0), cfg) == Point2(60.0, 1.0)
-    assert enemy_policy(Enemy(0, Point2(60.0, 60.0), 0), cfg) == Point2(60.0, 60.0)
+    assert enemy_policy(Enemy(0, (120.0, 60.0), 0), cfg) == (119.0, 60.0)
+    assert enemy_policy(Enemy(0, (60.0, 0.0), 0), cfg) == (60.0, 1.0)
+    assert enemy_policy(Enemy(0, (60.0, 60.0), 0), cfg) == (60.0, 60.0)
 
 
 def test_enemy_policy_overshoots_the_center():
     # A full enemy_speed step, not a stop on the center like move_toward.
     cfg = default_config()
-    assert enemy_policy(Enemy(0, Point2(60.5, 60.0), 0), cfg) == Point2(59.5, 60.0)
+    assert enemy_policy(Enemy(0, (60.5, 60.0), 0), cfg) == (59.5, 60.0)
 
 
 def test_enemy_policy_speed_is_exact_off_axis():
     cfg = default_config()
     rng = random.Random(17)
     for _ in range(100):
-        e = Enemy(0, Point2(rng.uniform(0, 120), rng.uniform(0, 120)), 0)
-        if e.position == Point2(60.0, 60.0):
+        e = Enemy(0, (rng.uniform(0, 120), rng.uniform(0, 120)), 0)
+        if e.position == (60.0, 60.0):
             continue
         assert distance(enemy_policy(e, cfg), e.position) == pytest.approx(cfg.enemy_speed, abs=1e-12)
 
 
 def test_nearest_enemy_prefers_distance_then_lowest_id():
-    pos = Point2(60.0, 60.0)
-    far = Enemy(1, Point2(69.0, 60.0), 0)
-    near = Enemy(5, Point2(68.0, 60.0), 0)
+    pos = (60.0, 60.0)
+    far = Enemy(1, (69.0, 60.0), 0)
+    near = Enemy(5, (68.0, 60.0), 0)
     assert nearest_enemy(pos, [far, near]).id == 5
-    tied_a = Enemy(7, Point2(50.0, 60.0), 0)
-    tied_b = Enemy(3, Point2(70.0, 60.0), 0)
+    tied_a = Enemy(7, (50.0, 60.0), 0)
+    tied_b = Enemy(3, (70.0, 60.0), 0)
     assert nearest_enemy(pos, [tied_a, tied_b]).id == 3
     assert nearest_enemy(pos, []) is None
 
@@ -161,24 +160,24 @@ def test_nearest_enemy_prefers_distance_then_lowest_id():
 def test_compliant_policy_pursues_the_nearest_detected_enemy():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
-    world = bare_world(d, enemies=[Enemy(2, Point2(68.0, 60.0), 0), Enemy(1, Point2(69.0, 60.0), 0)])
-    p = compliant_policy(d, world, cfg)
-    assert p.x > 60.0 and p.y == 60.0
+    world = bare_world(d, enemies=[Enemy(2, (68.0, 60.0), 0), Enemy(1, (69.0, 60.0), 0)])
+    x, y = p = compliant_policy(d, world, cfg)
+    assert x > 60.0 and y == 60.0
     assert distance(p, d.position) <= cfg.drone_speed + 1e-9
 
 
 def test_compliant_policy_breaks_distance_ties_by_lowest_id():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
-    world = bare_world(d, enemies=[Enemy(7, Point2(52.0, 60.0), 0), Enemy(3, Point2(68.0, 60.0), 0)])
-    assert compliant_policy(d, world, cfg).x > 60.0  # toward enemy 3 at x=68, not enemy 7 at x=52
+    world = bare_world(d, enemies=[Enemy(7, (52.0, 60.0), 0), Enemy(3, (68.0, 60.0), 0)])
+    assert compliant_policy(d, world, cfg)[0] > 60.0  # toward enemy 3 at x=68, not enemy 7 at x=52
 
 
 def test_compliant_policy_ignores_enemies_beyond_detection_radius():
     cfg = default_config()
     world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(4))
     d = world.drones[0]
-    world.enemies.append(Enemy(0, Point2(0.0, 0.0), 0))
+    world.enemies.append(Enemy(0, (0.0, 0.0), 0))
     patrol = malicious_policy(copy.deepcopy(d), world, cfg)
     assert compliant_policy(d, world, cfg) == patrol
 
@@ -186,7 +185,7 @@ def test_compliant_policy_ignores_enemies_beyond_detection_radius():
 def test_patrol_keeps_the_drone_on_its_circle():
     cfg = default_config()
     world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
-    center = Point2(*cfg.center)
+    center = cfg.center
     d = world.drones[2]
     for _ in range(100):
         d.position = compliant_policy(d, world, cfg)
@@ -202,7 +201,8 @@ def test_patrol_stays_inside_the_own_sector():
     sector_center = 2.0 * math.pi * d.id / cfg.total_drones
     for _ in range(200):
         d.position = compliant_policy(d, world, cfg)
-        angle = math.atan2(d.position.y - cy, d.position.x - cx)
+        x, y = d.position
+        angle = math.atan2(y - cy, x - cx)
         offset = math.atan2(math.sin(angle - sector_center), math.cos(angle - sector_center))
         assert abs(offset) <= half + 1e-9
 
@@ -244,16 +244,17 @@ def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
     sector_center = 2.0 * math.pi * d.id / cfg.total_drones
     for _ in range(3):
         d.position = compliant_policy(d, world, cfg)
-        offset = math.atan2(d.position.y - cy, d.position.x - cx) - sector_center
+        x, y = d.position
+        offset = math.atan2(y - cy, x - cx) - sector_center
         assert abs(math.atan2(math.sin(offset), math.cos(offset))) <= math.pi / cfg.total_drones + 1e-9
 
 
 def test_displaced_drone_returns_to_its_arc():
     cfg = default_config()
     world = initial_world(apply_overrides(cfg, num_malicious=0), random.Random(8))
-    center = Point2(*cfg.center)
+    center = cfg.center
     d = world.drones[3]
-    d.position = Point2(10.0, 10.0)
+    d.position = (10.0, 10.0)
     for _ in range(40):
         d.position = compliant_policy(d, world, cfg)
     assert abs(distance(d.position, center) - cfg.patrol_radius) < 1e-6
@@ -267,8 +268,8 @@ def test_a_moved_drone_measures_its_angle_instead_of_reusing_the_carry():
     assert d.arc is not None and d.arc[0] == d.position
     cx, cy = cfg.center
     elsewhere = 2.0 * math.pi * d.id / cfg.total_drones - 0.5 * math.pi / cfg.total_drones
-    on_arc = Point2(cx + cfg.patrol_radius * math.cos(elsewhere), cy + cfg.patrol_radius * math.sin(elsewhere))
-    for moved in (on_arc, Point2(10.0, 10.0)):
+    on_arc = (cx + cfg.patrol_radius * math.cos(elsewhere), cy + cfg.patrol_radius * math.sin(elsewhere))
+    for moved in (on_arc, (10.0, 10.0)):
         d.position = moved
         fresh = Drone(id=d.id, position=moved, role=d.role, patrol_dir=d.patrol_dir)
         assert compliant_policy(d, world, cfg) == compliant_policy(fresh, world, cfg)
@@ -306,10 +307,10 @@ def test_carried_angles_match_the_measured_ones(num_eas):
 
 def test_malicious_policy_never_pursues():
     cfg = default_config()
-    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS)
-    world = bare_world(d, enemies=[Enemy(0, Point2(63.0, 60.0), 0)])
+    d = Drone(id=0, position=(60.0, 60.0), role=DroneRole.MALICIOUS)
+    world = bare_world(d, enemies=[Enemy(0, (63.0, 60.0), 0)])
     # a patrol step, not a straight line onto the threat 3 units away
-    assert distance(malicious_policy(d, world, cfg), Point2(63.0, 60.0)) > 1e-6
+    assert distance(malicious_policy(d, world, cfg), (63.0, 60.0)) > 1e-6
 
 
 def test_malicious_policy_matches_compliant_patrol_when_no_threats():
@@ -329,7 +330,7 @@ def test_malicious_policy_matches_compliant_patrol_when_no_threats():
 def test_interception_removes_enemies_in_range_of_compliant_drones():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
-    world = bare_world(d, enemies=[Enemy(0, Point2(61.9, 60.0), 0)])
+    world = bare_world(d, enemies=[Enemy(0, (61.9, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
     assert [e.kind for e in world.events] == ["interception"]
@@ -338,8 +339,8 @@ def test_interception_removes_enemies_in_range_of_compliant_drones():
 
 def test_malicious_drones_never_intercept():
     cfg = default_config()
-    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.MALICIOUS)
-    world = bare_world(d, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
+    d = Drone(id=0, position=(60.0, 60.0), role=DroneRole.MALICIOUS)
+    world = bare_world(d, enemies=[Enemy(0, (60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert len(world.enemies) == 1
     assert world.events == []
@@ -347,8 +348,8 @@ def test_malicious_drones_never_intercept():
 
 def test_reformed_drones_do_intercept():
     cfg = default_config()
-    d = Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.REFORMED)
-    world = bare_world(d, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
+    d = Drone(id=0, position=(60.0, 60.0), role=DroneRole.REFORMED)
+    world = bare_world(d, enemies=[Enemy(0, (60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
     assert [e.kind for e in world.events] == ["interception"]
@@ -358,7 +359,7 @@ def test_two_drones_near_one_enemy_remove_it_once():
     cfg = default_config()
     a = compliant(0, 59.0, 60.0)
     b = compliant(1, 61.5, 60.0)
-    world = bare_world(a, b, enemies=[Enemy(0, Point2(60.5, 60.0), 0)])
+    world = bare_world(a, b, enemies=[Enemy(0, (60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
     assert [e.kind for e in world.events] == ["interception"]
@@ -369,10 +370,10 @@ def test_two_drones_near_one_enemy_remove_it_once():
 def test_interception_boundary_is_inclusive():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
-    world = bare_world(d, enemies=[Enemy(0, Point2(62.0, 60.0), 0)])
+    world = bare_world(d, enemies=[Enemy(0, (62.0, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
-    world2 = bare_world(compliant(0, 60.0, 60.0), enemies=[Enemy(0, Point2(62.0000001, 60.0), 0)])
+    world2 = bare_world(compliant(0, 60.0, 60.0), enemies=[Enemy(0, (62.0000001, 60.0), 0)])
     resolve_interceptions(world2, cfg)
     assert len(world2.enemies) == 1
 
@@ -392,7 +393,7 @@ def test_step_reaches_success_at_the_time_limit():
 def test_step_fails_when_an_enemy_breaches():
     cfg = apply_overrides(default_config(), first_spawn_step=5000)
     world = initial_world(cfg, random.Random(3))
-    world.enemies.append(Enemy(0, Point2(60.0, 65.9), 0))
+    world.enemies.append(Enemy(0, (60.0, 65.9), 0))
     world.next_enemy_id = 1
     step(world, cfg, random.Random(0))
     assert world.outcome is Outcome.FAIL
@@ -487,15 +488,28 @@ def test_positions_stay_inside_the_map_for_random_configs():
         world = initial_world(cfg, episode_rng)
         while world.outcome is None:
             step(world, cfg, episode_rng)
-            for d in world.drones:
-                assert 0.0 <= d.position.x <= cfg.map_size
-                assert 0.0 <= d.position.y <= cfg.map_size
-            for e in world.enemies:
-                assert 0.0 <= e.position.x <= cfg.map_size
-                assert 0.0 <= e.position.y <= cfg.map_size
-            for a in world.eas:
-                assert 0.0 <= a.position.x <= cfg.map_size
-                assert 0.0 <= a.position.y <= cfg.map_size
+            for x, y in [entity.position for entity in world.drones + world.enemies + world.eas]:
+                assert 0.0 <= x <= cfg.map_size
+                assert 0.0 <= y <= cfg.map_size
+
+
+@pytest.mark.parametrize("num_eas", [0, 1, 2])
+def test_every_point_is_a_plain_tuple_of_two_floats(num_eas):
+    # Positions are built on every step, so a class-built point would cost
+    # time; the world holds nothing but (float, float) tuples.
+    cfg = apply_overrides(default_config(), num_eas=num_eas)
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        world = initial_world(cfg, rng)
+        while world.outcome is None:
+            step(world, cfg, rng)
+            walkers = world.drones + world.eas
+            points = [entity.position for entity in walkers + world.enemies]
+            points += [d.prev_position for d in world.drones]
+            points += [w.arc[0] for w in walkers if w.arc is not None]
+            for p in points:
+                assert type(p) is tuple and len(p) == 2, (world.step, p)
+                assert type(p[0]) is float and type(p[1]) is float, (world.step, p)
 
 
 # --- every accepted config runs ----------------------------------------------

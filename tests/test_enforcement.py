@@ -24,7 +24,6 @@ from sentinel.world import (
     Enemy,
     EnforcementAgentState,
     Outcome,
-    Point2,
     WorldState,
     clamp_to_map,
     distance,
@@ -44,7 +43,7 @@ def make_world(drones=(), enemies=(), eas=(), step_index=1):
 
 
 def drone_at(drone_id, x, y, role=DroneRole.COMPLIANT):
-    return Drone(id=drone_id, position=Point2(x, y), role=role)
+    return Drone(id=drone_id, position=(x, y), role=role)
 
 
 def move_after_scan(world, cfg, moves=None):
@@ -55,13 +54,13 @@ def move_after_scan(world, cfg, moves=None):
     for d in world.drones:
         scan_for_threat(d, world, cfg)
         d.prev_position = d.position
-        dx, dy = moves.get(d.id, (0.0, 0.0))
-        d.position = Point2(d.position.x + dx, d.position.y + dy)
+        (x, y), (dx, dy) = d.position, moves.get(d.id, (0.0, 0.0))
+        d.position = (x + dx, y + dy)
     return world
 
 
 def ea_at(ea_id, x, y, **kwargs):
-    return EnforcementAgentState(id=ea_id, position=Point2(x, y), **kwargs)
+    return EnforcementAgentState(id=ea_id, position=(x, y), **kwargs)
 
 
 # --- observation ---------------------------------------------------------------
@@ -79,7 +78,7 @@ def test_observation_without_nearby_enemy_is_clean():
     ea = ea_at(0, 60.0, 60.0)
     world = make_world(
         drones=[drone_at(0, 70.0, 60.0)],
-        enemies=[Enemy(0, Point2(0.0, 0.0), 0)],
+        enemies=[Enemy(0, (0.0, 0.0), 0)],
         eas=[ea],
     )
     move_after_scan(world, cfg)
@@ -93,7 +92,7 @@ def test_patrolling_near_a_threat_is_a_violation_signature():
         d = drone_at(3, 60.0, 60.0, role=DroneRole.MALICIOUS)
         world = make_world(
             drones=[d],
-            enemies=[Enemy(0, Point2(66.0, 60.0), 0)],
+            enemies=[Enemy(0, (66.0, 60.0), 0)],
             eas=[ea_at(0, 62.0, 62.0)],
         )
         move_after_scan(world, cfg, {3: (0.0, cfg.drone_speed)})
@@ -109,7 +108,7 @@ def test_moving_onto_the_enemy_counts_as_pursuit():
     # From the same vantage, 8 units off the enemy, standing still violates
     # and moving onto the enemy is clean.
     cfg = default_config()
-    enemies = [Enemy(0, Point2(68.0, 60.0), 0)]
+    enemies = [Enemy(0, (68.0, 60.0), 0)]
     still = make_world(drones=[drone_at(1, 60.0, 60.0)], enemies=enemies, eas=[ea_at(0, 60.0, 60.0)])
     move_after_scan(still, cfg)
     assert observe(still.eas[0], still, cfg) == {1: True}
@@ -120,7 +119,7 @@ def test_moving_onto_the_enemy_counts_as_pursuit():
 
 def test_pursuit_cone_boundary_is_inclusive_at_the_tolerance():
     cfg = default_config()
-    enemy = Enemy(0, Point2(68.0, 60.0), 0)
+    enemy = Enemy(0, (68.0, 60.0), 0)
     for degrees, expected in ((PURSUIT_ANGLE_TOLERANCE_DEG, True), (PURSUIT_ANGLE_TOLERANCE_DEG + 1.0, False)):
         rad = math.radians(degrees)
         move = (2.0 * math.cos(rad), 2.0 * math.sin(rad))
@@ -132,7 +131,7 @@ def test_pursuit_cone_boundary_is_inclusive_at_the_tolerance():
 def test_standing_still_is_never_pursuit():
     cfg = default_config()
     d = drone_at(0, 60.0, 60.0)
-    world = make_world(drones=[d], enemies=[Enemy(0, Point2(65.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
+    world = make_world(drones=[d], enemies=[Enemy(0, (65.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
     move_after_scan(world, cfg, {0: (0.0, 0.0)})
     assert observe(world.eas[0], world, cfg) == {0: True}
 
@@ -143,9 +142,9 @@ def test_observation_judges_from_the_premove_vantage():
     # range (10 units, the detection radius), so it is still a violation.
     cfg = default_config()
     d = drone_at(0, 60.0, 60.0)
-    world = make_world(drones=[d], enemies=[Enemy(0, Point2(50.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
+    world = make_world(drones=[d], enemies=[Enemy(0, (50.0, 60.0), 0)], eas=[ea_at(0, 60.0, 60.0)])
     move_after_scan(world, cfg, {0: (3.0, 0.0)})
-    assert d.position == Point2(63.0, 60.0)
+    assert d.position == (63.0, 60.0)
     assert observe(world.eas[0], world, cfg) == {0: True}
 
 
@@ -156,10 +155,10 @@ def test_drones_beyond_detection_radius_are_clean_randomized():
     beyond = 0
     for _ in range(200):
         move = (rng.uniform(-3.6, 3.6), rng.uniform(-3.6, 3.6))
-        enemy = Enemy(0, Point2(rng.uniform(0, 120), rng.uniform(0, 120)), 0)
+        enemy = Enemy(0, (rng.uniform(0, 120), rng.uniform(0, 120)), 0)
         world = make_world(drones=[drone_at(0, 60.0, 60.0)], enemies=[enemy], eas=[ea])
         move_after_scan(world, cfg, {0: move})
-        if distance(Point2(60.0, 60.0), enemy.position) > cfg.detection_radius:
+        if distance((60.0, 60.0), enemy.position) > cfg.detection_radius:
             assert observe(ea, world, cfg) == {0: False}
             beyond += 1
     assert beyond > 0
@@ -192,7 +191,7 @@ def test_fresh_spawns_inside_monitor_radius_log_entry_points():
     cfg = default_config()
     ea = ea_at(0, 115.0, 60.0)
     world = make_world(
-        enemies=[Enemy(0, Point2(115.0, 65.0), 15), Enemy(1, Point2(115.0, 55.0), 10)],
+        enemies=[Enemy(0, (115.0, 65.0), 15), Enemy(1, (115.0, 55.0), 10)],
         eas=[ea],
         step_index=15,
     )
@@ -207,7 +206,8 @@ def test_fresh_spawns_inside_monitor_radius_log_entry_points():
 
 def violating_world(ea, drone, cfg):
     # enemy parked right next to the drone, drone idle
-    enemy = Enemy(0, Point2(drone.position.x + 4.0, drone.position.y), 0)
+    x, y = drone.position
+    enemy = Enemy(0, (x + 4.0, y), 0)
     return move_after_scan(make_world(drones=[drone], enemies=[enemy], eas=[ea]), cfg)
 
 
@@ -261,7 +261,7 @@ def test_simultaneous_threshold_crossings_pick_the_lowest_id():
     b = drone_at(1, 56.0, 60.0)
     world = make_world(
         drones=[a, b],
-        enemies=[Enemy(0, Point2(60.0, 63.0), 0)],
+        enemies=[Enemy(0, (60.0, 63.0), 0)],
         eas=[ea],
     )
     move_after_scan(world, cfg)
@@ -289,8 +289,8 @@ def test_compliant_behavior_never_accumulates_suspicion():
 
 def test_patrol_orbit_keeps_its_radius():
     cfg = default_config()
-    center = Point2(*cfg.center)
-    ea = ea_at(0, center.x + cfg.ea_orbit_radius, center.y)
+    center = cx, cy = cfg.center
+    ea = ea_at(0, cx + cfg.ea_orbit_radius, cy)
     world = make_world(eas=[ea])
     for _ in range(100):
         ea.position = ea_policy(ea, world, cfg)
@@ -299,7 +299,7 @@ def test_patrol_orbit_keeps_its_radius():
 
 def test_displaced_agent_returns_to_its_orbit():
     cfg = default_config()
-    center = Point2(*cfg.center)
+    center = cfg.center
     ea = ea_at(0, 100.0, 100.0)
     world = make_world(eas=[ea])
     for _ in range(40):
@@ -309,13 +309,13 @@ def test_displaced_agent_returns_to_its_orbit():
 
 def test_a_moved_agent_measures_its_angle_instead_of_reusing_the_carry():
     cfg = default_config()
-    center = Point2(*cfg.center)
-    ea = ea_at(0, center.x + cfg.ea_orbit_radius, center.y)
+    cx, cy = cfg.center
+    ea = ea_at(0, cx + cfg.ea_orbit_radius, cy)
     world = make_world(eas=[ea])
     ea.position = ea_policy(ea, world, cfg)
     assert ea.arc is not None and ea.arc[0] == ea.position
-    on_orbit = Point2(center.x + cfg.ea_orbit_radius * math.cos(2.0), center.y + cfg.ea_orbit_radius * math.sin(2.0))
-    for moved in (on_orbit, Point2(100.0, 100.0)):
+    on_orbit = (cx + cfg.ea_orbit_radius * math.cos(2.0), cy + cfg.ea_orbit_radius * math.sin(2.0))
+    for moved in (on_orbit, (100.0, 100.0)):
         ea.position = moved
         fresh = ea_at(0, *moved)
         assert ea_policy(ea, world, cfg) == ea_policy(fresh, make_world(eas=[fresh]), cfg)
@@ -327,9 +327,9 @@ def test_pursuit_runs_straight_at_the_suspect():
     ea = ea_at(0, 60.0, 20.0, pursue_target=3)
     suspect = drone_at(3, 60.0, 90.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
-    p = ea_policy(ea, world, cfg)
-    assert p.x == pytest.approx(60.0, abs=1e-12)
-    assert p.y == pytest.approx(20.0 + cfg.drone_speed, abs=1e-12)
+    x, y = ea_policy(ea, world, cfg)
+    assert x == pytest.approx(60.0, abs=1e-12)
+    assert y == pytest.approx(20.0 + cfg.drone_speed, abs=1e-12)
 
 
 def test_pursuit_parks_once_within_reform_range():
@@ -337,7 +337,7 @@ def test_pursuit_parks_once_within_reform_range():
     ea = ea_at(0, 60.0, 60.0, pursue_target=3)
     suspect = drone_at(3, 60.0, 69.0, role=DroneRole.MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
-    assert ea_policy(ea, world, cfg) == Point2(60.0, 60.0)
+    assert ea_policy(ea, world, cfg) == (60.0, 60.0)
 
 
 # --- reformation ----------------------------------------------------------------
@@ -464,7 +464,7 @@ def test_failsafe_terminates_the_episode_through_step():
     rng = random.Random(2)
     world = initial_world(cfg, rng)
     ea = world.eas[0]
-    ea.position = Point2(0.0, 0.0)
+    ea.position = (0.0, 0.0)
     ea.pursue_target = next(d.id for d in world.drones if d.role is DroneRole.MALICIOUS)
     ea.pursue_since = 0
     while world.outcome is None:

@@ -33,7 +33,6 @@ from sentinel.world import (
     Enemy,
     EnforcementAgentState,
     Outcome,
-    Point2,
     WorldState,
     initial_world,
 )
@@ -154,7 +153,7 @@ def test_empty_world_shows_only_background_and_zone():
 
 def test_one_reformed_drone_paints_exactly_one_blue_disc():
     world = empty_world()
-    world.drones.append(Drone(id=0, position=Point2(30.0, 30.0), role=DroneRole.REFORMED))
+    world.drones.append(Drone(id=0, position=(30.0, 30.0), role=DroneRole.REFORMED))
     frame = render_frame(world, default_config())
     counts = color_counts(frame)
     blue = ROLE_COLORS[DroneRole.REFORMED]
@@ -164,10 +163,10 @@ def test_one_reformed_drone_paints_exactly_one_blue_disc():
 
 def test_each_entity_kind_has_its_own_color():
     world = empty_world()
-    world.drones.append(Drone(id=0, position=Point2(20.0, 20.0), role=DroneRole.COMPLIANT))
-    world.drones.append(Drone(id=1, position=Point2(40.0, 20.0), role=DroneRole.MALICIOUS))
-    world.enemies.append(Enemy(id=0, position=Point2(20.0, 40.0), spawned_at=0))
-    world.eas.append(EnforcementAgentState(id=0, position=Point2(40.0, 40.0)))
+    world.drones.append(Drone(id=0, position=(20.0, 20.0), role=DroneRole.COMPLIANT))
+    world.drones.append(Drone(id=1, position=(40.0, 20.0), role=DroneRole.MALICIOUS))
+    world.enemies.append(Enemy(id=0, position=(20.0, 40.0), spawned_at=0))
+    world.eas.append(EnforcementAgentState(id=0, position=(40.0, 40.0)))
     frame = render_frame(world, default_config())
     assert pixel(frame, 80, 80) == ROLE_COLORS[DroneRole.COMPLIANT]
     assert pixel(frame, 160, 80) == ROLE_COLORS[DroneRole.MALICIOUS]
@@ -178,18 +177,18 @@ def test_each_entity_kind_has_its_own_color():
 def test_draw_order_puts_agents_above_drones_above_zone():
     cfg = default_config()
     world = empty_world()
-    world.drones.append(Drone(id=0, position=Point2(60.0, 60.0), role=DroneRole.COMPLIANT))
+    world.drones.append(Drone(id=0, position=(60.0, 60.0), role=DroneRole.COMPLIANT))
     frame = render_frame(world, cfg)
     assert pixel(frame, 240, 240) == ROLE_COLORS[DroneRole.COMPLIANT]
-    world.eas.append(EnforcementAgentState(id=0, position=Point2(60.0, 60.0)))
+    world.eas.append(EnforcementAgentState(id=0, position=(60.0, 60.0)))
     frame = render_frame(world, cfg)
     assert pixel(frame, 240, 240) == EA_ORANGE
 
 
 def test_entities_at_the_border_render_without_errors():
     world = empty_world()
-    world.enemies.append(Enemy(id=0, position=Point2(0.0, 0.0), spawned_at=0))
-    world.enemies.append(Enemy(id=1, position=Point2(120.0, 120.0), spawned_at=0))
+    world.enemies.append(Enemy(id=0, position=(0.0, 0.0), spawned_at=0))
+    world.enemies.append(Enemy(id=1, position=(120.0, 120.0), spawned_at=0))
     frame = render_frame(world, default_config())
     assert pixel(frame, 0, 0) == ENEMY_BLACK
     assert pixel(frame, 479, 479) == ENEMY_BLACK
@@ -227,7 +226,7 @@ def test_snapshot_round_trips_the_renderable_state():
     world = initial_world(cfg, random.Random(13))
     world.step = 57
     world.outcome = Outcome.FAIL
-    world.enemies.append(Enemy(id=9, position=Point2(12.25, 0.0), spawned_at=30))
+    world.enemies.append(Enemy(id=9, position=(12.25, 0.0), spawned_at=30))
     world.eas[1].pursue_target = 4
     text = write_snapshot(world, cfg)
     back, _ = read_snapshot(text)
@@ -236,7 +235,7 @@ def test_snapshot_round_trips_the_renderable_state():
     assert [(d.id, d.position, d.role) for d in back.drones] == [
         (d.id, d.position, d.role) for d in world.drones
     ]
-    assert [(e.id, e.position) for e in back.enemies] == [(9, Point2(12.25, 0.0))]
+    assert [(e.id, e.position) for e in back.enemies] == [(9, (12.25, 0.0))]
     assert [(a.id, a.position, a.pursue_target) for a in back.eas] == [
         (a.id, a.position, a.pursue_target) for a in world.eas
     ]
@@ -254,17 +253,17 @@ def test_snapshot_errors_carry_line_numbers():
 def test_snapshot_preserves_float_precision():
     world = WorldState(step=0, drones=[], enemies=[], eas=[])
     world.drones.append(
-        Drone(id=0, position=Point2(1.0 / 3.0, 2.0 / 7.0), role=DroneRole.REFORMED)
+        Drone(id=0, position=(1.0 / 3.0, 2.0 / 7.0), role=DroneRole.REFORMED)
     )
     back, _ = read_snapshot(write_snapshot(world, default_config()))
-    assert back.drones[0].position == Point2(1.0 / 3.0, 2.0 / 7.0)
+    assert back.drones[0].position == (1.0 / 3.0, 2.0 / 7.0)
     assert back.drones[0].role is DroneRole.REFORMED
 
 
 def test_snapshot_carries_the_map_geometry_into_the_frame():
     cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
     world = empty_world()
-    world.drones.append(Drone(id=0, position=Point2(160.0, 100.0), role=DroneRole.COMPLIANT))
+    world.drones.append(Drone(id=0, position=(160.0, 100.0), role=DroneRole.COMPLIANT))
     back, back_cfg = read_snapshot(write_snapshot(world, cfg))
     assert (back_cfg.map_size, back_cfg.center, back_cfg.center_radius) == (200.0, (100.0, 100.0), 5.0)
     frame = render_frame(back, back_cfg)

@@ -7,7 +7,6 @@ from sentinel.config import apply_overrides, default_config
 from sentinel.world import (
     DroneRole,
     Enemy,
-    Point2,
     breach_occurred,
     clamp_to_map,
     distance,
@@ -17,25 +16,25 @@ from sentinel.world import (
 
 
 def test_distance_identity_and_triangle():
-    assert distance(Point2(60, 60), Point2(60, 60)) == 0
-    assert distance(Point2(0, 0), Point2(3, 4)) == 5
-    assert distance(Point2(0, 60), Point2(60, 60)) == 60
+    assert distance((60, 60), (60, 60)) == 0
+    assert distance((0, 0), (3, 4)) == 5
+    assert distance((0, 60), (60, 60)) == 60
 
 
 def test_distance_is_symmetric():
     rng = random.Random(7)
     for _ in range(100):
-        a = Point2(rng.uniform(0, 120), rng.uniform(0, 120))
-        b = Point2(rng.uniform(0, 120), rng.uniform(0, 120))
+        a = (rng.uniform(0, 120), rng.uniform(0, 120))
+        b = (rng.uniform(0, 120), rng.uniform(0, 120))
         assert distance(a, b) == distance(b, a)
         assert (distance(a, b) == 0) == (a == b)
 
 
 def test_clamp_saturates_at_the_walls():
     cfg = default_config()
-    assert clamp_to_map(Point2(-3.0, 50.0), cfg) == Point2(0.0, 50.0)
-    assert clamp_to_map(Point2(125.0, 130.0), cfg) == Point2(120.0, 120.0)
-    assert clamp_to_map(Point2(60.0, 60.0), cfg) == Point2(60.0, 60.0)
+    assert clamp_to_map((-3.0, 50.0), cfg) == (0.0, 50.0)
+    assert clamp_to_map((125.0, 130.0), cfg) == (120.0, 120.0)
+    assert clamp_to_map((60.0, 60.0), cfg) == (60.0, 60.0)
 
 
 def test_clamp_matches_the_saturation_formula_bit_for_bit():
@@ -45,7 +44,8 @@ def test_clamp_matches_the_saturation_formula_bit_for_bit():
     m = cfg.map_size
 
     def saturated(p):
-        return Point2(min(max(p.x, 0.0), m), min(max(p.y, 0.0), m))
+        x, y = p
+        return (min(max(x, 0.0), m), min(max(y, 0.0), m))
 
     def bits(v):
         return (v, math.copysign(1.0, v))
@@ -57,20 +57,20 @@ def test_clamp_matches_the_saturation_formula_bit_for_bit():
     values = edges + [rng.uniform(-2.0 * m, 3.0 * m) for _ in range(500)]
     for x in values:
         for y in edges + [rng.choice(values)]:
-            p = Point2(x, y)
+            p = (x, y)
             got, want = clamp_to_map(p, cfg), saturated(p)
-            assert (bits(got.x), bits(got.y)) == (bits(want.x), bits(want.y)), (x, y)
+            assert list(map(bits, got)) == list(map(bits, want)), (x, y)
             assert (got is p) == (0.0 <= x <= m and 0.0 <= y <= m), (x, y)
 
 
 def test_move_toward_never_overshoots():
-    assert move_toward(Point2(0, 0), Point2(10, 0), 4.0) == Point2(4.0, 0.0)
-    assert move_toward(Point2(0, 0), Point2(1, 0), 4.0) == Point2(1.0, 0.0)
-    assert move_toward(Point2(5, 5), Point2(5, 5), 4.0) == Point2(5.0, 5.0)
+    assert move_toward((0, 0), (10, 0), 4.0) == (4.0, 0.0)
+    assert move_toward((0, 0), (1, 0), 4.0) == (1.0, 0.0)
+    assert move_toward((5, 5), (5, 5), 4.0) == (5.0, 5.0)
     rng = random.Random(11)
     for _ in range(200):
-        p = Point2(rng.uniform(0, 120), rng.uniform(0, 120))
-        t = Point2(rng.uniform(0, 120), rng.uniform(0, 120))
+        p = (rng.uniform(0, 120), rng.uniform(0, 120))
+        t = (rng.uniform(0, 120), rng.uniform(0, 120))
         speed = rng.uniform(0.1, 5.0)
         moved = move_toward(p, t, speed)
         assert distance(p, moved) <= speed + 1e-9
@@ -81,14 +81,14 @@ def test_initial_world_places_drones_evenly_on_the_patrol_circle():
     cfg = default_config()
     world = initial_world(cfg, random.Random(5))
     assert len(world.drones) == cfg.total_drones
-    center = Point2(*cfg.center)
+    center = cx, cy = cfg.center
     for i, d in enumerate(world.drones):
         assert d.id == i
         assert abs(distance(d.position, center) - cfg.patrol_radius) < 1e-9
         angle = 2.0 * math.pi * i / cfg.total_drones
-        expected = Point2(
-            center.x + cfg.patrol_radius * math.cos(angle),
-            center.y + cfg.patrol_radius * math.sin(angle),
+        expected = (
+            cx + cfg.patrol_radius * math.cos(angle),
+            cy + cfg.patrol_radius * math.sin(angle),
         )
         assert distance(d.position, expected) < 1e-9
 
@@ -106,7 +106,7 @@ def test_initial_world_spreads_eas_on_their_orbit():
     cfg = apply_overrides(default_config(), num_eas=2)
     world = initial_world(cfg, random.Random(5))
     assert len(world.eas) == 2
-    center = Point2(*cfg.center)
+    center = cfg.center
     for ea in world.eas:
         assert abs(distance(ea.position, center) - cfg.ea_orbit_radius) < 1e-9
         assert ea.pursue_target is None
@@ -150,9 +150,9 @@ def test_breach_true_only_inside_center_radius():
     cfg = default_config()
     world = initial_world(cfg, random.Random(1))
     assert not breach_occurred(world, cfg)
-    world.enemies.append(Enemy(id=0, position=Point2(60.0, 60.0), spawned_at=0))
+    world.enemies.append(Enemy(id=0, position=(60.0, 60.0), spawned_at=0))
     assert breach_occurred(world, cfg)
-    world.enemies[0].position = Point2(60.0, 66.0)
+    world.enemies[0].position = (60.0, 66.0)
     assert not breach_occurred(world, cfg)
-    world.enemies[0].position = Point2(60.0, 65.0)
+    world.enemies[0].position = (60.0, 65.0)
     assert breach_occurred(world, cfg)

@@ -7,8 +7,10 @@ this script is in) for every workload in its BENCHMARK.json, on seeds 2, 3,
 4 and the held-out 4070, one run at a time, each for the benchmark's
 ``run_seconds``. Writes ``BENCH_<LABEL>.json`` to the current directory:
 per workload, the median of each end-to-end metric over the seeds, every
-seed's values, and the total attempted and failed operations. To compare
-two commits, run it on a checkout of each.
+seed's values, and the total attempted and failed operations. Exits 1,
+after writing the file, naming every workload and seed whose run was not
+correct or had failed operations. To compare two commits, run it on a
+checkout of each.
 """
 
 import argparse
@@ -74,7 +76,15 @@ def main(argv=None) -> int:
     dest = Path(f"BENCH_{args.label}.json")
     dest.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     print(dest)
-    return 0
+    wrong = [
+        f"{workload} seed {seed}: correct={r['correct']}, failed={r['failed']}"
+        for workload, by_seed in results.items()
+        for seed, r in by_seed.items()
+        if not r["correct"] or r["failed"]
+    ]
+    for line in wrong:
+        print(f"bench: wrong run, {line}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
