@@ -3,7 +3,8 @@
 Each case plays runs 1..N of base seed 1, exactly as
 `sentinel simulate --runs N --seed 1` does, and hashes the records file
 bytes and the JSON of every run's event stream. The final world of run 1 at
-0, 1 and 2 agents is also hashed as a rendered pixmap. A change that moves a
+0, 1 and 2 agents, at the default centre and off it, is also hashed as a
+rendered pixmap. A change that moves a
 hash changes simulator output; it must say why in CHANGES.md and update the
 hash in the same commit.
 """
@@ -43,6 +44,12 @@ CASES = {
         10,
     ),
     **{f"random{i}": (cfg, 3) for i, cfg in enumerate(_random_configs(5))},
+    # Off-centre: the patrol circle reaches x = -10, so drones saturate at
+    # the west wall, and fresh spawns land inside an agent's monitor range.
+    **{
+        f"edge{n}": (apply_overrides(default_config(), num_eas=n, center=(20.0, 60.0), ea_monitor_radius=40.0), 10)
+        for n in (0, 1, 2)
+    },
 }
 
 GOLDEN = {
@@ -82,12 +89,27 @@ GOLDEN = {
         "1119bf2b74115acfa15096b95e4e52b39c83cf54ead02f2a167df58a7da13bbc",
         "d04c9764700889d213ccc4ea7bfc2c19ebb651ba23abba5246deba6fe289ed82",
     ),
+    "edge0": (
+        "b88b6f5aa22e061fae2f225d765ac1b428973d774626eebb6ad7a4cd486730f8",
+        "e8598a3e46a39cc1300f33cda704e62fbdfb99f46ed9ef1d9829719ecfc9ad2d",
+    ),
+    "edge1": (
+        "feb104c2258219e55c3f8d7b70999d049e7973032c396aaf2e5401fad331c14a",
+        "ac770cf88554a5a682ff6c2bb2b12e21591930af4c8d38ea2a0e3e306b84d69a",
+    ),
+    "edge2": (
+        "f8276e88a5dbe754775fa7fb5935096bafdb84b5bddd7feb920c8a367984fe32",
+        "5bd6708b90b30cf04523c9e97e893ba8cb3e89f771b958e46293784dfeb1c2b1",
+    ),
 }
 
 GOLDEN_FRAMES = {
     "ea0": "240cb6560a06cb0f533610e0dbc16885fa07716a81c4164ea21bbb40712cb5c9",
     "ea1": "7c337d7547071a6a388aa2709301fefbbb5d828d3562694fcc09c13dc476a573",
     "ea2": "e5accaaf29fa2e85c52de95937d2a6178e5b8b9ba0d0d330c0974c7497b5b269",
+    "edge0": "6d92608e626b9104f67d6eff0dceded67376d253a0a0b96fe5edc8e32a1891ce",
+    "edge1": "31b7d1781076111c860b42a458abbc11f432cdae2a4d7266315fbcc18faa81fc",
+    "edge2": "8a02999d50ba1efd9b9230929ef01858ae35875f6af22d64b58f9fef80f751ad",
 }
 
 
@@ -108,6 +130,8 @@ def test_records_and_events_match_the_golden_hashes(name, tmp_path):
     events = [[dataclasses.asdict(e) for e in world.events] for _, world in episodes(name)]
     if name == "failsafe":
         assert any(e["kind"] == "failsafe" for run in events for e in run)
+    if name in ("edge1", "edge2"):
+        assert any(e["kind"] == "entry_point" for run in events for e in run)
     digests = (sha256(path.read_bytes()), sha256(json.dumps(events, sort_keys=True).encode()))
     assert digests == GOLDEN[name]
 
