@@ -77,23 +77,25 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
             offset = _wrap_angle(math.atan2(y - cy, x - cx) - sector_center)
         on_arc = abs(r - radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12
 
-    if on_arc:
-        offset += drone.patrol_dir * (cfg.drone_speed / radius)
-        if offset > half or offset < -half:
-            offset, drone.patrol_dir = _fold_into_sector(offset, half, drone.patrol_dir)
-    else:
-        offset = min(max(offset, -half), half)
-    target = circle_step(drone.position, on_arc, sector_center + offset, radius, cfg)
-    drone.arc = (target, offset) if on_arc else None
+    if not on_arc:
+        drone.arc = None
+        return circle_step(drone.position, sector_center + min(max(offset, -half), half), radius, cfg)
+    offset += drone.patrol_dir * (cfg.drone_speed / radius)
+    if offset > half or offset < -half:
+        offset, drone.patrol_dir = _fold_into_sector(offset, half, drone.patrol_dir)
+    cx, cy = cfg.center
+    angle = sector_center + offset
+    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    drone.arc = (target, offset)
     return target
 
 
 def scan_for_threat(drone: Drone, world: WorldState, cfg: SimConfig) -> Enemy | None:
     """The nearest enemy within detection range of the drone, or None; also
-    stored as drone.threat, which enforcement agents judge the move by."""
-    enemy = nearest_enemy(drone.position, world.enemies)
-    if enemy is not None and distance(drone.position, enemy.position) > cfg.detection_radius:
-        enemy = None
+    stored as drone.threat, which enforcement agents judge the move by. The
+    scan is bounded by cfg.detection_radius, so an enemy exactly that far
+    away is still a threat."""
+    enemy = nearest_enemy(drone.position, world.enemies, cfg.detection_radius)
     drone.threat = enemy
     return enemy
 
@@ -158,6 +160,8 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
     Each removed enemy is logged as exactly one interception event, credited
     to the nearest qualifying drone (lowest id on ties).
     """
+    if not world.enemies:
+        return
     interceptors = [d for d in world.drones if d.role is not DroneRole.MALICIOUS]
     survivors = []
     for enemy in world.enemies:
@@ -186,13 +190,11 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 1) spawning
     spawn_enemies(world, cfg, rng)
 
-    # 2) drone motion, every next position chosen from the pre-move snapshot;
-    #    each drone keeps the threat it saw and the position it moved from
-    targets = [
-        malicious_policy(d, world, cfg) if d.role is DroneRole.MALICIOUS else compliant_policy(d, world, cfg)
-        for d in world.drones
-    ]
-    for d, target in zip(world.drones, targets):
+    # 2) drone motion; each drone keeps the threat it saw and the position it
+    #    moved from. No policy reads another drone, so each moves as soon as
+    #    it has chosen, and every choice is still made from the pre-move world
+    for d in world.drones:
+        target = malicious_policy(d, world, cfg) if d.role is DroneRole.MALICIOUS else compliant_policy(d, world, cfg)
         d.prev_position = d.position
         d.position = clamp_to_map(target, cfg)
 

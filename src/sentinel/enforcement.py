@@ -107,10 +107,13 @@ def _orbit_move(ea: EnforcementAgentState, cfg: SimConfig) -> Point2:
         r = distance(ea.position, cfg.center)
         angle = 0.0 if r == 0.0 else math.atan2(y - cy, x - cx)
         on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
-    if on_orbit:
-        angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)
-    target = circle_step(ea.position, on_orbit, angle, radius, cfg)
-    ea.arc = (target, angle) if on_orbit else None
+    if not on_orbit:
+        ea.arc = None
+        return circle_step(ea.position, angle, radius, cfg)
+    angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)
+    cx, cy = cfg.center
+    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    ea.arc = (target, angle)
     return target
 
 

@@ -22,12 +22,14 @@ ON_CIRCLE_EPS = 1e-9
 distance = math.dist
 
 
-def nearest_enemy(position: Point2, enemies: list["Enemy"]) -> "Enemy | None":
-    """Closest live enemy; ties broken by lowest enemy id."""
-    best = None
+def nearest_enemy(position: Point2, enemies: list["Enemy"], within: float = math.inf) -> "Enemy | None":
+    """Closest live enemy no farther than ``within``, or None; ties broken
+    by lowest enemy id. The same as the nearest of all enemies, dropped when
+    it is farther than ``within``."""
+    best, best_gap = None, within
     for e in enemies:
         gap = distance(position, e.position)
-        if best is None or gap < best_gap or (gap == best_gap and e.id < best.id):
+        if gap < best_gap or (gap == best_gap and (best is None or e.id < best.id)):
             best, best_gap = e, gap
     return best
 
@@ -52,12 +54,11 @@ def move_toward(p: Point2, target: Point2, max_step: float) -> Point2:
     return (x + (tx - x) * f, y + (ty - y) * f)
 
 
-def circle_step(position: Point2, on_track: bool, angle: float, radius: float, cfg: SimConfig) -> Point2:
-    """The point at ``angle`` on the circle of ``radius`` around the center
-    when ``on_track``; otherwise one drone_speed step toward that point."""
+def circle_step(position: Point2, angle: float, radius: float, cfg: SimConfig) -> Point2:
+    """One drone_speed step from ``position`` toward the point at ``angle``
+    on the circle of ``radius`` around the center."""
     cx, cy = cfg.center
-    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
-    return target if on_track else move_toward(position, target, cfg.drone_speed)
+    return move_toward(position, (cx + radius * math.cos(angle), cy + radius * math.sin(angle)), cfg.drone_speed)
 
 
 class DroneRole(Enum):
@@ -160,4 +161,8 @@ def initial_world(cfg: SimConfig, rng: random.Random) -> WorldState:
 
 def breach_occurred(world: WorldState, cfg: SimConfig) -> bool:
     """True iff any live enemy is inside the protected zone."""
-    return any(distance(e.position, cfg.center) <= cfg.center_radius for e in world.enemies)
+    center, radius = cfg.center, cfg.center_radius
+    for e in world.enemies:
+        if distance(e.position, center) <= radius:
+            return True
+    return False

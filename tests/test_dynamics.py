@@ -11,6 +11,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sentinel.config import ConfigError, SimConfig, apply_overrides, default_config, validate
+from sentinel.experiment import mix_seed
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
     _fold_into_sector,
@@ -29,6 +30,7 @@ from sentinel.world import (
     Enemy,
     Outcome,
     WorldState,
+    clamp_to_map,
     distance,
     initial_world,
 )
@@ -155,6 +157,29 @@ def test_nearest_enemy_prefers_distance_then_lowest_id():
     tied_b = Enemy(3, (70.0, 60.0), 0)
     assert nearest_enemy(pos, [tied_a, tied_b]).id == 3
     assert nearest_enemy(pos, []) is None
+
+
+def test_a_bounded_scan_is_the_nearest_of_all_dropped_beyond_the_bound():
+    # Enemies share positions, or mirror each other about the scanner, so
+    # distances tie exactly; the bound is often exactly one of the gaps.
+    rng = random.Random(20261018)
+    bounded = 0
+    for _ in range(2000):
+        p = (rng.uniform(0.0, 120.0), rng.uniform(0.0, 120.0))
+        enemies = []
+        for _ in range(rng.randint(0, 6)):
+            dx, dy = rng.choice([(0.0, 0.0), (3.0, 4.0), (rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))])
+            for sx, sy in rng.sample([(1, 1), (-1, 1), (1, -1), (-1, -1)], rng.randint(1, 2)):
+                enemies.append(Enemy(rng.randrange(1000), (p[0] + sx * dx, p[1] + sy * dy), 0))
+        rng.shuffle(enemies)
+        gaps = [distance(p, e.position) for e in enemies]
+        within = rng.choice([math.inf, 0.0, rng.uniform(0.0, 30.0)] + gaps)
+        nearest = min(enemies, key=lambda e: (distance(p, e.position), e.id), default=None)
+        if nearest is not None and distance(p, nearest.position) > within:
+            nearest = None
+        bounded += nearest is not None and distance(p, nearest.position) == within
+        assert nearest_enemy(p, enemies, within) is nearest
+    assert bounded > 100
 
 
 def test_compliant_policy_pursues_the_nearest_detected_enemy():
@@ -407,6 +432,33 @@ def test_stepping_a_terminated_episode_raises():
     step(world, cfg, random.Random(0))
     with pytest.raises(SteppingTerminatedEpisode):
         step(world, cfg, random.Random(0))
+
+
+@pytest.mark.parametrize("num_eas", [0, 1, 2])
+def test_each_drone_moves_where_its_policy_sends_it_from_the_pre_move_world(num_eas):
+    # step() moves each drone right after its policy chooses, which is the
+    # same as choosing all moves first only while no policy reads another
+    # drone. So every move must equal the policy run on a copy of the world
+    # taken before the step, after the spawn, with no drone moved yet.
+    cfg = apply_overrides(default_config(), num_eas=num_eas)
+    steps = 0
+    for run in range(1, 4):
+        rng = random.Random(mix_seed(1, run))
+        world = initial_world(cfg, rng)
+        while world.outcome is None:
+            before = copy.deepcopy(dataclasses.replace(world, events=[]))
+            spawn_rng = random.Random()
+            spawn_rng.setstate(rng.getstate())
+            before.step += 1
+            spawn_enemies(before, cfg, spawn_rng)
+            step(world, cfg, rng)
+            steps += 1
+            for moved, drone in zip(world.drones, before.drones):
+                policy = malicious_policy if drone.role is DroneRole.MALICIOUS else compliant_policy
+                start = drone.position
+                assert moved.position == clamp_to_map(policy(drone, before, cfg), cfg), (run, world.step, drone.id)
+                assert moved.prev_position == start
+    assert steps > 300
 
 
 def test_step_increments_the_counter_exactly_once():
