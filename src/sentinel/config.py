@@ -11,6 +11,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
+# The slowest accepted drone_speed or enemy_speed, in units of the float
+# spacing of map_size (math.ulp), the spacing of the largest coordinate on
+# the map. Below about one ulp (1.4e-14 on the default 120 map) a step toward
+# a threat can round to no move at all, and agents accuse compliant drones.
+# The floor, 1.5e-11 on that map, leaves a margin of about 1,000 over that
+# onset, and a step of 1,024 ulps points within about 1/1,000 rad of its aim.
+SPEED_FLOOR_ULPS = 1024
+
+
 class ConfigError(ValueError):
     """A configuration rejected by validation or file parsing.
 
@@ -82,13 +91,15 @@ def validate(cfg: SimConfig) -> SimConfig:
     bad: list[tuple[str, str]] = []
 
     cx, cy = cfg.center
+    speed_floor = SPEED_FLOOR_ULPS * math.ulp(cfg.map_size)
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     values.update(center_x=cx, center_y=cy)
 
     def check(ok: bool, name: str, detail: str) -> None:
         # detail is a str.format template over values, filled in only when broken.
         if not ok:
-            bad.append((name, detail.format(half_map=cfg.map_size / 2, **values)))
+            extra = {"half_map": cfg.map_size / 2, "speed_floor": speed_floor, "floor_ulps": SPEED_FLOOR_ULPS}
+            bad.append((name, detail.format(**extra, **values)))
 
     floats = {k: v for k, v in values.items() if isinstance(v, float)}
     if all(map(math.isfinite, floats.values())):
@@ -147,6 +158,16 @@ def validate(cfg: SimConfig) -> SimConfig:
     check(cfg.fps > 0, "FpsNotPositive", "fps={fps}")
     check(cfg.drone_speed > 0, "DroneSpeedNotPositive", "drone_speed={drone_speed}")
     check(cfg.enemy_speed > 0, "EnemySpeedNotPositive", "enemy_speed={enemy_speed}")
+    check(
+        cfg.drone_speed >= speed_floor,
+        "DroneSpeedBelowFloor",
+        "drone_speed={drone_speed} < {speed_floor} ({floor_ulps} ulps of map_size={map_size})",
+    )
+    check(
+        cfg.enemy_speed >= speed_floor,
+        "EnemySpeedBelowFloor",
+        "enemy_speed={enemy_speed} < {speed_floor} ({floor_ulps} ulps of map_size={map_size})",
+    )
     check(cfg.patrol_radius > 0, "PatrolRadiusNotPositive", "patrol_radius={patrol_radius}")
     check(cfg.ea_orbit_radius > 0, "OrbitRadiusNotPositive", "ea_orbit_radius={ea_orbit_radius}")
     check(cfg.ea_monitor_radius > 0, "MonitorRadiusNotPositive", "ea_monitor_radius={ea_monitor_radius}")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentinel.config import (
+    SPEED_FLOOR_ULPS,
     ConfigError,
     SimConfig,
     apply_overrides,
@@ -105,6 +106,8 @@ def test_a_config_breaking_every_rule_pins_the_whole_message():
         ("FpsNotPositive", "fps=0"),
         ("DroneSpeedNotPositive", "drone_speed=-inf"),
         ("EnemySpeedNotPositive", "enemy_speed=-1.0"),
+        ("DroneSpeedBelowFloor", "drone_speed=-inf < 1.8189894035458565e-12 (1024 ulps of map_size=-10.0)"),
+        ("EnemySpeedBelowFloor", "enemy_speed=-1.0 < 1.8189894035458565e-12 (1024 ulps of map_size=-10.0)"),
         ("PatrolRadiusNotPositive", "patrol_radius=-2.0"),
         ("OrbitRadiusNotPositive", "ea_orbit_radius=-3.0"),
         ("MonitorRadiusNotPositive", "ea_monitor_radius=-1.0"),
@@ -154,19 +157,38 @@ def test_every_non_finite_float_is_rejected_by_name():
 
 
 @pytest.mark.parametrize(
-    "overrides, derived",
+    "overrides, derived, also",
     [
-        ({"map_size": 4.5e307}, "4*map_size=inf"),
-        ({"patrol_radius": 1.1e-308, "center_radius": 2.2e-313}, "drone_speed/patrol_radius=inf"),
-        ({"ea_orbit_radius": 5e-324, "num_eas": 1}, "drone_speed/ea_orbit_radius=inf"),
+        # On a map this large no default speed resolves a move either.
+        ({"map_size": 4.5e307}, "4*map_size=inf", ["DroneSpeedBelowFloor", "EnemySpeedBelowFloor"]),
+        ({"patrol_radius": 1.1e-308, "center_radius": 2.2e-313}, "drone_speed/patrol_radius=inf", []),
+        ({"ea_orbit_radius": 5e-324, "num_eas": 1}, "drone_speed/ea_orbit_radius=inf", []),
     ],
     ids=["spawn_perimeter", "patrol_step", "orbit_step"],
 )
-def test_finite_fields_whose_derived_value_overflows_are_rejected(overrides, derived):
+def test_finite_fields_whose_derived_value_overflows_are_rejected(overrides, derived, also):
     with pytest.raises(ConfigError) as err:
         validate(apply_overrides(default_config(), **overrides))
-    assert err.value.violations == ["NonFiniteValue"]
+    assert err.value.violations == ["NonFiniteValue", *also]
     assert derived in str(err.value)
+
+
+@pytest.mark.parametrize("field, name", [("drone_speed", "DroneSpeedBelowFloor"), ("enemy_speed", "EnemySpeedBelowFloor")])
+def test_a_speed_below_the_floor_is_rejected_and_one_at_it_accepted(field, name):
+    for map_size in (50.0, 120.0, 1000.0):
+        floor = SPEED_FLOOR_ULPS * math.ulp(map_size)
+        base = apply_overrides(
+            default_config(),
+            map_size=map_size,
+            center=(map_size / 2, map_size / 2),
+            patrol_radius=map_size / 4,
+            ea_orbit_radius=map_size / 8,
+        )
+        assert validate(apply_overrides(base, **{field: floor})).map_size == map_size
+        for slow in (math.nextafter(floor, 0.0), 1e-14, 5e-324):
+            with pytest.raises(ConfigError) as err:
+                validate(apply_overrides(base, **{field: slow}))
+            assert err.value.violations == [name]
 
 
 def test_load_config_rejects_an_infinite_speed(tmp_path):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from sentinel import dynamics, enforcement
-from sentinel.config import apply_overrides, default_config
+from sentinel.config import ConfigError, apply_overrides, default_config, validate
 from sentinel.dynamics import compliant_policy, scan_for_threat, step
 from sentinel.enforcement import (
     PURSUIT_ANGLE_TOLERANCE_DEG,
@@ -512,11 +512,15 @@ def test_pursue_targets_are_always_malicious_in_integrated_runs():
 
 
 def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():
-    # At a speed too small to resolve a move, a drone's step toward its threat
-    # reads as no move, so the invariant above fails: a compliant drone is
-    # accused. The agent reaches it, stands down instead of reforming it, and
-    # no compliant drone changes role.
+    # This explores a config that validate() refuses, by driving step()
+    # directly: at a speed too small to resolve a move, a drone's step toward
+    # its threat reads as no move, so the invariant above fails and a
+    # compliant drone is accused. The agent reaches it, stands down instead
+    # of reforming it, and no compliant drone changes role.
     cfg = apply_overrides(default_config(), drone_speed=1e-20, num_eas=2, reform_radius=20.0, time_limit_steps=300)
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert err.value.violations == ["DroneSpeedBelowFloor"]
     seed = mix_seed(1, 3)
     compliant = {d.id for d in initial_world(cfg, random.Random(seed)).drones if d.role is DroneRole.COMPLIANT}
     wrongly_accused, wrongly_pursued, stood_down = [], {}, []
