@@ -11,7 +11,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sentinel.config import ConfigError, SimConfig, apply_overrides, default_config, validate
-from sentinel.experiment import mix_seed
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
     _fold_into_sector,
@@ -23,6 +22,7 @@ from sentinel.dynamics import (
     spawn_enemies,
     step,
 )
+from sentinel.experiment import mix_seed
 from sentinel.world import (
     ON_CIRCLE_EPS,
     Drone,

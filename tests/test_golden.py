@@ -4,9 +4,8 @@ Each case plays runs 1..N of base seed 1, exactly as
 `sentinel simulate --runs N --seed 1` does, and hashes the records file
 bytes and the JSON of every run's event stream. The final world of run 1 at
 0, 1 and 2 agents, at the default centre and off it, is also hashed as a
-rendered pixmap. A change that moves a
-hash changes simulator output; it must say why in CHANGES.md and update the
-hash in the same commit.
+rendered pixmap. A change that moves a hash changes simulator output; it
+must say why in CHANGES.md and update the hash in the same commit.
 """
 
 import dataclasses
