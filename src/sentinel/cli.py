@@ -1,14 +1,15 @@
 """Command line front end: simulate batches, aggregate record files, render
-snapshots. Exit codes: 0 success, 2 usage error, 1 runtime failure."""
+the final world of one run of a batch by replaying it. Exit codes: 0
+success, 2 usage error, 1 runtime failure."""
 
 import argparse
 import sys
 from functools import partial
 from pathlib import Path
 
-from .config import ConfigError, apply_overrides, default_config, load_config, validate
-from .experiment import RecordError, read_records, run_batch, run_episode, write_records
-from .render import SnapshotError, frame_side, read_snapshot, render_frame, write_image
+from .config import ConfigError, SimConfig, apply_overrides, default_config, load_config, validate
+from .experiment import RecordError, mix_seed, read_records, run_batch, run_episode, write_records
+from .render import frame_side, render_frame, write_image
 from .stats import (
     SUMMARY_CSV_HEADER,
     StatsError,
@@ -37,23 +38,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sentinel", description="Patrol-drone defense simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a seeded batch of episodes")
-    sim.add_argument("--eas", type=_nonneg_int, required=True, help="enforcement agents per episode")
+    # The batch a run belongs to: simulate plays it, render replays one run of it.
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--eas", type=_nonneg_int, required=True, help="enforcement agents per episode")
+    batch.add_argument("--seed", type=int, required=True, help="base seed of the batch")
+    batch.add_argument("--config", help="key=value config file layered under the flags")
+    batch.add_argument("--failsafe", action="store_true", help="terminate runs with an uncatchable suspect")
+
+    sim = sub.add_parser("simulate", parents=[batch], help="run a seeded batch of episodes")
     sim.add_argument("--runs", type=_positive_int, required=True, help="number of episodes")
-    sim.add_argument("--seed", type=int, required=True, help="base seed of the batch")
-    sim.add_argument("--config", help="key=value config file layered under the flags")
     sim.add_argument("--out", default="records.csv", help="records file to write (default records.csv)")
     sim.add_argument("--frames", help="directory for final-state images, one per run")
-    sim.add_argument("--failsafe", action="store_true", help="terminate runs with an uncatchable suspect")
 
     agg = sub.add_parser("aggregate", help="summarize record files")
     agg.add_argument("--in", dest="inputs", action="append", required=True, metavar="FILE", help="records file")
     agg.add_argument("--verify", action="store_true", help="compare against the bundled reference summaries")
 
-    ren = sub.add_parser("render", help="rasterize a world snapshot")
-    ren.add_argument("--world", required=True, help="snapshot file")
+    ren = sub.add_parser("render", parents=[batch], help="draw the final world of one run of a batch")
+    ren.add_argument("--run", type=_positive_int, required=True, help="run index within the batch, from 1")
     ren.add_argument("--out", required=True, help="image file to write")
     return parser
+
+
+def _batch_config(args) -> SimConfig:
+    """The --config file over the defaults, then --eas and --failsafe, validated."""
+    cfg = load_config(args.config) if args.config else default_config()
+    return validate(apply_overrides(cfg, num_eas=args.eas, failsafe_enabled=args.failsafe or cfg.failsafe_enabled))
 
 
 def _framed_episode(frames_dir: Path, cfg, run_index: int, seed: int):
@@ -67,10 +77,7 @@ def _framed_episode(frames_dir: Path, cfg, run_index: int, seed: int):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
-    cfg = apply_overrides(cfg, num_eas=args.eas, failsafe_enabled=args.failsafe or cfg.failsafe_enabled)
-    validate(cfg)
-
+    cfg = _batch_config(args)
     if args.frames:
         frame_side(cfg)  # a frame too large to draw fails before the batch runs
         records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, Path(args.frames)))
@@ -109,7 +116,10 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    world, cfg = read_snapshot(Path(args.world).read_text(encoding="utf-8"))
+    """Replay run --run of the batch, as simulate plays it, and draw its final world."""
+    cfg = _batch_config(args)
+    frame_side(cfg)  # a frame too large to draw fails before the run is played
+    _, world = run_episode(cfg, args.run, mix_seed(args.seed, args.run))
     frame = render_frame(world, cfg)
     write_image(frame, args.out)
     print(f"wrote {frame.width}x{frame.height} image to {args.out}")
@@ -127,7 +137,7 @@ def main(argv=None) -> int:
         if args.command == "aggregate":
             return _cmd_aggregate(args)
         return _cmd_render(args)
-    except (ConfigError, RecordError, StatsError, SnapshotError, OSError, ValueError) as exc:
+    except (ConfigError, RecordError, StatsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

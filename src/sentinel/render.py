@@ -1,12 +1,11 @@
-"""Dependency-free rasterizer: world snapshots to binary portable pixmaps,
-and the snapshot text format that the render CLI reads."""
+"""Dependency-free rasterizer: a world's state to a binary portable pixmap."""
 
 import math
 import sys
 from dataclasses import dataclass
 
-from .config import SimConfig, apply_overrides, default_config
-from .world import Drone, DroneRole, Enemy, EnforcementAgentState, Outcome, Point2, WorldState
+from .config import SimConfig
+from .world import DroneRole, WorldState
 
 WHITE = (255, 255, 255)
 ZONE_GRAY = (200, 200, 200)
@@ -103,83 +102,3 @@ def write_image(frame: Frame, dest) -> None:
     with open(dest, "wb") as fh:
         fh.write(_ppm_header(frame))
         fh.write(frame.pixels)
-
-
-# --- debug snapshots ---------------------------------------------------------
-# Line-oriented text, one entity per line. A debugging aid and the input of
-# the render CLI, not a stability contract. The map line carries the
-# geometry that rendering needs; a snapshot without it is read as the
-# default map. The last token of an ea line is the pursued drone id, or "-"
-# while the agent patrols.
-
-
-def write_snapshot(world: WorldState, cfg: SimConfig) -> str:
-    cx, cy = cfg.center
-    lines = [f"map {cfg.map_size!r} {cx!r} {cy!r} {cfg.center_radius!r}", f"step {world.step}"]
-    if world.outcome is not None:
-        lines.append(f"outcome {world.outcome.value}")
-    for d in world.drones:
-        lines.append(f"drone {d.id} {d.position[0]!r} {d.position[1]!r} {d.role.value}")
-    for e in world.enemies:
-        lines.append(f"enemy {e.id} {e.position[0]!r} {e.position[1]!r} -")
-    for ea in world.eas:
-        target = "-" if ea.pursue_target is None else ea.pursue_target
-        lines.append(f"ea {ea.id} {ea.position[0]!r} {ea.position[1]!r} {target}")
-    return "\n".join(lines) + "\n"
-
-
-class SnapshotError(ValueError):
-    pass
-
-
-def _point(x: str, y: str) -> Point2:
-    # Rendering scales every coordinate to a pixel, so both must be finite.
-    p = (float(x), float(y))
-    if not all(math.isfinite(v) and math.isfinite(v * SCALE) for v in p):
-        raise ValueError(f"coordinates {x} {y} must be finite, also at {SCALE} pixels per unit")
-    return p
-
-
-def read_snapshot(text: str) -> tuple[WorldState, SimConfig]:
-    """Rebuild the renderable part of a world from snapshot text, with the
-    default config carrying the snapshot's map geometry.
-
-    Only what rendering reads is checked: map values and entity
-    coordinates that stay finite once scaled to pixels, the center strictly
-    inside the map, and a positive center radius.
-    """
-    world = WorldState(step=0, drones=[], enemies=[], eas=[])
-    cfg = default_config()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        try:
-            head = parts[0]
-            if head == "map":
-                size, x, y, radius = values = tuple(map(float, parts[1:]))
-                in_pixels = all(math.isfinite(v * SCALE) for v in values)
-                if not (in_pixels and 0 < x < size and 0 < y < size and radius > 0):
-                    raise ValueError("map values must be finite in pixels, the center strictly inside, the radius positive")
-                cfg = apply_overrides(cfg, map_size=size, center=(x, y), center_radius=radius)
-            elif head == "step":
-                world.step = int(parts[1])
-            elif head == "outcome":
-                world.outcome = Outcome(parts[1])
-            elif head == "drone":
-                _, ident, x, y, role = parts
-                world.drones.append(Drone(id=int(ident), position=_point(x, y), role=DroneRole(role)))
-            elif head == "enemy":
-                _, ident, x, y, _mark = parts
-                world.enemies.append(Enemy(id=int(ident), position=_point(x, y), spawned_at=0))
-                world.next_enemy_id = max(world.next_enemy_id, int(ident) + 1)
-            elif head == "ea":
-                _, ident, x, y, target = parts
-                pursued = None if target == "-" else int(target)
-                world.eas.append(EnforcementAgentState(int(ident), _point(x, y), pursue_target=pursued))
-            else:
-                raise ValueError(f"unknown entity kind {head!r}")
-        except (ValueError, IndexError) as exc:
-            raise SnapshotError(f"line {line_no}: {exc}") from None
-    return world, cfg

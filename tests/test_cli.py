@@ -1,6 +1,5 @@
 """Command line behavior: flags, exit codes, and the three subcommands."""
 
-import random
 import subprocess
 import sys
 
@@ -8,11 +7,8 @@ import pytest
 
 from sentinel import cli
 from sentinel.cli import main
-from sentinel.config import apply_overrides, default_config
 from sentinel.experiment import check_record, read_records
 from sentinel.fixtures import fixture_path
-from sentinel.render import write_snapshot
-from sentinel.world import initial_world
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -180,74 +176,88 @@ def test_aggregate_missing_file_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_render_produces_an_image_from_a_snapshot(tmp_path, capsys):
-    cfg = apply_overrides(default_config(), num_eas=2)
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, random.Random(7)), cfg))
+def render(tmp_path, config_text=None, *flags):
+    """main(["render", ...]) for run 1 of base seed 7 at two agents, with
+    config_text as the --config file; returns (exit code, image path)."""
+    argv = ["render", "--eas", "2", "--seed", "7", "--run", "1", *flags]
+    if config_text is not None:
+        cfg_file = tmp_path / "render.cfg"
+        cfg_file.write_text(config_text)
+        argv += ["--config", str(cfg_file)]
     out = tmp_path / "frame.ppm"
-    code = main(["render", "--world", str(snapshot), "--out", str(out)])
+    return main(argv + ["--out", str(out)]), out
+
+
+def test_render_draws_the_final_world_of_a_run(tmp_path, capsys):
+    code, out = render(tmp_path)
     assert code == 0
     assert out.read_bytes().startswith(b"P6\n480 480\n255\n")
     assert "480x480" in capsys.readouterr().out
 
 
 def test_render_draws_a_non_default_map_whole(tmp_path, capsys):
-    cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, random.Random(7)), cfg))
-    out = tmp_path / "frame.ppm"
-    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 0
+    code, out = render(tmp_path, "map_size = 200\ncenter_x = 100\ncenter_y = 100\n")
+    assert code == 0
     assert out.read_bytes().startswith(b"P6\n800 800\n255\n")
     assert "800x800" in capsys.readouterr().out
 
 
 def test_render_draws_a_small_map(tmp_path, capsys):
-    cfg = apply_overrides(
-        default_config(), map_size=50.0, center=(25.0, 25.0), patrol_radius=20.0, ea_orbit_radius=10.0
-    )
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text(write_snapshot(initial_world(cfg, random.Random(7)), cfg))
-    out = tmp_path / "frame.ppm"
-    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 0
+    config = "map_size = 50\ncenter_x = 25\ncenter_y = 25\npatrol_radius = 20\nea_orbit_radius = 10\n"
+    code, out = render(tmp_path, config)
+    assert code == 0
     assert out.read_bytes().startswith(b"P6\n200 200\n255\n")
     assert "200x200" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
-    "map_line",
-    ["map -1 25 25 5", "map nan 25 25 5", "map 1e308 25 25 5", "map 50 25 25 1e308"],
+    "config, violation",
+    [
+        ("map_size = -1", "MapSizeNotPositive: map_size=-1.0"),
+        ("map_size = nan", "NonFiniteValue: map_size=nan"),
+        ("map_size = 1e308", "NonFiniteValue: 4*map_size=inf"),
+        ("center_radius = 1e308", "CenterRadiusExceedsPatrolRadius: center_radius=1e+308"),
+    ],
     ids=["-1", "nan", "1e308", "radius-1e308"],
 )
-def test_render_rejects_an_impossible_map(tmp_path, capsys, map_line):
-    # 1e308 is finite, but not once scaled to pixels.
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text(map_line + "\n")
-    out = tmp_path / "x.ppm"
-    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
-    assert "error: line 1" in capsys.readouterr().err
+def test_render_rejects_an_impossible_map(tmp_path, capsys, config, violation):
+    # 1e308 is finite, but its spawn perimeter is not.
+    code, out = render(tmp_path, config + "\n")
+    assert code == 1
+    assert violation in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "entity", ["drone 0 inf 10 compliant", "enemy 0 10 nan -", "ea 0 1e308 10 -"], ids=["inf", "nan", "1e308"]
-)
-def test_render_rejects_a_coordinate_that_has_no_pixel(tmp_path, capsys, entity):
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text(f"step 0\ndrone 1 10 10 compliant\n{entity}\n")
-    out = tmp_path / "x.ppm"
-    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: line 3:")
-    assert not out.exists()
+def test_render_of_a_frame_too_large_to_draw_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # 4e9 x 4e9 pixels overflow the canvas length, found before the run is played.
+    def no_run(*args):
+        raise AssertionError("run_episode was called")
 
-
-def test_render_of_a_frame_too_large_to_draw_is_a_runtime_error(tmp_path, capsys):
-    # 4e9 x 4e9 pixels overflow the canvas length before anything is allocated.
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text("map 1000000000.0 60.0 60.0 5.0\n")
-    out = tmp_path / "x.ppm"
-    assert main(["render", "--world", str(snapshot), "--out", str(out)]) == 1
+    monkeypatch.setattr(cli, "run_episode", no_run)
+    code, out = render(tmp_path, "map_size = 1000000000.0\n")
+    assert code == 1
     assert capsys.readouterr().err == "error: cannot draw a 4000000000x4000000000 frame: too large\n"
     assert not out.exists()
+
+
+def test_render_of_a_world_file_is_a_usage_error(tmp_path, capsys):
+    code, out = render(tmp_path, None, "--world", str(tmp_path / "world.txt"))
+    assert code == 2
+    assert "unrecognized arguments: --world" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_replays_the_frame_that_simulate_wrote_for_the_run(tmp_path, capsys):
+    # Run 3 has its own mixed seed, so a render that replayed it under the
+    # base seed or another run's seed would draw a different world.
+    frames = tmp_path / "frames"
+    batch = ["--eas", "1", "--seed", "5"]
+    assert main(["simulate", *batch, "--runs", "3", "--out", str(tmp_path / "r.csv"), "--frames", str(frames)]) == 0
+    out = tmp_path / "run3.ppm"
+    assert main(["render", *batch, "--run", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (frames / "run_3.ppm").read_bytes()
+    assert out.read_bytes() != (frames / "run_2.ppm").read_bytes()
+    capsys.readouterr()
 
 
 def test_simulate_frames_too_large_to_draw_is_a_runtime_error(tmp_path, capsys, monkeypatch):
@@ -264,14 +274,6 @@ def test_simulate_frames_too_large_to_draw_is_a_runtime_error(tmp_path, capsys, 
     assert capsys.readouterr().err == "error: cannot draw a 4000000000x4000000000 frame: too large\n"
     assert not out.exists()
     assert not frames.exists()
-
-
-def test_render_rejects_a_corrupt_snapshot(tmp_path, capsys):
-    snapshot = tmp_path / "world.txt"
-    snapshot.write_text("drone one two three\n")
-    code = main(["render", "--world", str(snapshot), "--out", str(tmp_path / "x.ppm")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def simulate_in_subprocess(tmp_path, config_text):

@@ -4,8 +4,9 @@ Each case plays runs 1..N of base seed 1, exactly as
 `sentinel simulate --runs N --seed 1` does, and hashes the records file
 bytes and the JSON of every run's event stream. The final world of run 1 at
 0, 1 and 2 agents, at the default centre and off it, is also hashed as a
-rendered pixmap. A change that moves a hash changes simulator output; it
-must say why in CHANGES.md and update the hash in the same commit.
+rendered pixmap, both in process and as `sentinel render` replays it. A
+change that moves a hash changes simulator output; it must say why in
+CHANGES.md and update the hash in the same commit.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+from sentinel.cli import main
 from sentinel.config import apply_overrides, default_config
 from sentinel.experiment import mix_seed, run_episode, write_records
 from sentinel.render import ppm_bytes, render_frame
@@ -140,3 +142,16 @@ def test_final_frame_matches_the_golden_hash(name):
     cfg, _ = CASES[name]
     _, world = episodes(name)[0]
     assert sha256(ppm_bytes(render_frame(world, cfg))) == GOLDEN_FRAMES[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_render_cli_replays_the_golden_frame(name, tmp_path, capsys):
+    out = tmp_path / "frame.ppm"
+    argv = ["render", "--seed", str(BASE_SEED), "--run", "1", "--eas", name[-1], "--out", str(out)]
+    if name.startswith("edge"):
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text("center_x = 20\ncenter_y = 60\nea_monitor_radius = 40\n")
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 0
+    assert sha256(out.read_bytes()) == GOLDEN_FRAMES[name]
+    capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Rasterizer: colors, draw order, the portable-pixmap encoding, snapshots."""
+"""Rasterizer: colors, draw order, map geometry, the portable-pixmap encoding."""
 
 import math
 import random
@@ -17,22 +17,18 @@ from sentinel.render import (
     SCALE,
     WHITE,
     ZONE_GRAY,
-    SnapshotError,
     _fill_disc,
     frame_side,
     ppm_bytes,
-    read_snapshot,
     render_frame,
     round_half_up,
     write_image,
-    write_snapshot,
 )
 from sentinel.world import (
     Drone,
     DroneRole,
     Enemy,
     EnforcementAgentState,
-    Outcome,
     WorldState,
     initial_world,
 )
@@ -117,6 +113,16 @@ def test_default_scale_yields_480_square_frames():
     assert frame.width == 480
     assert frame.height == 480
     assert len(frame.pixels) == 480 * 480 * 3
+
+
+def test_a_200_unit_map_draws_an_800_pixel_frame():
+    cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
+    world = empty_world()
+    world.drones.append(Drone(id=0, position=(160.0, 100.0), role=DroneRole.COMPLIANT))
+    frame = render_frame(world, cfg)
+    assert (frame.width, frame.height) == (800, 800)
+    assert pixel(frame, 400, 400) == ZONE_GRAY
+    assert pixel(frame, 640, 400) == ROLE_COLORS[DroneRole.COMPLIANT]
 
 
 def test_rendering_builds_the_canvas_bytes_once():
@@ -217,61 +223,3 @@ def test_write_image_surfaces_io_errors_with_the_path(tmp_path):
         write_image(frame, missing)
     assert "no_such_dir" in str(err.value)
 
-
-# --- snapshots ------------------------------------------------------------------
-
-
-def test_snapshot_round_trips_the_renderable_state():
-    cfg = apply_overrides(default_config(), num_eas=2)
-    world = initial_world(cfg, random.Random(13))
-    world.step = 57
-    world.outcome = Outcome.FAIL
-    world.enemies.append(Enemy(id=9, position=(12.25, 0.0), spawned_at=30))
-    world.eas[1].pursue_target = 4
-    text = write_snapshot(world, cfg)
-    back, _ = read_snapshot(text)
-    assert back.step == 57
-    assert back.outcome is Outcome.FAIL
-    assert [(d.id, d.position, d.role) for d in back.drones] == [
-        (d.id, d.position, d.role) for d in world.drones
-    ]
-    assert [(e.id, e.position) for e in back.enemies] == [(9, (12.25, 0.0))]
-    assert [(a.id, a.position, a.pursue_target) for a in back.eas] == [
-        (a.id, a.position, a.pursue_target) for a in world.eas
-    ]
-
-
-def test_snapshot_errors_carry_line_numbers():
-    with pytest.raises(SnapshotError) as err:
-        read_snapshot("step 3\nwhatnot 1 2 3 4\n")
-    assert "line 2" in str(err.value)
-    with pytest.raises(SnapshotError) as err:
-        read_snapshot("drone x 1 2 compliant\n")
-    assert "line 1" in str(err.value)
-
-
-def test_snapshot_preserves_float_precision():
-    world = WorldState(step=0, drones=[], enemies=[], eas=[])
-    world.drones.append(
-        Drone(id=0, position=(1.0 / 3.0, 2.0 / 7.0), role=DroneRole.REFORMED)
-    )
-    back, _ = read_snapshot(write_snapshot(world, default_config()))
-    assert back.drones[0].position == (1.0 / 3.0, 2.0 / 7.0)
-    assert back.drones[0].role is DroneRole.REFORMED
-
-
-def test_snapshot_carries_the_map_geometry_into_the_frame():
-    cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
-    world = empty_world()
-    world.drones.append(Drone(id=0, position=(160.0, 100.0), role=DroneRole.COMPLIANT))
-    back, back_cfg = read_snapshot(write_snapshot(world, cfg))
-    assert (back_cfg.map_size, back_cfg.center, back_cfg.center_radius) == (200.0, (100.0, 100.0), 5.0)
-    frame = render_frame(back, back_cfg)
-    assert (frame.width, frame.height) == (800, 800)
-    assert pixel(frame, 400, 400) == ZONE_GRAY
-    assert pixel(frame, 640, 400) == ROLE_COLORS[DroneRole.COMPLIANT]
-
-
-def test_snapshot_without_a_map_line_keeps_the_default_geometry():
-    _, cfg = read_snapshot("step 3\ndrone 0 1.0 2.0 compliant\n")
-    assert cfg == default_config()
