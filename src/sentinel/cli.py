@@ -7,7 +7,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .config import ConfigError, SimConfig, apply_overrides, default_config, load_config, validate
+from .config import ConfigError, SimConfig, apply_overrides, default_config, read_config, validate
 from .experiment import RecordError, mix_seed, read_records, run_batch, run_episode, write_records
 from .render import frame_side, render_frame, write_image
 from .stats import (
@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _batch_config(args) -> SimConfig:
-    """The --config file over the defaults, then --eas and --failsafe, validated."""
-    cfg = load_config(args.config) if args.config else default_config()
+    """The --config file over the defaults, then --eas and --failsafe, then
+    one validation: a flag wins over the file's line for the same field."""
+    cfg = read_config(args.config) if args.config else default_config()
     return validate(apply_overrides(cfg, num_eas=args.eas, failsafe_enabled=args.failsafe or cfg.failsafe_enabled))
 
 

@@ -212,11 +212,11 @@ def _parse_value(key: str, raw: str, line_no: int):
     raise ConfigError([("BadValue", f"line {line_no}: {key}={raw!r} is not a boolean")])
 
 
-def load_config(path) -> SimConfig:
+def read_config(path) -> SimConfig:
     """Load overrides from a flat key=value file on top of the default config.
 
     Blank lines and lines starting with '#' are skipped. Unknown keys and
-    keys given twice are errors. The result is validated.
+    keys given twice are errors. The result is not validated.
     """
     text = Path(path).read_text(encoding="utf-8")
     fields: dict = {}
@@ -239,4 +239,9 @@ def load_config(path) -> SimConfig:
     base = default_config()
     cx, cy = base.center
     center = (fields.pop("center_x", cx), fields.pop("center_y", cy))
-    return validate(dataclasses.replace(base, center=center, **fields))
+    return dataclasses.replace(base, center=center, **fields)
+
+
+def load_config(path) -> SimConfig:
+    """read_config(path), validated."""
+    return validate(read_config(path))

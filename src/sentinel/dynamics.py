@@ -13,9 +13,9 @@ import random
 from . import enforcement
 from .config import SimConfig
 from .world import (
+    MALICIOUS,
     ON_CIRCLE_EPS,
     Drone,
-    DroneRole,
     Enemy,
     Event,
     Outcome,
@@ -90,20 +90,11 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     return target
 
 
-def scan_for_threat(drone: Drone, world: WorldState, cfg: SimConfig) -> Enemy | None:
-    """The nearest enemy within detection range of the drone, or None; also
-    stored as drone.threat, which enforcement agents judge the move by. The
-    scan is bounded by cfg.detection_radius, so an enemy exactly that far
-    away is still a threat."""
-    enemy = nearest_enemy(drone.position, world.enemies, cfg.detection_radius)
-    drone.threat = enemy
-    return enemy
-
-
 def compliant_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
     """Next position of a cooperating drone: toward the nearest detected
-    threat, otherwise along the own sector."""
-    enemy = scan_for_threat(drone, world, cfg)
+    threat, otherwise along the own sector. Stores the threat as
+    drone.threat, as every policy does."""
+    enemy = drone.threat = nearest_enemy(drone.position, world.enemies, cfg.detection_radius)
     if enemy is not None:
         return move_toward(drone.position, enemy.position, cfg.drone_speed)
     return _sector_patrol_move(drone, cfg)
@@ -112,7 +103,7 @@ def compliant_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
 def malicious_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
     """Next position of a defecting drone: it sees the threat like any
     drone, but patrols as usual and never pursues."""
-    scan_for_threat(drone, world, cfg)
+    drone.threat = nearest_enemy(drone.position, world.enemies, cfg.detection_radius)
     return _sector_patrol_move(drone, cfg)
 
 
@@ -162,7 +153,7 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
     """
     if not world.enemies:
         return
-    interceptors = [d for d in world.drones if d.role is not DroneRole.MALICIOUS]
+    interceptors = [d for d in world.drones if d.role is not MALICIOUS]
     survivors = []
     for enemy in world.enemies:
         best = None
@@ -194,7 +185,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    moved from. No policy reads another drone, so each moves as soon as
     #    it has chosen, and every choice is still made from the pre-move world
     for d in world.drones:
-        target = malicious_policy(d, world, cfg) if d.role is DroneRole.MALICIOUS else compliant_policy(d, world, cfg)
+        target = malicious_policy(d, world, cfg) if d.role is MALICIOUS else compliant_policy(d, world, cfg)
         d.prev_position = d.position
         d.position = clamp_to_map(target, cfg)
 

@@ -11,8 +11,9 @@ import math
 
 from .config import SimConfig
 from .world import (
+    MALICIOUS,
     ON_CIRCLE_EPS,
-    DroneRole,
+    REFORMED,
     EnforcementAgentState,
     Event,
     Point2,
@@ -81,8 +82,10 @@ def update_suspicion(ea: EnforcementAgentState, verdicts: dict[int, bool], world
     for drone_id, violating in verdicts.items():
         ea.suspicion[drone_id] = ea.suspicion.get(drone_id, 0) + 1 if violating else 0
 
-    hot = [d for d, count in ea.suspicion.items() if count >= cfg.suspicion_threshold]
-    target = min(hot) if hot else None
+    target, threshold = None, cfg.suspicion_threshold
+    for drone_id, count in ea.suspicion.items():
+        if count >= threshold and (target is None or drone_id < target):
+            target = drone_id
     if target is not None and ea.pursue_target != target:
         ea.pursue_target = target
         ea.pursue_since = world.step
@@ -145,8 +148,8 @@ def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimCo
     if distance(ea.position, suspect.position) > cfg.reform_radius:
         return
 
-    if suspect.role is DroneRole.MALICIOUS:
-        suspect.role = DroneRole.REFORMED
+    if suspect.role is MALICIOUS:
+        suspect.role = REFORMED
         for agent in world.eas:
             agent.suspicion.pop(suspect.id, None)
             if agent.pursue_target == suspect.id:
@@ -181,7 +184,7 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
         update_suspicion(ea, observe(ea, world, cfg), world, cfg)
         ea.position = clamp_to_map(ea_policy(ea, world, cfg), cfg)
         attempt_reformation(ea, world, cfg)
-        if failsafe_due(ea, world, cfg):
+        if ea.pursue_since is not None and failsafe_due(ea, world, cfg):
             world.events.append(Event(step=world.step, kind="failsafe", data={"ea": ea.id, "drone": ea.pursue_target}))
             failsafe_fired = True
     return failsafe_fired

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import SimConfig, validate
 from .dynamics import step
-from .world import DroneRole, WorldState, initial_world
+from .world import REFORMED, WorldState, initial_world
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -132,7 +132,7 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
         time_s=round(world.step / cfg.fps, 2),
         healthy=cfg.total_drones - cfg.num_malicious,
         malicious=cfg.num_malicious,
-        reformed=sum(1 for d in world.drones if d.role is DroneRole.REFORMED),
+        reformed=sum(1 for d in world.drones if d.role is REFORMED),
     )
     check_record(record, time_limit_steps=cfg.time_limit_steps, fps=cfg.fps, total_drones=cfg.total_drones)
     return record, world

@@ -67,6 +67,12 @@ class DroneRole(Enum):
     REFORMED = "reformed"
 
 
+# The roles as module constants, for the per-step code: on Python 3.10 and
+# 3.11 the Enum metaclass defines __getattr__, so each DroneRole.X read costs
+# about ten times a global read.
+COMPLIANT, MALICIOUS, REFORMED = DroneRole.COMPLIANT, DroneRole.MALICIOUS, DroneRole.REFORMED
+
+
 class Outcome(Enum):
     SUCCESS = "success"
     FAIL = "fail"
@@ -80,8 +86,9 @@ class Drone:
     prev_position is where the drone stood before its last move, and threat
     the nearest enemy within detection range of that position when the
     drone chose the move, or None. Every policy makes that scan, so a drone
-    that ignores the threat can be judged against what it saw. Both are
-    None until the first step.
+    that ignores the threat can be judged against what it saw; an enemy
+    exactly detection_radius away is still a threat. Both are None until
+    the first step.
 
     arc is the point of its arc the drone was last sent to and that point's
     sector offset; while it stands there, the patrol carries the offset.
@@ -149,8 +156,7 @@ def initial_world(cfg: SimConfig, rng: random.Random) -> WorldState:
     for i in range(n):
         angle = 2.0 * math.pi * i / n
         pos = (cx + cfg.patrol_radius * math.cos(angle), cy + cfg.patrol_radius * math.sin(angle))
-        role = DroneRole.MALICIOUS if i in malicious else DroneRole.COMPLIANT
-        drones.append(Drone(id=i, position=pos, role=role))
+        drones.append(Drone(id=i, position=pos, role=MALICIOUS if i in malicious else COMPLIANT))
     eas = []
     for j in range(cfg.num_eas):
         angle = 2.0 * math.pi * j / cfg.num_eas

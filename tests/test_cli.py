@@ -129,6 +129,40 @@ def test_simulate_with_a_config_key_given_twice_is_a_runtime_error(tmp_path, cap
     assert "DuplicateConfigKey: line 2: 'drone_speed' already set on line 1" in capsys.readouterr().err
 
 
+# The flags of each command that plays run 1 of base seed 1, before --eas.
+BATCH_COMMANDS = {
+    "simulate": ["simulate", "--runs", "1", "--seed", "1"],
+    "render": ["render", "--run", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS)
+def test_the_eas_flag_replaces_a_num_eas_line_that_is_invalid_alone(tmp_path, capsys, command):
+    # 9 agents for 6 drones is refused, but --eas replaces the line before
+    # the config is validated.
+    cfg_file = tmp_path / "nine.cfg"
+    cfg_file.write_text("num_eas = 9\ntime_limit_steps = 30\n")
+    out = tmp_path / "out"
+    code = main(BATCH_COMMANDS[command] + ["--eas", "0", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    if command == "simulate":
+        assert [(r.ea, r.steps) for r in read_records(out)] == [(0, 30)]
+    else:
+        assert out.read_bytes().startswith(b"P6\n480 480\n255\n")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS)
+def test_a_config_still_invalid_after_the_flags_is_a_runtime_error(tmp_path, capsys, command):
+    cfg_file = tmp_path / "three.cfg"
+    cfg_file.write_text("total_drones = 3\nnum_eas = 2\n")
+    out = tmp_path / "out"
+    code = main(BATCH_COMMANDS[command] + ["--eas", "4", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: EnforcementExceedsTotalDrones: num_eas=4 > total_drones=3\n"
+    assert not out.exists()
+
+
 def test_aggregate_prints_csv_and_table(capsys):
     code = main(["aggregate", "--in", str(fixture_path("two_ea"))])
     assert code == 0

@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinel import dynamics, enforcement
-from sentinel.config import ConfigError, apply_overrides, default_config, validate
-from sentinel.dynamics import compliant_policy, scan_for_threat, step
+from sentinel.config import SPEED_FLOOR_ULPS, ConfigError, apply_overrides, default_config, validate
+from sentinel.dynamics import compliant_policy, step
 from sentinel.enforcement import (
     PURSUIT_ANGLE_TOLERANCE_DEG,
     attempt_reformation,
@@ -17,7 +19,7 @@ from sentinel.enforcement import (
     observe,
     update_suspicion,
 )
-from sentinel.experiment import mix_seed
+from sentinel.experiment import mix_seed, run_episode
 from sentinel.world import (
     Drone,
     DroneRole,
@@ -28,6 +30,7 @@ from sentinel.world import (
     clamp_to_map,
     distance,
     initial_world,
+    nearest_enemy,
 )
 from test_acceptance import random_valid_config
 
@@ -48,11 +51,12 @@ def drone_at(drone_id, x, y, role=DroneRole.COMPLIANT):
 
 def move_after_scan(world, cfg, moves=None):
     """Do to every drone what step() does before enforcement: scan for its
-    threat under cfg from where it stands, remember that position, then move
-    it by moves[drone id] (default: stay put). Returns the world."""
+    threat under cfg from where it stands, as every policy does, remember
+    that position, then move it by moves[drone id] (default: stay put).
+    Returns the world."""
     moves = moves or {}
     for d in world.drones:
-        scan_for_threat(d, world, cfg)
+        d.threat = nearest_enemy(d.position, world.enemies, cfg.detection_radius)
         d.prev_position = d.position
         (x, y), (dx, dy) = d.position, moves.get(d.id, (0.0, 0.0))
         d.position = (x + dx, y + dy)
@@ -511,6 +515,31 @@ def test_pursue_targets_are_always_malicious_in_integrated_runs():
     assert accusations >= 20
 
 
+@st.composite
+def accepted_configs(draw):
+    """A criterion-6 config with at least one agent, each speed either as
+    drawn there or at 1 to 2 times the speed floor."""
+    cfg = random_valid_config(random.Random(draw(st.integers(0, 2**32))))
+    floor = SPEED_FLOOR_ULPS * math.ulp(cfg.map_size)
+    speeds = {}
+    for name in ("drone_speed", "enemy_speed"):
+        factor = draw(st.none() | st.floats(1.0, 2.0))
+        if factor is not None:
+            speeds[name] = factor * floor
+    return validate(apply_overrides(cfg, num_eas=draw(st.integers(1, 3)), **speeds))
+
+
+@settings(max_examples=100)
+@given(accepted_configs(), st.integers(0, 2**32))
+def test_no_accepted_config_accuses_a_drone_that_was_not_malicious(cfg, seed):
+    # The detector's invariant over every config validate() accepts, down to
+    # its speed floor, where a step moves a coordinate by about 1,000 ulps.
+    for _, roles, logged in steps_with_roles(cfg, seed):
+        for e in logged:
+            if e.kind == "suspicion_raised":
+                assert roles[e.data["drone"]] is DroneRole.MALICIOUS, e
+
+
 def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():
     # This explores a config that validate() refuses, by driving step()
     # directly: at a speed too small to resolve a move, a drone's step toward
@@ -538,3 +567,36 @@ def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():
         assert all(d.role is DroneRole.COMPLIANT for d in world.drones if d.id in compliant)
     assert wrongly_accused
     assert stood_down
+
+
+# --- twin runs -----------------------------------------------------------------
+
+WORLD_EVENTS = ("spawn", "interception", "breach")
+
+
+def world_events(world, before):
+    return [e for e in world.events if e.kind in WORLD_EVENTS and e.step < before]
+
+
+def test_agents_change_nothing_in_the_world_before_they_reform_or_abort():
+    # Agents draw no randomness and act on the world only by a reformation
+    # or the failsafe. So until the first step with either, run i with N
+    # agents spawns, intercepts and breaches as run i with none does.
+    defaults = default_config()
+    configs = [defaults, apply_overrides(defaults, failsafe_enabled=True)]
+    rng = random.Random(20261018)
+    configs += [random_valid_config(rng) for _ in range(4)]
+    acted = diverged = 0
+    for cfg in configs:
+        for run in range(1, 4):
+            seed = mix_seed(1, run)
+            _, twin = run_episode(apply_overrides(cfg, num_eas=0), run, seed)
+            for n in (1, 2):
+                _, world = run_episode(apply_overrides(cfg, num_eas=n), run, seed)
+                acts = [e.step for e in world.events if e.kind in ("reformation", "failsafe")]
+                first = min(acts, default=math.inf)
+                assert world_events(world, first) == world_events(twin, first), (cfg, run, n)
+                acted += bool(acts)
+                diverged += world_events(world, math.inf) != world_events(twin, math.inf)
+    # Agents acted in some pairs, and the worlds parted after they did.
+    assert acted >= 5 and diverged >= 5

@@ -1,7 +1,11 @@
 """World construction, geometry helpers, and breach detection."""
 
+import importlib
 import math
 import random
+import types
+
+import pytest
 
 from sentinel.config import apply_overrides, default_config
 from sentinel.world import (
@@ -156,3 +160,44 @@ def test_breach_true_only_inside_center_radius():
     assert not breach_occurred(world, cfg)
     world.enemies[0].position = (60.0, 65.0)
     assert breach_occurred(world, cfg)
+
+
+# --- role constants --------------------------------------------------------------
+
+# The code every step or episode runs that reads a drone's role.
+ROLE_READERS = [
+    "dynamics.step",
+    "dynamics.resolve_interceptions",
+    "dynamics.compliant_policy",
+    "dynamics.malicious_policy",
+    "enforcement.run_enforcement_phase",
+    "enforcement.attempt_reformation",
+    "world.initial_world",
+    "experiment.run_episode",
+]
+
+
+def _names(code):
+    """The global and attribute names code reads, with those of every code
+    object nested in it, such as a comprehension's on Python 3.11."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+@pytest.mark.parametrize("name", ROLE_READERS)
+def test_per_step_code_reads_the_role_constants_not_the_enum(name):
+    # A DroneRole.X read takes the Enum metaclass's slow attribute path on
+    # Python 3.10 and 3.11; this fails on every version if one comes back.
+    module, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"sentinel.{module}"), attr)
+    assert "DroneRole" not in _names(fn.__code__)
+
+
+def test_the_name_check_sees_into_a_comprehension():
+    def reader(drones):
+        return [d for d in drones if d.role is DroneRole.MALICIOUS]
+
+    assert "DroneRole" in _names(reader.__code__)
