@@ -532,8 +532,8 @@ def accepted_configs(draw):
 @settings(max_examples=100)
 @given(accepted_configs(), st.integers(0, 2**32))
 def test_no_accepted_config_accuses_a_drone_that_was_not_malicious(cfg, seed):
-    # The detector's invariant over every config validate() accepts, down to
-    # its speed floor, where a step moves a coordinate by about 1,000 ulps.
+    # The detector's invariant over accepted configs down to the speed
+    # floor, where a step moves a coordinate by about 1,000 ulps.
     for _, roles, logged in steps_with_roles(cfg, seed):
         for e in logged:
             if e.kind == "suspicion_raised":

@@ -164,7 +164,7 @@ def test_breach_true_only_inside_center_radius():
 
 # --- role constants --------------------------------------------------------------
 
-# The code every step or episode runs that reads a drone's role.
+# Functions that run on every step or episode.
 ROLE_READERS = [
     "dynamics.step",
     "dynamics.resolve_interceptions",
