@@ -3,7 +3,7 @@
 An agent cannot read a drone's role. It infers intent from proximity: a drone
 that sits near a detectable threat and keeps not moving toward it is accused
 after suspicion_threshold consecutive violations, chased, and reformed on
-contact. One clean observation resets the count, which debounces drones that
+contact. One clean observation deletes the count, which debounces drones that
 are merely mid-turn.
 """
 
@@ -48,24 +48,31 @@ def _moved_toward(origin: Point2, end: Point2, target: Point2) -> bool:
 
 
 def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> dict[int, bool]:
-    """A verdict for every drone within monitor range of the agent, by drone
-    id: True when the drone violates, i.e. it saw a threat this step and
-    its move does not pursue it.
+    """A verdict, by drone id, for every drone within monitor range of the
+    agent that saw a threat this step or that the agent already suspects:
+    True when the drone violates, i.e. it saw a threat this step and its
+    move does not pursue it.
 
-    The agent reads the scan the drone acted on (drone.threat, taken from
-    drone.prev_position when it chose its move) and judges the move from
-    prev_position to position against the pursuit cone. Fresh spawns inside
-    monitor range are logged as entry-point events.
+    A drone with no threat and no count gets no verdict, since a clean one
+    would change nothing in the agent's map, and it is skipped before its
+    distance is measured. The agent reads the scan the drone acted on
+    (drone.threat, taken from drone.prev_position when it chose its move)
+    and judges the move from prev_position to position against the pursuit
+    cone. Fresh spawns inside monitor range are logged as entry-point
+    events.
     """
     for e in world.enemies:
         if e.spawned_at == world.step and distance(ea.position, e.position) <= cfg.ea_monitor_radius:
             world.events.append(Event(step=world.step, kind="entry_point", data={"ea": ea.id, "enemy": e.id}))
 
     verdicts = {}
+    suspicion = ea.suspicion
     for drone in world.drones:
+        threat = drone.threat
+        if threat is None and drone.id not in suspicion:
+            continue
         if distance(ea.position, drone.position) > cfg.ea_monitor_radius:
             continue
-        threat = drone.threat
         verdicts[drone.id] = threat is not None and not _moved_toward(
             drone.prev_position, drone.position, threat.position
         )
@@ -75,15 +82,20 @@ def observe(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> dic
 def update_suspicion(ea: EnforcementAgentState, verdicts: dict[int, bool], world: WorldState, cfg: SimConfig) -> None:
     """Fold one round of verdicts into the agent's suspicion map.
 
-    A violation adds one; any clean verdict resets to zero; unobserved
-    drones keep their counts. Crossing suspicion_threshold flips the agent
-    into pursuit of the lowest-id offender and logs a suspicion-raised event.
+    The map holds only positive counts: a violation adds one, a clean
+    verdict deletes the drone's entry, and unobserved drones keep their
+    counts. Crossing suspicion_threshold flips the agent into pursuit of the
+    lowest-id offender and logs a suspicion-raised event.
     """
+    suspicion = ea.suspicion
     for drone_id, violating in verdicts.items():
-        ea.suspicion[drone_id] = ea.suspicion.get(drone_id, 0) + 1 if violating else 0
+        if violating:
+            suspicion[drone_id] = suspicion.get(drone_id, 0) + 1
+        else:
+            suspicion.pop(drone_id, None)
 
     target, threshold = None, cfg.suspicion_threshold
-    for drone_id, count in ea.suspicion.items():
+    for drone_id, count in suspicion.items():
         if count >= threshold and (target is None or drone_id < target):
             target = drone_id
     if target is not None and ea.pursue_target != target:
@@ -93,7 +105,7 @@ def update_suspicion(ea: EnforcementAgentState, verdicts: dict[int, bool], world
             Event(
                 step=world.step,
                 kind="suspicion_raised",
-                data={"ea": ea.id, "drone": target, "count": ea.suspicion[target]},
+                data={"ea": ea.id, "drone": target, "count": suspicion[target]},
             )
         )
 

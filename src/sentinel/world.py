@@ -113,9 +113,10 @@ class Enemy:
 @dataclass
 class EnforcementAgentState:
     """A supervisory agent. suspicion maps drone id to consecutive
-    violations; the agent pursues exactly when pursue_target is set. arc is
-    the orbit point it was last sent to with that point's angle, as for a
-    Drone."""
+    violations and holds only positive counts: a clean verdict deletes the
+    drone's entry, and a missing entry reads as zero. The agent pursues
+    exactly when pursue_target is set. arc is the orbit point it was last
+    sent to with that point's angle, as for a Drone."""
 
     id: int
     position: Point2

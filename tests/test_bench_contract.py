@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps sentinel module attributes by name
 (perfbench/tracing.py). These tests fail when a wrapped name is renamed,
 deleted or no longer called on the traced path. The last ones check that
-tools/bench.py fails on a wrong run."""
+tools/bench.py fails on a wrong run, and that tools/pairs.py alternates its
+pairs, applies the gain rule and fails on a wrong run."""
 
 import importlib
 import importlib.util
@@ -103,3 +104,77 @@ def test_bench_writes_the_file_then_exits_1_naming_each_wrong_run(bench, tmp_pat
         "bench: wrong run, cli-frames seed 3: correct=False, failed=0",
     ]
     assert (tmp_path / "BENCH_bad.json").exists()
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    # tools/pairs.py with run_once faked: runs[(side, seed)] gives step_us_p50
+    # and calls lists the (side, seed) runs in order; wrong as for bench.
+    tools = PERFBENCH.parent / "tools"
+    monkeypatch.syspath_prepend(str(tools))
+    spec = importlib.util.spec_from_file_location("pairs", tools / "pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.runs, module.calls, module.wrong = {}, [], {}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = checkout.name
+        module.calls.append((side, seed))
+        correct, failed = module.wrong.get((side, seed), (True, 0))
+        metrics = {"step_us_p50": {"value": module.runs[(side, seed)]}}
+        return {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    return module
+
+
+def pair_dirs(tmp_path):
+    # Two checkouts named after their side; the parent's BENCHMARK.json is read.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    return [str(parent), str(change), "--workload", "episodes-2ea", "--metric", "step_us_p50"]
+
+
+def test_pairs_alternate_sides_over_the_fixed_seeds_and_report_a_gain(pairs, tmp_path, capsys):
+    for i, seed in enumerate(pairs.SEEDS):
+        pairs.runs[("parent", seed)] = 15.0 + 0.1 * (i % 3)
+        pairs.runs[("change", seed)] = 14.0 if i else 15.5
+    assert pairs.main(pair_dirs(tmp_path)) == 0
+    assert pairs.SEEDS == (5, 6, 7, 8, 9, 10, 11, 12, 13, 4070)
+    assert [seed for _, seed in pairs.calls[::2]] == list(pairs.SEEDS)
+    assert [side for side, _ in pairs.calls[::2]] == ["parent", "change"] * 5
+    out = capsys.readouterr().out
+    assert "pairs won: change 9, parent 1, ties 0" in out
+    assert "gain rule holds: change won 9 of 10 (needs 9)" in out
+
+
+def test_pairs_deny_a_gain_inside_the_parents_spread_or_with_too_few_wins(pairs, tmp_path, capsys):
+    # The change wins every pair but by less than the parent's IQR, then
+    # beats the median by far but wins only 8 of 10.
+    for i, seed in enumerate(pairs.SEEDS):
+        pairs.runs[("parent", seed)] = 15.0 + i
+        pairs.runs[("change", seed)] = 14.9 + i
+    args = pair_dirs(tmp_path)
+    assert pairs.main(args) == 0
+    assert "gain rule does not hold: change won 10 of 10" in capsys.readouterr().out
+    for i, seed in enumerate(pairs.SEEDS):
+        pairs.runs[("parent", seed)] = 15.0
+        pairs.runs[("change", seed)] = 16.0 if i < 2 else 10.0
+    assert pairs.main(args) == 0
+    assert "gain rule does not hold: change won 8 of 10 (needs 9)" in capsys.readouterr().out
+
+
+def test_pairs_exit_1_naming_each_wrong_run(pairs, tmp_path, capsys):
+    for seed in pairs.SEEDS:
+        pairs.runs[("parent", seed)] = pairs.runs[("change", seed)] = 15.0
+    pairs.wrong = {("change", 7): (False, 0), ("parent", 4070): (True, 3)}
+    assert pairs.main(pair_dirs(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert "pairs won: change 0, parent 0, ties 10" in captured.out
+    wrong = [line for line in captured.err.splitlines() if "wrong run" in line]
+    assert wrong == [
+        "pairs: wrong run, change seed 7: correct=False, failed=0",
+        "pairs: wrong run, parent seed 4070: correct=True, failed=3",
+    ]

@@ -78,6 +78,7 @@ def test_drones_outside_monitor_radius_are_unobserved():
 
 
 def test_observation_without_nearby_enemy_is_clean():
+    # A clean drone the agent holds no count for gets no verdict at all.
     cfg = default_config()
     ea = ea_at(0, 60.0, 60.0)
     world = make_world(
@@ -86,7 +87,29 @@ def test_observation_without_nearby_enemy_is_clean():
         eas=[ea],
     )
     move_after_scan(world, cfg)
-    assert observe(ea, world, cfg) == {0: False}
+    assert observe(ea, world, cfg) == {}
+
+
+def test_a_drone_in_range_without_threat_or_count_is_not_even_measured(monkeypatch):
+    cfg = default_config()
+    ea = ea_at(0, 60.0, 60.0)
+    world = move_after_scan(make_world(drones=[drone_at(0, 65.0, 60.0)], eas=[ea]), cfg)
+    assert world.drones[0].threat is None
+    assert distance(ea.position, world.drones[0].position) <= cfg.ea_monitor_radius
+    measured = []
+    monkeypatch.setattr(enforcement, "distance", lambda a, b: measured.append(b) or distance(a, b))
+    assert observe(ea, world, cfg) == {}
+    assert measured == []
+
+
+def test_a_suspected_drone_without_threat_is_judged_clean_and_forgotten():
+    cfg = default_config()
+    ea = ea_at(0, 60.0, 60.0, suspicion={0: 3, 1: 2})
+    world = move_after_scan(make_world(drones=[drone_at(0, 65.0, 60.0)], eas=[ea]), cfg)
+    verdicts = observe(ea, world, cfg)
+    assert verdicts == {0: False}
+    update_suspicion(ea, verdicts, world, cfg)
+    assert ea.suspicion == {1: 2}
 
 
 def test_patrolling_near_a_threat_is_a_violation_signature():
@@ -105,7 +128,7 @@ def test_patrolling_near_a_threat_is_a_violation_signature():
     cfg = default_config()
     assert observed(cfg) == {3: True}
     assert observed(apply_overrides(cfg, detection_radius=6.0)) == {3: True}
-    assert observed(apply_overrides(cfg, detection_radius=5.99)) == {3: False}
+    assert observed(apply_overrides(cfg, detection_radius=5.99)) == {}
 
 
 def test_moving_onto_the_enemy_counts_as_pursuit():
@@ -163,7 +186,7 @@ def test_drones_beyond_detection_radius_are_clean_randomized():
         world = make_world(drones=[drone_at(0, 60.0, 60.0)], enemies=[enemy], eas=[ea])
         move_after_scan(world, cfg, {0: move})
         if distance((60.0, 60.0), enemy.position) > cfg.detection_radius:
-            assert observe(ea, world, cfg) == {0: False}
+            assert observe(ea, world, cfg) == {}
             beyond += 1
     assert beyond > 0
 
@@ -245,7 +268,7 @@ def test_one_clean_observation_resets_the_count():
     move_after_scan(world, cfg, {2: (2.0, 0.0)})
     world.step += 1
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
-    assert ea.suspicion[2] == 0
+    assert 2 not in ea.suspicion
     assert ea.pursue_target is None
 
 
@@ -275,8 +298,8 @@ def test_simultaneous_threshold_crossings_pick_the_lowest_id():
 
 
 def test_compliant_behavior_never_accumulates_suspicion():
-    # Two agents watching an all-compliant fleet for 200 steps: every count
-    # stays at zero, pursuit never engages.
+    # Two agents watching an all-compliant fleet for 200 steps: no count is
+    # ever held, pursuit never engages.
     cfg = apply_overrides(default_config(), num_malicious=0, num_eas=2, time_limit_steps=200)
     rng = random.Random(12)
     world = initial_world(cfg, rng)
@@ -284,7 +307,7 @@ def test_compliant_behavior_never_accumulates_suspicion():
         step(world, cfg, rng)
         for agent in world.eas:
             assert agent.pursue_target is None
-            assert all(count == 0 for count in agent.suspicion.values())
+            assert agent.suspicion == {}
     assert world.outcome is Outcome.SUCCESS
 
 
@@ -512,6 +535,8 @@ def test_pursue_targets_are_always_malicious_in_integrated_runs():
             for agent in world.eas:
                 if agent.pursue_target is not None:
                     assert now[agent.pursue_target] is DroneRole.MALICIOUS
+                # The suspicion map holds only positive counts of the world's drones.
+                assert all(drone_id in now and count >= 1 for drone_id, count in agent.suspicion.items())
     assert accusations >= 20
 
 
@@ -600,3 +625,28 @@ def test_agents_change_nothing_in_the_world_before_they_reform_or_abort():
                 diverged += world_events(world, math.inf) != world_events(twin, math.inf)
     # Agents acted in some pairs, and the worlds parted after they did.
     assert acted >= 5 and diverged >= 5
+
+
+def first_suspicion_step(cfg, run):
+    _, world = run_episode(cfg, run, mix_seed(1, run))
+    return next((e.step for e in world.events if e.kind == "suspicion_raised"), None)
+
+
+def test_a_higher_threshold_raises_suspicion_strictly_later_or_never():
+    # Counts grow by one per violating step whatever the threshold, and the
+    # worlds at t and t + 1 stay the same until t fires. So t + 1 fires
+    # strictly after t, and never where t never fires.
+    two_agents = apply_overrides(default_config(), num_eas=2)
+    later = only_lower = neither = 0
+    for run in range(1, 13):
+        steps = [first_suspicion_step(apply_overrides(two_agents, suspicion_threshold=t), run) for t in range(2, 8)]
+        for lower, higher in zip(steps, steps[1:]):
+            if lower is None:
+                assert higher is None, run
+                neither += 1
+            elif higher is None:
+                only_lower += 1
+            else:
+                assert higher > lower, run
+                later += 1
+    assert later >= 10 and only_lower >= 1 and neither >= 1
