@@ -178,3 +178,15 @@ def test_pairs_exit_1_naming_each_wrong_run(pairs, tmp_path, capsys):
         "pairs: wrong run, change seed 7: correct=False, failed=0",
         "pairs: wrong run, parent seed 4070: correct=True, failed=3",
     ]
+
+
+def test_pairs_take_no_pair_count_or_run_length(pairs, tmp_path, capsys):
+    # Ten pairs at the benchmark's own run length are the only comparison the
+    # gain rule allows, so neither can be set.
+    args = pair_dirs(tmp_path)
+    for option in (["--pairs", "2"], ["--seconds", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            pairs.main(args + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert pairs.calls == []

@@ -1,17 +1,17 @@
 """Compare one metric of two checkouts over alternating pairs of runs.
 
-    python3 tools/pairs.py PARENT CHANGE --workload W --metric M [--pairs 10] [--seconds S]
+    python3 tools/pairs.py PARENT CHANGE --workload W --metric M
 
 Runs ``perfbench/run.py --trace 0`` (through tools/bench.py's ``run_once``)
-of the checkouts PARENT and CHANGE on one workload, one pair per seed of
-5..13 and the held-out 4070 (cycled when --pairs exceeds ten), alternating
-which side runs first. --seconds defaults to the parent's BENCHMARK.json
-``run_seconds``. Prints every pair, each side's median and quartiles, the
-pairs each side won (ties count for neither), and whether the gain rule
-holds: the change wins at least nine tenths of the pairs, and its median
-beats the parent's by more than the parent's interquartile range. The
-metric's direction comes from the parent's BENCHMARK.json. Exits 1 after
-the report, naming each run that was not correct or had failed operations.
+of the checkouts PARENT and CHANGE on one workload, ten pairs: one per seed
+of 5..13 and the held-out 4070, alternating which side runs first. Each run
+lasts the parent's BENCHMARK.json ``run_seconds``. Prints every pair, each
+side's median and quartiles, the pairs each side won (ties count for
+neither), and whether the gain rule holds: the change wins at least 9 of the
+10 pairs, and its median beats the parent's by more than the parent's
+interquartile range. The metric's direction comes from the parent's
+BENCHMARK.json. Exits 1 after the report, naming each run that was not
+correct or had failed operations.
 """
 
 import argparse
@@ -23,6 +23,7 @@ from pathlib import Path
 from bench import run_once
 
 SEEDS = (5, 6, 7, 8, 9, 10, 11, 12, 13, 4070)
+NEED = 9  # pairs of the ten the change must win
 
 
 def main(argv=None) -> int:
@@ -31,11 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--metric", required=True)
-    parser.add_argument("--pairs", type=int, default=len(SEEDS))
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -44,16 +41,15 @@ def main(argv=None) -> int:
     metric = next((m for m in spec["end_to_end"] if m["name"] == args.metric), None)
     if metric is None:
         parser.error(f"unknown end-to-end metric {args.metric!r}")
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * (a - b) < 0: a is better
 
     direction = f"{metric['unit']}, {metric['better']} is better"
-    print(f"{args.workload} {args.metric} ({direction}), {args.pairs} pairs of {seconds:g} s")
+    print(f"{args.workload} {args.metric} ({direction}), {len(SEEDS)} pairs of {seconds:g} s")
     values = {"parent": [], "change": []}
     wins = {"parent": 0, "change": 0}
     wrong = []
-    for i in range(args.pairs):
-        seed = SEEDS[i % len(SEEDS)]
+    for i, seed in enumerate(SEEDS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
@@ -73,13 +69,12 @@ def main(argv=None) -> int:
     iqr = p_high - p_low
     print(f"parent: median {p_med:g}, quartiles {p_low:g} .. {p_high:g} (IQR {iqr:g})")
     print(f"change: median {c_med:g}, quartiles {c_low:g} .. {c_high:g}")
-    print(f"pairs won: change {wins['change']}, parent {wins['parent']}, ties {args.pairs - sum(wins.values())}")
-    need = -(-9 * args.pairs // 10)
+    print(f"pairs won: change {wins['change']}, parent {wins['parent']}, ties {len(SEEDS) - sum(wins.values())}")
     gain = sign * (p_med - c_med)
-    holds = wins["change"] >= need and gain > iqr
+    holds = wins["change"] >= NEED and gain > iqr
     verdict = "holds" if holds else "does not hold"
     print(
-        f"gain rule {verdict}: change won {wins['change']} of {args.pairs} (needs {need}), "
+        f"gain rule {verdict}: change won {wins['change']} of {len(SEEDS)} (needs {NEED}), "
         f"median gain {gain:g} against parent IQR {iqr:g}"
     )
     for line in wrong:
