@@ -18,7 +18,6 @@ from .world import (
     Drone,
     Enemy,
     Event,
-    Outcome,
     Point2,
     WorldState,
     breach_occurred,
@@ -174,7 +173,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     """Advance the world one tick; world.outcome is set once the episode
     ends. Raises SteppingTerminatedEpisode if it already has an outcome."""
     if world.outcome is not None:
-        raise SteppingTerminatedEpisode(f"episode ended with {world.outcome.value} at step {world.step}")
+        raise SteppingTerminatedEpisode(f"episode ended with {world.outcome} at step {world.step}")
 
     world.step += 1
 
@@ -191,7 +190,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
 
     # 3) enforcement agents observe, judge, move, and possibly reform
     if enforcement.run_enforcement_phase(world, cfg):
-        world.outcome = Outcome.FAIL
+        world.outcome = "fail"
         return
 
     # 4) enemy motion
@@ -203,7 +202,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
 
     # 6) termination: breach beats the time limit when both hold
     if breach_occurred(world, cfg):
-        world.outcome = Outcome.FAIL
+        world.outcome = "fail"
         world.events.append(Event(step=world.step, kind="breach", data={}))
     elif world.step >= cfg.time_limit_steps:
-        world.outcome = Outcome.SUCCESS
+        world.outcome = "success"

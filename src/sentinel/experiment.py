@@ -118,8 +118,9 @@ def mix_seed(base_seed: int, run_index: int) -> int:
 
 
 def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, WorldState]:
-    """Play one episode to termination and summarize it as a record."""
-    validate(cfg)
+    """Play one episode to termination and summarize it as a record. cfg is
+    played as given and must already be valid: run_batch and load_config
+    validate, this function does not."""
     rng = random.Random(seed)
     world = initial_world(cfg, rng)
     while world.outcome is None:
@@ -127,7 +128,7 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
     record = RunRecord(
         run=run_index,
         ea=cfg.num_eas,
-        result=world.outcome.value,
+        result=world.outcome,
         steps=world.step,
         time_s=round(world.step / cfg.fps, 2),
         healthy=cfg.total_drones - cfg.num_malicious,

@@ -73,11 +73,6 @@ class DroneRole(Enum):
 COMPLIANT, MALICIOUS, REFORMED = DroneRole.COMPLIANT, DroneRole.MALICIOUS, DroneRole.REFORMED
 
 
-class Outcome(Enum):
-    SUCCESS = "success"
-    FAIL = "fail"
-
-
 @dataclass
 class Drone:
     """A patrol drone. Its id is also its sector index; patrol_dir is +1
@@ -140,7 +135,7 @@ class WorldState:
     enemies: list[Enemy]
     eas: list[EnforcementAgentState]
     events: list[Event] = field(default_factory=list)
-    outcome: Outcome | None = None
+    outcome: str | None = None  # "success" or "fail" once the episode ends
     next_enemy_id: int = 0
 
 

@@ -26,14 +26,16 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
-def test_traced_episode_counts_every_layer_and_restores_the_modules(tracing):
+def test_traced_episode_counts_every_layer_and_restores_the_modules(tracing, monkeypatch):
+    # A one-run serial batch: run_batch validates the config, run_episode plays it.
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
     cfg = apply_overrides(default_config(), num_eas=2, time_limit_steps=60)
     before = {name: dict(vars(module)) for name, module in vars(MODULES).items()}
 
     with tracing.Tracer() as tracer:
         tracing.install_counts(tracer, MODULES)
         tracing.install_spans(tracer, MODULES, "deep")
-        record, _ = experiment.run_episode(cfg, 1, 7)
+        [record] = experiment.run_batch(cfg, 1, 7)
 
     assert record.steps == 60
     for name in (

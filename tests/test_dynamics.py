@@ -28,7 +28,6 @@ from sentinel.world import (
     Drone,
     DroneRole,
     Enemy,
-    Outcome,
     WorldState,
     clamp_to_map,
     distance,
@@ -412,7 +411,7 @@ def test_step_reaches_success_at_the_time_limit():
     world.step = 1199
     step(world, cfg, random.Random(0))
     assert world.step == 1200
-    assert world.outcome is Outcome.SUCCESS
+    assert world.outcome == "success"
 
 
 def test_step_fails_when_an_enemy_breaches():
@@ -421,7 +420,7 @@ def test_step_fails_when_an_enemy_breaches():
     world.enemies.append(Enemy(0, (60.0, 65.9), 0))
     world.next_enemy_id = 1
     step(world, cfg, random.Random(0))
-    assert world.outcome is Outcome.FAIL
+    assert world.outcome == "fail"
     assert any(e.kind == "breach" for e in world.events)
 
 

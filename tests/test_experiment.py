@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sentinel import cli, experiment
 from sentinel.config import apply_overrides, default_config
 from sentinel.experiment import (
     CSV_HEADER,
@@ -117,6 +118,38 @@ def test_run_batch_single_run():
 def test_run_batch_rejects_empty_batches():
     with pytest.raises(ValueError):
         run_batch(default_config(), 0, 5)
+
+
+def test_a_config_is_validated_once_per_batch_not_per_episode(monkeypatch, tmp_path, capsys):
+    # run_batch and the CLI validate a config where it comes in; run_episode
+    # plays the config it is given.
+    calls = []
+
+    def counting(real):
+        def validate(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        return validate
+
+    for module in (experiment, cli):
+        monkeypatch.setattr(module, "validate", counting(module.validate))
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+
+    run_batch(apply_overrides(default_config(), time_limit_steps=20), 5, 3)
+    assert len(calls) == 1
+
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("time_limit_steps = 20\n")
+    batch = ["--eas", "1", "--seed", "3", "--config", str(cfg_file)]
+    for runs in ("1", "5"):
+        calls.clear()
+        assert cli.main(["simulate", *batch, "--runs", runs, "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(calls) == 2, runs  # once in the CLI, once in run_batch
+    calls.clear()
+    assert cli.main(["render", *batch, "--run", "5", "--out", str(tmp_path / "w.ppm")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_parallel_batches_match_serial_output(monkeypatch):
