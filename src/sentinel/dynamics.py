@@ -26,6 +26,7 @@ from .world import (
     distance,
     move_toward,
     nearest_enemy,
+    threat_seen,
 )
 
 
@@ -197,8 +198,22 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     for e in world.enemies:
         e.position = clamp_to_map(enemy_policy(e, cfg), cfg)
 
-    # 5) interception
-    resolve_interceptions(world, cfg)
+    # 5) interception, skipped when it cannot catch anything. A drone that
+    #    saw no threat had every enemy farther than detection_radius from
+    #    where it stood; it then moved at most drone_speed (ON_CIRCLE_EPS more
+    #    if it counted as on its arc while that far off it) and each enemy at
+    #    most enemy_speed. A clamp only shortens a move that starts on the
+    #    map, as every move does after the first step: initial_world may place
+    #    a drone beyond a wall. So after the first step, with no threat seen
+    #    and the slack above that tolerance plus a rounding margin, no enemy
+    #    is within intercept_radius of any drone.
+    if (
+        threat_seen(world)
+        or cfg.detection_radius - cfg.intercept_radius - cfg.drone_speed - cfg.enemy_speed
+        <= ON_CIRCLE_EPS + 1e-9 * cfg.map_size
+        or world.step == 1
+    ):
+        resolve_interceptions(world, cfg)
 
     # 6) termination: breach beats the time limit when both hold
     if breach_occurred(world, cfg):

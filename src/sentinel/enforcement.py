@@ -23,6 +23,7 @@ from .world import (
     distance,
     move_toward,
     nearest_enemy,  # noqa: F401  perfbench/tracing.py wraps this name; nothing here calls it
+    threat_seen,
 )
 
 # A displacement counts as pursuit when it points at the nearest in-range
@@ -191,9 +192,22 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
 
     Returns True when the failsafe demands termination.
     """
+    if not world.eas:
+        return False
+    # On a quiet step no drone saw a threat and no enemy spawned. observe
+    # then gives an agent that suspects no drone no verdict and logs no entry
+    # point, and update_suspicion changes nothing, so that agent skips both.
+    step = world.step
+    quiet = not threat_seen(world)
+    if quiet:
+        for e in world.enemies:
+            if e.spawned_at == step:
+                quiet = False
+                break
     failsafe_fired = False
     for ea in world.eas:
-        update_suspicion(ea, observe(ea, world, cfg), world, cfg)
+        if ea.suspicion or not quiet:
+            update_suspicion(ea, observe(ea, world, cfg), world, cfg)
         ea.position = clamp_to_map(ea_policy(ea, world, cfg), cfg)
         attempt_reformation(ea, world, cfg)
         if ea.pursue_since is not None and failsafe_due(ea, world, cfg):

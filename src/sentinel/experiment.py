@@ -7,6 +7,7 @@ config, never on scheduling. SENTINEL_THREADS caps worker processes
 non-negative integer is a ValueError).
 """
 
+import math
 import os
 import random
 from dataclasses import dataclass, fields
@@ -75,7 +76,8 @@ def check_record(
 ) -> None:
     """Raise RecordInvariantError on a malformed record.
 
-    Structural invariants are always enforced. The config-dependent ones run
+    Structural invariants, such as a finite, non-negative time_s, are always
+    enforced. The config-dependent ones run
     only when the matching expectation is supplied, because a record does
     not carry its config.
     """
@@ -88,7 +90,9 @@ def check_record(
         bad.append(f"result {rec.result!r}")
     if rec.steps < 0:
         bad.append(f"steps {rec.steps} negative")
-    if rec.time_s < 0:
+    if not math.isfinite(rec.time_s):
+        bad.append(f"time_s {rec.time_s} not finite")
+    elif rec.time_s < 0:
         bad.append(f"time_s {rec.time_s} negative")
     if min(rec.healthy, rec.malicious, rec.reformed) < 0:
         bad.append("negative role count")

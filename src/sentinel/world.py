@@ -34,6 +34,15 @@ def nearest_enemy(position: Point2, enemies: list["Enemy"], within: float = math
     return best
 
 
+def threat_seen(world: "WorldState") -> bool:
+    """True iff some drone saw a threat this step: every drone policy stores
+    its scan in drone.threat before the drone moves."""
+    for d in world.drones:
+        if d.threat is not None:
+            return True
+    return False
+
+
 def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
     # Positions saturate at the walls, they never wrap. A point already on
     # the map comes back as is, the same value the saturation would build.

@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps sentinel module attributes by name
 (perfbench/tracing.py). These tests fail when a wrapped name is renamed,
 deleted or no longer called on the traced path. The last ones check that
-tools/bench.py fails on a wrong run, and that tools/pairs.py alternates its
-pairs, applies the gain rule and fails on a wrong run."""
+tools/bench.py fails on a wrong run and flags a spread wider than its bound,
+and that tools/pairs.py alternates its pairs, applies the gain rule and
+fails on a wrong run."""
 
 import importlib
 import importlib.util
@@ -106,6 +107,26 @@ def test_bench_writes_the_file_then_exits_1_naming_each_wrong_run(bench, tmp_pat
         "bench: wrong run, cli-frames seed 3: correct=False, failed=0",
     ]
     assert (tmp_path / "BENCH_bad.json").exists()
+
+
+def test_bench_flags_each_spread_wider_than_its_bound_and_keeps_the_exit_status(bench, monkeypatch, capsys):
+    # wall_s on cli-frames spreads 0.2 .. 0.3 s around a median of 0.25 s,
+    # 40 % against a bound of 25 %; every other metric stays within bounds.
+    def run_once(checkout, workload, seed, seconds):
+        wall = {2: 0.2, 3: 0.25, 4: 0.25, 4070: 0.3}[seed] if workload == "cli-frames" else 0.25
+        metrics = {m: {"value": 1.0} for m in ("setup_s", "sim_steps_per_s", "step_us_p50", "peak_rss_mb")}
+        metrics["wall_s"] = {"value": wall}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["spread", "--checkout", str(PERFBENCH.parent)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "cli-frames wall_s: spread 40.0% (bound 25%), WIDER than its bound: retake this file" in out
+    assert "episodes-2ea wall_s: spread 0.0% (bound 25%)" in out
+    assert [line for line in out if "WIDER" in line] == [
+        "cli-frames wall_s: spread 40.0% (bound 25%), WIDER than its bound: retake this file"
+    ]
+    assert len([line for line in out if ": spread " in line]) == 4 * 5
 
 
 @pytest.fixture

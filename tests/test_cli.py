@@ -210,6 +210,25 @@ def test_aggregate_missing_file_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        (["1,0,fail,10,nan,5,1,0"], "error: line 2: run 1: time_s nan not finite\n"),
+        (["1,0,fail,10,nan,5,1,0", "2,0,fail,10,inf,5,1,0"], "error: line 2: run 1: time_s nan not finite\n"),
+        (["1,0,fail,10,1.00,5,1,0", "2,0,fail,10,inf,5,1,0"], "error: line 3: run 2: time_s inf not finite\n"),
+    ],
+)
+def test_aggregate_refuses_a_time_that_is_not_finite(tmp_path, capsys, rows, message):
+    # Such a row once passed the record checks: one made the duration columns
+    # read nan, two made statistics.stdev raise.
+    records = tmp_path / "records.csv"
+    records.write_text("\n".join(["run,ea,result,steps,time_s,healthy,malicious,reformed", *rows]) + "\n")
+    assert main(["aggregate", "--in", str(records)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def render(tmp_path, config_text=None, *flags):
     """main(["render", ...]) for run 1 of base seed 7 at two agents, with
     config_text as the --config file; returns (exit code, image path)."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from sentinel import dynamics, enforcement
 from sentinel.config import ConfigError, SimConfig, apply_overrides, default_config, validate
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
@@ -22,7 +23,7 @@ from sentinel.dynamics import (
     spawn_enemies,
     step,
 )
-from sentinel.experiment import mix_seed
+from sentinel.experiment import mix_seed, run_episode
 from sentinel.world import (
     ON_CIRCLE_EPS,
     Drone,
@@ -32,7 +33,10 @@ from sentinel.world import (
     clamp_to_map,
     distance,
     initial_world,
+    threat_seen,
 )
+
+from test_acceptance import random_valid_config
 
 
 def bare_world(*drones, enemies=(), step_index=0):
@@ -260,6 +264,33 @@ def test_sector_fold_drops_whole_periods_without_changing_the_direction():
         assert abs(folded - expected) < 1e-9
 
 
+@pytest.mark.parametrize(
+    ("offset", "direction", "folded", "folded_direction"),
+    [
+        (1.7292555766606434, -1, 0.33299217506517986, -1),
+        (-1.7117893656900698, -1, -0.3155259640946062, -1),
+        (1.7098836736578162, 1, 0.31362027206235266, 1),
+    ],
+)
+def test_sector_fold_between_three_and_five_half_widths_is_pinned_bit_for_bit(
+    offset, direction, folded, folded_direction
+):
+    # Nine drones. Here dropping whole periods with fmod first and a plain
+    # reflection loop round to different last bits, so these pins tell the
+    # two apart; the values come from the fmod shortcut above 3 half-widths.
+    half = math.pi / 9
+
+    def bounce(offset, direction):
+        while abs(offset) > half:
+            offset = (2.0 if offset > 0 else -2.0) * half - offset
+            direction = -direction
+        return offset, direction
+
+    assert 3.0 * half < abs(offset) < 5.0 * half
+    assert _fold_into_sector(offset, half, direction) == (folded, folded_direction)
+    assert bounce(offset, direction) != (folded, folded_direction)
+
+
 def test_patrol_at_a_huge_finite_speed_stays_in_the_sector():
     cfg = apply_overrides(default_config(), num_malicious=0, drone_speed=1e9)
     world = initial_world(cfg, random.Random(8))
@@ -402,6 +433,92 @@ def test_interception_boundary_is_inclusive():
     assert len(world2.enemies) == 1
 
 
+def test_with_no_slack_a_drone_that_saw_no_threat_still_intercepts():
+    # detection_radius - intercept_radius - drone_speed - enemy_speed < 0: an
+    # enemy 5.7 away is out of detection range, but the drone's patrol and the
+    # enemy's approach bring them within 2 of each other in one step.
+    cfg = validate(apply_overrides(default_config(), num_malicious=0, detection_radius=4.0, first_spawn_step=5000))
+    world = initial_world(cfg, random.Random(1))
+    world.step = 4
+    world.enemies.append(Enemy(0, (91.5, 65.5), 0))
+    world.next_enemy_id = 1
+    step(world, cfg, random.Random(0))
+    assert not threat_seen(world)
+    assert [(e.kind, e.data) for e in world.events] == [("interception", {"enemy": 0, "drone": 0})]
+
+
+def test_a_drone_clamped_onto_the_map_on_its_first_step_intercepts_an_enemy_it_did_not_see():
+    # Off-centre, drone 3 starts at x = -10, outside the map, 10.9 from the
+    # enemy. Its first patrol move is clamped to the west wall, a jump of
+    # nearly 10, which lands it within intercept range although the slack is
+    # positive and no drone saw a threat.
+    cfg = validate(apply_overrides(default_config(), num_malicious=0, center=(20.0, 60.0), first_spawn_step=5000))
+    world = initial_world(cfg, random.Random(1))
+    assert world.drones[3].position[0] < 0.0
+    world.enemies.append(Enemy(0, (0.5, 57.0), 0))
+    world.next_enemy_id = 1
+    step(world, cfg, random.Random(0))
+    assert not threat_seen(world)
+    assert [(e.kind, e.data) for e in world.events] == [("interception", {"enemy": 0, "drone": 3})]
+
+
+def _events_and_record(cfg, run):
+    record, world = run_episode(cfg, run, mix_seed(1, run))
+    return record, [(e.step, e.kind, e.data) for e in world.events]
+
+
+def test_quiet_steps_play_the_same_episodes_as_steps_that_skip_nothing(monkeypatch):
+    # Each episode is played with the quiet-step skips, then with them forced
+    # off by a threat_seen that always reports a threat: interception and
+    # every agent's observation then run on every step.
+    rng = random.Random(20261018)
+    configs = []
+    for i in range(9):
+        cfg = random_valid_config(rng)
+        configs.append(validate(apply_overrides(cfg, num_eas=i % 3, failsafe_enabled=i % 2 == 1)))
+    for n in (0, 1, 2):
+        configs.append(validate(apply_overrides(default_config(), num_eas=n)))
+        edge = apply_overrides(default_config(), num_eas=n, center=(20.0, 60.0), ea_monitor_radius=40.0)
+        configs.append(validate(apply_overrides(edge, first_spawn_step=1, failsafe_enabled=n == 1)))
+        # Drones that see barely past their kill range catch enemies they never saw.
+        blind = apply_overrides(default_config(), num_eas=n, detection_radius=2.5, suspicion_threshold=2)
+        configs.append(validate(apply_overrides(blind, failsafe_enabled=n == 2)))
+    margin = [
+        c.detection_radius - c.intercept_radius - c.drone_speed - c.enemy_speed > ON_CIRCLE_EPS + 1e-9 * c.map_size
+        for c in configs
+    ]
+    assert set(margin) == {True, False}
+    assert {c.num_eas for c in configs} == {0, 1, 2}
+    assert {c.failsafe_enabled for c in configs} == {True, False}
+
+    calls = {(mode, name): 0 for mode in ("quiet", "forced") for name in ("resolve", "observe")}
+    resolve, observe = dynamics.resolve_interceptions, enforcement.observe
+    for cfg in configs:
+        for run in range(1, 9):
+            played = {}
+            for mode in ("quiet", "forced"):
+                with monkeypatch.context() as m:
+                    if mode == "forced":
+                        m.setattr(dynamics, "threat_seen", lambda world: True)
+                        m.setattr(enforcement, "threat_seen", lambda world: True)
+
+                    def counted_resolve(world, cfg, mode=mode):
+                        calls[mode, "resolve"] += 1
+                        resolve(world, cfg)
+
+                    def counted_observe(ea, world, cfg, mode=mode):
+                        calls[mode, "observe"] += 1
+                        return observe(ea, world, cfg)
+
+                    m.setattr(dynamics, "resolve_interceptions", counted_resolve)
+                    m.setattr(enforcement, "observe", counted_observe)
+                    played[mode] = _events_and_record(cfg, run)
+            assert played["quiet"] == played["forced"], (cfg, run)
+    # The skips did happen.
+    for name in ("resolve", "observe"):
+        assert calls["quiet", name] < calls["forced", name] / 2, calls
+
+
 # --- step orchestration ----------------------------------------------------------
 
 
@@ -542,6 +659,43 @@ def test_positions_stay_inside_the_map_for_random_configs():
             for x, y in [entity.position for entity in world.drones + world.enemies + world.eas]:
                 assert 0.0 <= x <= cfg.map_size
                 assert 0.0 <= y <= cfg.map_size
+
+
+def test_no_live_enemy_outlives_its_travel_time(monkeypatch):
+    # An enemy walks straight at the centre, enemy_speed per step, and a
+    # breach ends the episode. So an enemy that has made as many moves as
+    # ceil((spawn distance to the centre - center_radius) / enemy_speed) is
+    # in the zone, and a live one has made fewer; one move of slack absorbs
+    # rounding. That needs enemy_speed <= 2 * center_radius: a faster enemy
+    # can overshoot the centre to beyond the zone on both sides forever.
+    # The last config is the worst accepted case, where every enemy lives to
+    # the time limit and a step's work grows with the steps played.
+    spawned_from = {}
+    spawn = dynamics.spawn_enemies
+
+    def recording_spawn(world, cfg, rng):
+        before = world.next_enemy_id
+        spawn(world, cfg, rng)
+        if world.next_enemy_id > before:
+            spawned_from[world.enemies[-1].id] = world.enemies[-1].position
+
+    monkeypatch.setattr(dynamics, "spawn_enemies", recording_spawn)
+    rng = random.Random(20261018)
+    configs = [random_valid_config(rng) for _ in range(6)]
+    crawl = dict(enemy_speed=1e-10, enemy_spawn_period=1, first_spawn_step=0, time_limit_steps=150)
+    configs.append(validate(apply_overrides(default_config(), num_eas=2, **crawl)))
+    for cfg in configs:
+        assert cfg.enemy_speed <= 2.0 * cfg.center_radius
+        for seed in (rng.randint(0, 2**32), rng.randint(0, 2**32)):
+            episode_rng = random.Random(seed)
+            world = initial_world(cfg, episode_rng)
+            while world.outcome is None:
+                step(world, cfg, episode_rng)
+                for e in world.enemies:
+                    travel = math.ceil((distance(spawned_from[e.id], cfg.center) - cfg.center_radius) / cfg.enemy_speed)
+                    assert world.step - e.spawned_at + 1 <= travel, (cfg, seed, world.step, e)
+            if cfg.enemy_speed == 1e-10:
+                assert world.outcome == "success" and len(world.enemies) == cfg.time_limit_steps
 
 
 @pytest.mark.parametrize("num_eas", [0, 1, 2])

@@ -17,6 +17,7 @@ from sentinel.enforcement import (
     ea_policy,
     failsafe_due,
     observe,
+    run_enforcement_phase,
     update_suspicion,
 )
 from sentinel.experiment import mix_seed, run_episode
@@ -30,6 +31,7 @@ from sentinel.world import (
     distance,
     initial_world,
     nearest_enemy,
+    threat_seen,
 )
 from test_acceptance import random_valid_config
 
@@ -225,6 +227,32 @@ def test_fresh_spawns_inside_monitor_radius_log_entry_points():
     entry = [e for e in world.events if e.kind == "entry_point"]
     assert len(entry) == 1
     assert entry[0].data == {"ea": 0, "enemy": 0}
+
+
+def test_a_quiet_step_still_logs_a_fresh_spawn_in_monitor_range():
+    # No drone saw a threat and the agent suspects no drone, but an enemy
+    # spawned this step, listed before an older one: the agent still observes.
+    cfg = default_config()
+    ea = ea_at(0, 115.0, 60.0)
+    world = make_world(
+        drones=[drone_at(0, 60.0, 90.0)],
+        enemies=[Enemy(1, (115.0, 65.0), 15), Enemy(0, (0.0, 10.0), 10)],
+        eas=[ea],
+        step_index=15,
+    )
+    move_after_scan(world, cfg)
+    assert not threat_seen(world)
+    assert run_enforcement_phase(world, cfg) is False
+    assert [(e.kind, e.data) for e in world.events] == [("entry_point", {"ea": 0, "enemy": 1})]
+
+
+def test_a_suspected_drone_without_threat_loses_its_count_on_a_quiet_step():
+    cfg = default_config()
+    ea = ea_at(0, 60.0, 60.0, suspicion={0: 3})
+    world = move_after_scan(make_world(drones=[drone_at(0, 65.0, 60.0)], eas=[ea], step_index=7), cfg)
+    assert not threat_seen(world)
+    assert run_enforcement_phase(world, cfg) is False
+    assert ea.suspicion == {}
 
 
 # --- suspicion ----------------------------------------------------------------

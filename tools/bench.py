@@ -7,10 +7,13 @@ this script is in) for every workload in its BENCHMARK.json, on seeds 2, 3,
 4 and the held-out 4070, one run at a time, each for the benchmark's
 ``run_seconds``. Writes ``BENCH_<LABEL>.json`` to the current directory:
 per workload, the median of each end-to-end metric over the seeds, every
-seed's values, and the total attempted and failed operations. Exits 1,
-after writing the file, naming every workload and seed whose run was not
-correct or had failed operations. To compare two commits, run it on a
-checkout of each.
+seed's values, and the total attempted and failed operations. Prints each
+end-to-end metric's spread over the seeds, (max - min) / median, and flags
+one wider than its BENCHMARK.json bound: such a file was likely taken in a
+slow spell of the host and should be retaken, not cited. Exits 1, after
+writing the file, naming every workload and seed whose run was not correct
+or had failed operations. To compare two commits, run it on a checkout of
+each.
 """
 
 import argparse
@@ -75,6 +78,13 @@ def main(argv=None) -> int:
     }
     dest = Path(f"BENCH_{args.label}.json")
     dest.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    for workload, entry in summary.items():
+        for metric in spec["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            values = [v[name] for v in entry["by_seed"].values()]
+            spread = (max(values) - min(values)) / entry["median"][name]
+            flag = ", WIDER than its bound: retake this file" if spread > bound else ""
+            print(f"{workload} {name}: spread {spread:.1%} (bound {bound:.0%}){flag}")
     print(dest)
     wrong = [
         f"{workload} seed {seed}: correct={r['correct']}, failed={r['failed']}"
