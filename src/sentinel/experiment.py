@@ -77,9 +77,8 @@ def check_record(
     """Raise RecordInvariantError on a malformed record.
 
     Structural invariants, such as a finite, non-negative time_s, are always
-    enforced. The config-dependent ones run
-    only when the matching expectation is supplied, because a record does
-    not carry its config.
+    enforced. The config-dependent ones run only when the matching
+    expectation is supplied, because a record does not carry its config.
     """
     bad = []
     if rec.run < 1:

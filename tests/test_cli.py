@@ -217,6 +217,7 @@ def test_aggregate_missing_file_is_a_runtime_error(tmp_path, capsys):
         (["1,0,fail,10,nan,5,1,0", "2,0,fail,10,inf,5,1,0"], "error: line 2: run 1: time_s nan not finite\n"),
         (["1,0,fail,10,1.00,5,1,0", "2,0,fail,10,inf,5,1,0"], "error: line 3: run 2: time_s inf not finite\n"),
     ],
+    ids=["nan", "nan-then-inf", "inf-after-a-good-row"],
 )
 def test_aggregate_refuses_a_time_that_is_not_finite(tmp_path, capsys, rows, message):
     # Such a row once passed the record checks: one made the duration columns
