@@ -3,9 +3,9 @@ the final world of one run of a batch by replaying it. Exit codes: 0
 success, 2 usage error, 1 runtime failure."""
 
 import argparse
+import os
 import sys
 from functools import partial
-from pathlib import Path
 
 from .config import ConfigError, SimConfig, apply_overrides, default_config, read_config, validate
 from .experiment import RecordError, mix_seed, read_records, run_batch, run_episode, write_records
@@ -67,13 +67,13 @@ def _batch_config(args) -> SimConfig:
     return validate(apply_overrides(cfg, num_eas=args.eas, failsafe_enabled=args.failsafe or cfg.failsafe_enabled))
 
 
-def _framed_episode(frames_dir: Path, cfg, run_index: int, seed: int):
+def _framed_episode(frames_dir: str, cfg, run_index: int, seed: int):
     """One run of a --frames batch: play it, write its final frame as
     run_<index>.ppm, and return its record. The directory is made here, once
     the batch has started, so a batch that fails to start leaves none."""
     record, world = run_episode(cfg, run_index, seed)
-    frames_dir.mkdir(parents=True, exist_ok=True)
-    write_image(render_frame(world, cfg), frames_dir / f"run_{run_index}.ppm")
+    os.makedirs(frames_dir, exist_ok=True)
+    write_image(render_frame(world, cfg), os.path.join(frames_dir, f"run_{run_index}.ppm"))
     return record
 
 
@@ -81,7 +81,7 @@ def _cmd_simulate(args) -> int:
     cfg = _batch_config(args)
     if args.frames:
         frame_side(cfg)  # a frame too large to draw fails before the batch runs
-        records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, Path(args.frames)))
+        records = run_batch(cfg, args.runs, args.seed, partial(_framed_episode, args.frames))
     else:
         records = run_batch(cfg, args.runs, args.seed)
 

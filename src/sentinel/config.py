@@ -8,7 +8,6 @@ map units, durations in steps unless a field name says otherwise.
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 
 # The slowest accepted drone_speed or enemy_speed, in units of the float
@@ -218,7 +217,8 @@ def read_config(path) -> SimConfig:
     Blank lines and lines starting with '#' are skipped. Unknown keys and
     keys given twice are errors. The result is not validated.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     fields: dict = {}
     key_lines: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -183,20 +183,28 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
 
     # 2) drone motion; each drone keeps the threat it saw and the position it
     #    moved from. No policy reads another drone, so each moves as soon as
-    #    it has chosen, and every choice is still made from the pre-move world
+    #    it has chosen, and every choice is still made from the pre-move world.
+    #    Here, for enemies and for agents, a target is clamped only when it
+    #    is off the map: the inline test is the one clamp_to_map starts with,
+    #    and it saves a call per move.
+    m = cfg.map_size
     for d in world.drones:
-        target = malicious_policy(d, world, cfg) if d.role is MALICIOUS else compliant_policy(d, world, cfg)
+        x, y = target = malicious_policy(d, world, cfg) if d.role is MALICIOUS else compliant_policy(d, world, cfg)
         d.prev_position = d.position
-        d.position = clamp_to_map(target, cfg)
+        d.position = target if 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
+
+    # Only the drone policies write drone.threat: one read serves the step.
+    threat = threat_seen(world)
 
     # 3) enforcement agents observe, judge, move, and possibly reform
-    if enforcement.run_enforcement_phase(world, cfg):
+    if enforcement.run_enforcement_phase(world, cfg, threat):
         world.outcome = "fail"
         return
 
     # 4) enemy motion
     for e in world.enemies:
-        e.position = clamp_to_map(enemy_policy(e, cfg), cfg)
+        x, y = target = enemy_policy(e, cfg)
+        e.position = target if 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
 
     # 5) interception, skipped when it cannot catch anything. A drone that
     #    saw no threat had every enemy farther than detection_radius from
@@ -208,7 +216,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    and the slack above that tolerance plus a rounding margin, no enemy
     #    is within intercept_radius of any drone.
     if (
-        threat_seen(world)
+        threat
         or cfg.detection_radius - cfg.intercept_radius - cfg.drone_speed - cfg.enemy_speed
         <= ON_CIRCLE_EPS + 1e-9 * cfg.map_size
         or world.step == 1

@@ -23,7 +23,6 @@ from .world import (
     distance,
     move_toward,
     nearest_enemy,  # noqa: F401  perfbench/tracing.py wraps this name; nothing here calls it
-    threat_seen,
 )
 
 # A displacement counts as pursuit when it points at the nearest in-range
@@ -111,28 +110,6 @@ def update_suspicion(ea: EnforcementAgentState, verdicts: dict[int, bool], world
         )
 
 
-def _orbit_move(ea: EnforcementAgentState, cfg: SimConfig) -> Point2:
-    # Return to the orbit circle if displaced, else advance counter-clockwise
-    # along it. Standing on the point it was last sent to, the agent carries
-    # that point's angle; fmod keeps the carried angle bounded.
-    radius = cfg.ea_orbit_radius
-    if ea.arc is not None and ea.arc[0] == ea.position:
-        angle, on_orbit = ea.arc[1], True
-    else:
-        (x, y), (cx, cy) = ea.position, cfg.center
-        r = distance(ea.position, cfg.center)
-        angle = 0.0 if r == 0.0 else math.atan2(y - cy, x - cx)
-        on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
-    if not on_orbit:
-        ea.arc = None
-        return circle_step(ea.position, angle, radius, cfg)
-    angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)
-    cx, cy = cfg.center
-    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
-    ea.arc = (target, angle)
-    return target
-
-
 def _drone_by_id(world: WorldState, drone_id: int):
     return next(d for d in world.drones if d.id == drone_id)
 
@@ -141,7 +118,26 @@ def ea_policy(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> P
     """Next position of the agent: along its orbit, or a straight chase
     that parks once the suspect is within reform range."""
     if ea.pursue_target is None:
-        return _orbit_move(ea, cfg)
+        # Return to the orbit circle if displaced, else advance
+        # counter-clockwise along it. Standing on the point it was last sent
+        # to, the agent carries that point's angle; fmod keeps the carried
+        # angle bounded.
+        radius = cfg.ea_orbit_radius
+        if ea.arc is not None and ea.arc[0] == ea.position:
+            angle, on_orbit = ea.arc[1], True
+        else:
+            (x, y), (cx, cy) = ea.position, cfg.center
+            r = distance(ea.position, cfg.center)
+            angle = 0.0 if r == 0.0 else math.atan2(y - cy, x - cx)
+            on_orbit = abs(r - radius) <= ON_CIRCLE_EPS
+        if not on_orbit:
+            ea.arc = None
+            return circle_step(ea.position, angle, radius, cfg)
+        angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)
+        cx, cy = cfg.center
+        target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+        ea.arc = (target, angle)
+        return target
     suspect = _drone_by_id(world, ea.pursue_target)
     if distance(ea.position, suspect.position) <= cfg.reform_radius:
         return ea.position
@@ -187,10 +183,12 @@ def failsafe_due(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -
     )
 
 
-def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
+def run_enforcement_phase(world: WorldState, cfg: SimConfig, threat: bool) -> bool:
     """One tick of every agent, in id order: observe, judge, move, reform.
 
-    Returns True when the failsafe demands termination.
+    ``threat`` says whether some drone saw a threat this step, as
+    world.threat_seen(world) reads it after drone motion. Returns True when
+    the failsafe demands termination.
     """
     if not world.eas:
         return False
@@ -198,17 +196,19 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig) -> bool:
     # then gives an agent that suspects no drone no verdict and logs no entry
     # point, and update_suspicion changes nothing, so that agent skips both.
     step = world.step
-    quiet = not threat_seen(world)
+    quiet = not threat
     if quiet:
         for e in world.enemies:
             if e.spawned_at == step:
                 quiet = False
                 break
+    m = cfg.map_size
     failsafe_fired = False
     for ea in world.eas:
         if ea.suspicion or not quiet:
             update_suspicion(ea, observe(ea, world, cfg), world, cfg)
-        ea.position = clamp_to_map(ea_policy(ea, world, cfg), cfg)
+        x, y = target = ea_policy(ea, world, cfg)
+        ea.position = target if 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
         attempt_reformation(ea, world, cfg)
         if ea.pursue_since is not None and failsafe_due(ea, world, cfg):
             world.events.append(Event(step=world.step, kind="failsafe", data={"ea": ea.id, "drone": ea.pursue_target}))

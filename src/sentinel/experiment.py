@@ -11,7 +11,6 @@ import math
 import os
 import random
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .config import SimConfig, validate
 from .dynamics import step
@@ -197,7 +196,8 @@ def write_records(records: list[RunRecord], dest) -> None:
     for rec in records:
         check_record(rec)
     lines = [CSV_HEADER] + [format_record(r) for r in records]
-    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(dest, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def parse_record_line(line: str, line_number: int) -> RunRecord:
@@ -216,8 +216,8 @@ def read_records(source) -> list[RunRecord]:
     Only the structural invariants of check_record are enforced, because the
     file does not carry its config.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    with open(source, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise RecordSchemaError(f"expected header {CSV_HEADER!r}, found {found!r}")

@@ -5,7 +5,6 @@ helpers (percentages and seconds to 1 decimal, means to 2 decimals).
 """
 
 from dataclasses import dataclass
-from statistics import fmean, stdev
 
 from .experiment import RunRecord
 
@@ -24,6 +23,10 @@ class MixedConfigurationsError(StatsError):
 
 def sample_std(values: list) -> float:
     """Standard deviation with the n-1 denominator; 0.0 for a single value."""
+    # Imported here and in aggregate: only a command that aggregates pays for
+    # loading statistics.
+    from statistics import stdev
+
     return stdev(values) if len(values) > 1 else 0.0
 
 
@@ -43,6 +46,8 @@ class AggregateStats:
 
 def aggregate(records: list[RunRecord]) -> AggregateStats:
     """One summary column over records that share an ea count."""
+    from statistics import fmean
+
     if not records:
         raise EmptyInputError("no records to aggregate")
     eas = {r.ea for r in records}

@@ -29,6 +29,7 @@ from sentinel.world import (
     Drone,
     DroneRole,
     Enemy,
+    EnforcementAgentState,
     WorldState,
     clamp_to_map,
     distance,
@@ -469,8 +470,9 @@ def _events_and_record(cfg, run):
 
 def test_quiet_steps_play_the_same_episodes_as_steps_that_skip_nothing(monkeypatch):
     # Each episode is played with the quiet-step skips, then with them forced
-    # off by a threat_seen that always reports a threat: interception and
-    # every agent's observation then run on every step.
+    # off by a dynamics.threat_seen that always reports a threat. It feeds
+    # both skips, so interception and every agent's observation then run on
+    # every step.
     rng = random.Random(20261018)
     configs = []
     for i in range(9):
@@ -500,7 +502,6 @@ def test_quiet_steps_play_the_same_episodes_as_steps_that_skip_nothing(monkeypat
                 with monkeypatch.context() as m:
                     if mode == "forced":
                         m.setattr(dynamics, "threat_seen", lambda world: True)
-                        m.setattr(enforcement, "threat_seen", lambda world: True)
 
                     def counted_resolve(world, cfg, mode=mode):
                         calls[mode, "resolve"] += 1
@@ -575,6 +576,53 @@ def test_each_drone_moves_where_its_policy_sends_it_from_the_pre_move_world(num_
                 assert moved.position == clamp_to_map(policy(drone, before, cfg), cfg), (run, world.step, drone.id)
                 assert moved.prev_position == start
     assert steps > 300
+
+
+def test_an_agent_sent_to_an_orbit_point_beyond_a_wall_stops_on_the_wall():
+    # The orbit around (10, 60) reaches x = -5. An agent off its orbit just
+    # inside the west wall heads for the orbit point at its own bearing,
+    # (-5, 60); a drone_speed step takes it to x = -2.6, which the wall clamps.
+    cfg = validate(apply_overrides(default_config(), num_eas=1, center=(10.0, 60.0), first_spawn_step=5000))
+    world = bare_world(step_index=10)
+    world.eas.append(EnforcementAgentState(id=0, position=(1.0, 60.0)))
+    step(world, cfg, random.Random(0))
+    assert world.eas[0].position == (0.0, 60.0)
+
+
+def test_an_enemy_that_overshoots_the_centre_past_a_wall_stops_on_the_wall():
+    # The centre sits 1 from the west wall and the enemy 1 east of it, closer
+    # than enemy_speed 3: its move overshoots to x = -1, which the wall clamps,
+    # still outside the zone.
+    cfg = validate(
+        apply_overrides(default_config(), center=(1.0, 60.0), center_radius=0.4, enemy_speed=3.0, first_spawn_step=5000)
+    )
+    world = bare_world(enemies=[Enemy(0, (2.0, 60.0), 0)], step_index=10)
+    step(world, cfg, random.Random(0))
+    assert world.enemies[0].position == (0.0, 60.0)
+    assert world.outcome is None
+
+
+def test_only_a_target_off_the_map_is_clamped(monkeypatch):
+    # Drones, enemies and agents test the map inline and call clamp_to_map
+    # only for a target off it. At the defaults no target is; on the golden
+    # edge0 config a drone starts beyond the west wall.
+    clamped = []
+
+    def counted(p, cfg):
+        clamped.append(p)
+        return clamp_to_map(p, cfg)
+
+    monkeypatch.setattr(dynamics, "clamp_to_map", counted)
+    monkeypatch.setattr(enforcement, "clamp_to_map", counted)
+    for n in (0, 2):
+        cfg = apply_overrides(default_config(), num_eas=n)
+        for run in (1, 2, 3):
+            run_episode(cfg, run, mix_seed(1, run))
+    assert clamped == []
+    edge0 = apply_overrides(default_config(), center=(20.0, 60.0), ea_monitor_radius=40.0)
+    run_episode(edge0, 1, mix_seed(1, 1))
+    assert clamped
+    assert all(clamp_to_map(p, edge0) != p for p in clamped)
 
 
 def test_step_increments_the_counter_exactly_once():

@@ -1,7 +1,10 @@
 """Design rules of the package's imports: the runtime uses the standard
-library and itself only, and its modules import each other without a cycle."""
+library and itself only, its modules import each other without a cycle,
+and the CLI starts without modules that only some commands need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +87,14 @@ def test_the_checks_see_a_cycle_and_skip_function_level_imports():
     tree = ast.parse("from . import world\nfrom .config import SimConfig\n\ndef f():\n    from . import render\n")
     assert _module_level_targets(tree) == {"world", "config"}
     assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_importing_the_cli_loads_neither_statistics_nor_pathlib():
+    # Every CLI process pays for what importing sentinel.cli loads. Only
+    # aggregation uses statistics, and open and os do the file work, so
+    # neither module is loaded at start-up. -S keeps site hooks, which may
+    # import pathlib themselves, out of the fresh interpreter.
+    probe = "import sys, sentinel.cli; print(sorted({'statistics', 'pathlib'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
