@@ -96,5 +96,6 @@ def test_importing_the_cli_loads_neither_statistics_nor_pathlib():
     # import pathlib themselves, out of the fresh interpreter.
     probe = "import sys, sentinel.cli; print(sorted({'statistics', 'pathlib'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    argv = [sys.executable, "-S", "-c", probe]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
