@@ -4,7 +4,8 @@ step() applies one tick in a fixed sub-step order so that episodes are pure
 functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
-its entity moves to; step() clamps it to the map.
+its entity moves to. A drone's or an agent's is clamped to the map; an
+enemy's needs no clamp, since it stops on the centre.
 """
 
 import math
@@ -109,11 +110,12 @@ def malicious_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
 
 def enemy_policy(enemy: Enemy, cfg: SimConfig) -> Point2:
     """Next position: enemy_speed straight toward the protected center,
-    which it may overshoot; unchanged once there."""
+    stopping on it; bit for bit move_toward(p, cfg.center, cfg.enemy_speed)
+    without the call."""
     p = enemy.position
     gap = distance(p, cfg.center)
-    if gap == 0.0:
-        return p
+    if gap <= cfg.enemy_speed:
+        return cfg.center
     (x, y), (cx, cy) = p, cfg.center
     f = cfg.enemy_speed / gap
     return (x + (cx - x) * f, y + (cy - y) * f)
@@ -184,9 +186,9 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 2) drone motion; each drone keeps the threat it saw and the position it
     #    moved from. No policy reads another drone, so each moves as soon as
     #    it has chosen, and every choice is still made from the pre-move world.
-    #    Here, for enemies and for agents, a target is clamped only when it
-    #    is off the map: the inline test is the one clamp_to_map starts with,
-    #    and it saves a call per move.
+    #    Here, as for agents, a target is clamped only when it is off the
+    #    map: the inline test is the one clamp_to_map starts with, and it
+    #    saves a call per move.
     m = cfg.map_size
     for d in world.drones:
         x, y = target = malicious_policy(d, world, cfg) if d.role is MALICIOUS else compliant_policy(d, world, cfg)
@@ -201,10 +203,10 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
         world.outcome = "fail"
         return
 
-    # 4) enemy motion
+    # 4) enemy motion: from a point on the map straight toward a centre that
+    #    validate keeps strictly inside it, never past it, so no clamp.
     for e in world.enemies:
-        x, y = target = enemy_policy(e, cfg)
-        e.position = target if 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
+        e.position = enemy_policy(e, cfg)
 
     # 5) interception, skipped when it cannot catch anything. A drone that
     #    saw no threat had every enemy farther than detection_radius from

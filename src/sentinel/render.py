@@ -5,16 +5,16 @@ import sys
 from dataclasses import dataclass
 
 from .config import SimConfig
-from .world import DroneRole, WorldState
+from .world import COMPLIANT, MALICIOUS, REFORMED, WorldState
 
 WHITE = (255, 255, 255)
 ZONE_GRAY = (200, 200, 200)
 ENEMY_BLACK = (0, 0, 0)
 EA_ORANGE = (255, 140, 0)
 ROLE_COLORS = {
-    DroneRole.COMPLIANT: (0, 170, 0),
-    DroneRole.MALICIOUS: (220, 0, 0),
-    DroneRole.REFORMED: (0, 0, 220),
+    COMPLIANT: (0, 170, 0),
+    MALICIOUS: (220, 0, 0),
+    REFORMED: (0, 0, 220),
 }
 
 ENTITY_RADIUS_PX = 2

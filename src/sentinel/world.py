@@ -3,7 +3,6 @@
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .config import SimConfig
 
@@ -70,16 +69,8 @@ def circle_step(position: Point2, angle: float, radius: float, cfg: SimConfig) -
     return move_toward(position, (cx + radius * math.cos(angle), cy + radius * math.sin(angle)), cfg.drone_speed)
 
 
-class DroneRole(Enum):
-    COMPLIANT = "compliant"
-    MALICIOUS = "malicious"
-    REFORMED = "reformed"
-
-
-# The roles as module constants, for the per-step code: on Python 3.10 and
-# 3.11 the Enum metaclass defines __getattr__, so each DroneRole.X read costs
-# about ten times a global read.
-COMPLIANT, MALICIOUS, REFORMED = DroneRole.COMPLIANT, DroneRole.MALICIOUS, DroneRole.REFORMED
+# Drone roles. A role is only ever assigned one of these, so code tests it with `is`.
+COMPLIANT, MALICIOUS, REFORMED = "compliant", "malicious", "reformed"
 
 
 @dataclass
@@ -100,7 +91,7 @@ class Drone:
 
     id: int
     position: Point2
-    role: DroneRole
+    role: str
     patrol_dir: int = 1
     prev_position: Point2 | None = None
     threat: "Enemy | None" = None

@@ -24,7 +24,7 @@ from sentinel.experiment import (
 from sentinel.fixtures import fixture_path
 from sentinel.render import Frame, ppm_bytes
 from sentinel.stats import aggregate, verify_against_reference
-from sentinel.world import DroneRole, distance, initial_world
+from sentinel.world import COMPLIANT, MALICIOUS, REFORMED, distance, initial_world
 
 
 def verdict(number, label, failures):
@@ -228,9 +228,16 @@ def run_with_per_step_checks(cfg, seed, failures):
         enemies_before = {e.id: e.position for e in world.enemies}
         step(world, cfg, rng)
 
-        malicious = sum(1 for d in world.drones if d.role is DroneRole.MALICIOUS)
-        reformed = sum(1 for d in world.drones if d.role is DroneRole.REFORMED)
-        compliant = sum(1 for d in world.drones if d.role is DroneRole.COMPLIANT)
+        # Per-step code tests roles with `is`, so a role must be one of the
+        # constants themselves, not an equal string built elsewhere.
+        for d in world.drones:
+            if not any(d.role is role for role in (COMPLIANT, MALICIOUS, REFORMED)):
+                failures.append(f"{tag}: drone {d.id} holds role {d.role!r} not from a constant at step {world.step}")
+                return
+
+        malicious = sum(1 for d in world.drones if d.role is MALICIOUS)
+        reformed = sum(1 for d in world.drones if d.role is REFORMED)
+        compliant = sum(1 for d in world.drones if d.role is COMPLIANT)
         if malicious + reformed != cfg.num_malicious or compliant != cfg.total_drones - cfg.num_malicious:
             failures.append(f"{tag}: role conservation broken at step {world.step}")
             return
@@ -239,7 +246,7 @@ def run_with_per_step_checks(cfg, seed, failures):
             return
         for d in world.drones:
             before = previous_roles[d.id]
-            if d.role is not before and not (before is DroneRole.MALICIOUS and d.role is DroneRole.REFORMED):
+            if d.role is not before and not (before is MALICIOUS and d.role is REFORMED):
                 failures.append(f"{tag}: illegal role transition {before} -> {d.role} at step {world.step}")
                 return
         previous_roles = {d.id: d.role for d in world.drones}
@@ -274,14 +281,14 @@ def run_with_per_step_checks(cfg, seed, failures):
         for agent in world.eas:
             roles = {d.id: d.role for d in world.drones}
             for drone_id, count in agent.suspicion.items():
-                if count >= cfg.suspicion_threshold and roles[drone_id] is DroneRole.COMPLIANT:
+                if count >= cfg.suspicion_threshold and roles[drone_id] is COMPLIANT:
                     failures.append(f"{tag}: compliant drone {drone_id} crossed the threshold at step {world.step}")
                     return
 
     if cfg.num_eas == 0:
         if any(e.kind == "reformation" for e in world.events):
             failures.append(f"{tag}: reformation without any agents")
-        if any(d.role is DroneRole.REFORMED for d in world.drones):
+        if any(d.role is REFORMED for d in world.drones):
             failures.append(f"{tag}: reformed drone without any agents")
 
 

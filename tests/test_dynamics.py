@@ -11,10 +11,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sentinel import dynamics, enforcement
-from sentinel.config import ConfigError, SimConfig, apply_overrides, default_config, validate
+from sentinel.config import SPEED_FLOOR_ULPS, ConfigError, SimConfig, apply_overrides, default_config, validate
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
     _fold_into_sector,
+    _perimeter_point,
     compliant_policy,
     enemy_policy,
     malicious_policy,
@@ -25,15 +26,18 @@ from sentinel.dynamics import (
 )
 from sentinel.experiment import mix_seed, run_episode
 from sentinel.world import (
+    COMPLIANT,
+    MALICIOUS,
     ON_CIRCLE_EPS,
+    REFORMED,
     Drone,
-    DroneRole,
     Enemy,
     EnforcementAgentState,
     WorldState,
     clamp_to_map,
     distance,
     initial_world,
+    move_toward,
     threat_seen,
 )
 
@@ -51,7 +55,7 @@ def bare_world(*drones, enemies=(), step_index=0):
 
 
 def compliant(drone_id, x, y):
-    return Drone(id=drone_id, position=(x, y), role=DroneRole.COMPLIANT)
+    return Drone(id=drone_id, position=(x, y), role=COMPLIANT)
 
 
 # --- spawning ---------------------------------------------------------------
@@ -136,10 +140,10 @@ def test_enemy_policy_heads_straight_for_the_center():
     assert enemy_policy(Enemy(0, (60.0, 60.0), 0), cfg) == (60.0, 60.0)
 
 
-def test_enemy_policy_overshoots_the_center():
-    # A full enemy_speed step, not a stop on the center like move_toward.
+def test_enemy_policy_stops_on_the_center():
+    # Closer than enemy_speed, the enemy stops on the center, as move_toward does.
     cfg = default_config()
-    assert enemy_policy(Enemy(0, (60.5, 60.0), 0), cfg) == (59.5, 60.0)
+    assert enemy_policy(Enemy(0, (60.5, 60.0), 0), cfg) == (60.0, 60.0)
 
 
 def test_enemy_policy_speed_is_exact_off_axis():
@@ -147,7 +151,7 @@ def test_enemy_policy_speed_is_exact_off_axis():
     rng = random.Random(17)
     for _ in range(100):
         e = Enemy(0, (rng.uniform(0, 120), rng.uniform(0, 120)), 0)
-        if e.position == (60.0, 60.0):
+        if distance(e.position, cfg.center) <= cfg.enemy_speed:
             continue
         assert distance(enemy_policy(e, cfg), e.position) == pytest.approx(cfg.enemy_speed, abs=1e-12)
 
@@ -363,7 +367,7 @@ def test_carried_angles_match_the_measured_ones(num_eas):
 
 def test_malicious_policy_never_pursues():
     cfg = default_config()
-    d = Drone(id=0, position=(60.0, 60.0), role=DroneRole.MALICIOUS)
+    d = Drone(id=0, position=(60.0, 60.0), role=MALICIOUS)
     world = bare_world(d, enemies=[Enemy(0, (63.0, 60.0), 0)])
     # a patrol step, not a straight line onto the threat 3 units away
     assert distance(malicious_policy(d, world, cfg), (63.0, 60.0)) > 1e-6
@@ -375,7 +379,7 @@ def test_malicious_policy_matches_compliant_patrol_when_no_threats():
     a = world.drones[4]
     b = copy.deepcopy(a)
     pa = compliant_policy(a, world, cfg)
-    b.role = DroneRole.MALICIOUS
+    b.role = MALICIOUS
     pb = malicious_policy(b, bare_world(b), cfg)
     assert pa == pb
 
@@ -395,7 +399,7 @@ def test_interception_removes_enemies_in_range_of_compliant_drones():
 
 def test_malicious_drones_never_intercept():
     cfg = default_config()
-    d = Drone(id=0, position=(60.0, 60.0), role=DroneRole.MALICIOUS)
+    d = Drone(id=0, position=(60.0, 60.0), role=MALICIOUS)
     world = bare_world(d, enemies=[Enemy(0, (60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert len(world.enemies) == 1
@@ -404,7 +408,7 @@ def test_malicious_drones_never_intercept():
 
 def test_reformed_drones_do_intercept():
     cfg = default_config()
-    d = Drone(id=0, position=(60.0, 60.0), role=DroneRole.REFORMED)
+    d = Drone(id=0, position=(60.0, 60.0), role=REFORMED)
     world = bare_world(d, enemies=[Enemy(0, (60.5, 60.0), 0)])
     resolve_interceptions(world, cfg)
     assert world.enemies == []
@@ -571,7 +575,7 @@ def test_each_drone_moves_where_its_policy_sends_it_from_the_pre_move_world(num_
             step(world, cfg, rng)
             steps += 1
             for moved, drone in zip(world.drones, before.drones):
-                policy = malicious_policy if drone.role is DroneRole.MALICIOUS else compliant_policy
+                policy = malicious_policy if drone.role is MALICIOUS else compliant_policy
                 start = drone.position
                 assert moved.position == clamp_to_map(policy(drone, before, cfg), cfg), (run, world.step, drone.id)
                 assert moved.prev_position == start
@@ -589,23 +593,42 @@ def test_an_agent_sent_to_an_orbit_point_beyond_a_wall_stops_on_the_wall():
     assert world.eas[0].position == (0.0, 60.0)
 
 
-def test_an_enemy_that_overshoots_the_centre_past_a_wall_stops_on_the_wall():
-    # The centre sits 1 from the west wall and the enemy 1 east of it, closer
-    # than enemy_speed 3: its move overshoots to x = -1, which the wall clamps,
-    # still outside the zone.
-    cfg = validate(
-        apply_overrides(default_config(), center=(1.0, 60.0), center_radius=0.4, enemy_speed=3.0, first_spawn_step=5000)
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)] * 2),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(0, 64),
+    st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+)
+def test_an_enemy_moves_as_move_toward_the_centre_and_stays_on_the_map(map_size, at, spawn_at, doublings, mantissa):
+    # Any map that validate accepts, scaled from the defaults, with the centre
+    # anywhere strictly inside, a spawn anywhere on the perimeter and an
+    # enemy_speed from the floor to millions of map widths. step() does not
+    # clamp an enemy's move, so none may leave the map.
+    fields = {name: getattr(default_config(), name) * (map_size / 120.0) for name in FLOAT_FIELDS}
+    fields.update(
+        map_size=map_size,
+        center=(at[0] * map_size, at[1] * map_size),
+        enemy_speed=SPEED_FLOOR_ULPS * math.ulp(map_size) * 2.0**doublings * mantissa,
     )
-    world = bare_world(enemies=[Enemy(0, (2.0, 60.0), 0)], step_index=10)
-    step(world, cfg, random.Random(0))
-    assert world.enemies[0].position == (0.0, 60.0)
-    assert world.outcome is None
+    try:
+        cfg = validate(apply_overrides(default_config(), **fields))
+    except ConfigError:
+        reject()
+    p = _perimeter_point(spawn_at * 4.0 * map_size, cfg)
+    for _ in range(20):
+        q = enemy_policy(Enemy(0, p, 0), cfg)
+        assert q == move_toward(p, cfg.center, cfg.enemy_speed), (p, cfg)
+        assert 0.0 <= q[0] <= map_size and 0.0 <= q[1] <= map_size, (p, q, cfg)
+        p = q
 
 
 def test_only_a_target_off_the_map_is_clamped(monkeypatch):
-    # Drones, enemies and agents test the map inline and call clamp_to_map
-    # only for a target off it. At the defaults no target is; on the golden
-    # edge0 config a drone starts beyond the west wall.
+    # Drones and agents test the map inline and call clamp_to_map only for a
+    # target off it; enemies never leave the map. At the defaults no target
+    # is off it; on the golden edge0 config a drone starts beyond the west
+    # wall.
     clamped = []
 
     def counted(p, cfg):
@@ -714,10 +737,10 @@ def test_no_live_enemy_outlives_its_travel_time(monkeypatch):
     # breach ends the episode. So an enemy that has made as many moves as
     # ceil((spawn distance to the centre - center_radius) / enemy_speed) is
     # in the zone, and a live one has made fewer; one move of slack absorbs
-    # rounding. That needs enemy_speed <= 2 * center_radius: a faster enemy
-    # can overshoot the centre to beyond the zone on both sides forever.
-    # The last config is the worst accepted case, where every enemy lives to
-    # the time limit and a step's work grows with the steps played.
+    # rounding. An enemy stops on the centre, so this holds at any speed: in
+    # the all-malicious config an enemy moves five zone radii per step. The
+    # crawl config is the worst accepted case, where every enemy lives to the
+    # time limit and a step's work grows with the steps played.
     spawned_from = {}
     spawn = dynamics.spawn_enemies
 
@@ -732,9 +755,11 @@ def test_no_live_enemy_outlives_its_travel_time(monkeypatch):
     configs = [random_valid_config(rng) for _ in range(6)]
     crawl = dict(enemy_speed=1e-10, enemy_spawn_period=1, first_spawn_step=0, time_limit_steps=150)
     configs.append(validate(apply_overrides(default_config(), num_eas=2, **crawl)))
-    for cfg in configs:
-        assert cfg.enemy_speed <= 2.0 * cfg.center_radius
-        for seed in (rng.randint(0, 2**32), rng.randint(0, 2**32)):
+    runs = [(cfg, (rng.randint(0, 2**32), rng.randint(0, 2**32))) for cfg in configs]
+    fast = dict(num_malicious=6, enemy_speed=25.0, time_limit_steps=400)
+    runs.append((validate(apply_overrides(default_config(), **fast)), range(20)))
+    for cfg, seeds in runs:
+        for seed in seeds:
             episode_rng = random.Random(seed)
             world = initial_world(cfg, episode_rng)
             while world.outcome is None:

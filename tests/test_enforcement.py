@@ -22,8 +22,10 @@ from sentinel.enforcement import (
 )
 from sentinel.experiment import mix_seed, run_episode
 from sentinel.world import (
+    COMPLIANT,
+    MALICIOUS,
+    REFORMED,
     Drone,
-    DroneRole,
     Enemy,
     EnforcementAgentState,
     WorldState,
@@ -46,7 +48,7 @@ def make_world(drones=(), enemies=(), eas=(), step_index=1):
     )
 
 
-def drone_at(drone_id, x, y, role=DroneRole.COMPLIANT):
+def drone_at(drone_id, x, y, role=COMPLIANT):
     return Drone(id=drone_id, position=(x, y), role=role)
 
 
@@ -117,7 +119,7 @@ def test_patrolling_near_a_threat_is_a_violation_signature():
     # A drone that sweeps its patrol with an enemy six units off: a violation
     # up to a detection radius of exactly that distance.
     def observed(cfg):
-        d = drone_at(3, 60.0, 60.0, role=DroneRole.MALICIOUS)
+        d = drone_at(3, 60.0, 60.0, role=MALICIOUS)
         world = make_world(
             drones=[d],
             enemies=[Enemy(0, (66.0, 60.0), 0)],
@@ -268,7 +270,7 @@ def violating_world(ea, drone, cfg):
 def test_threshold_crossing_flips_the_agent_into_pursuit():
     cfg = default_config()
     ea = ea_at(0, 60.0, 60.0)
-    d = drone_at(2, 65.0, 60.0, role=DroneRole.MALICIOUS)
+    d = drone_at(2, 65.0, 60.0, role=MALICIOUS)
     world = violating_world(ea, d, cfg)
     for i in range(cfg.suspicion_threshold):
         world.step = i + 1
@@ -379,7 +381,7 @@ def test_a_moved_agent_measures_its_angle_instead_of_reusing_the_carry():
 def test_pursuit_runs_straight_at_the_suspect():
     cfg = default_config()
     ea = ea_at(0, 60.0, 20.0, pursue_target=3)
-    suspect = drone_at(3, 60.0, 90.0, role=DroneRole.MALICIOUS)
+    suspect = drone_at(3, 60.0, 90.0, role=MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
     x, y = ea_policy(ea, world, cfg)
     assert x == pytest.approx(60.0, abs=1e-12)
@@ -389,7 +391,7 @@ def test_pursuit_runs_straight_at_the_suspect():
 def test_pursuit_parks_once_within_reform_range():
     cfg = default_config()
     ea = ea_at(0, 60.0, 60.0, pursue_target=3)
-    suspect = drone_at(3, 60.0, 69.0, role=DroneRole.MALICIOUS)
+    suspect = drone_at(3, 60.0, 69.0, role=MALICIOUS)
     world = make_world(drones=[suspect], eas=[ea])
     assert ea_policy(ea, world, cfg) == (60.0, 60.0)
 
@@ -397,7 +399,7 @@ def test_pursuit_parks_once_within_reform_range():
 # --- reformation ----------------------------------------------------------------
 
 
-def pursuit_scene(gap, role=DroneRole.MALICIOUS):
+def pursuit_scene(gap, role=MALICIOUS):
     cfg = default_config()
     suspect = drone_at(2, 60.0 + gap, 60.0, role=role)
     ea = ea_at(0, 60.0, 60.0, pursue_target=2, pursue_since=1, suspicion={2: 5})
@@ -408,7 +410,7 @@ def pursuit_scene(gap, role=DroneRole.MALICIOUS):
 def test_reformation_inside_reform_radius():
     cfg, world, ea, suspect = pursuit_scene(9.0)
     attempt_reformation(ea, world, cfg)
-    assert suspect.role is DroneRole.REFORMED
+    assert suspect.role is REFORMED
     assert ea.pursue_target is None
     assert 2 not in ea.suspicion
     events = [e for e in world.events if e.kind == "reformation"]
@@ -419,20 +421,20 @@ def test_reformation_inside_reform_radius():
 def test_no_reformation_out_of_reach():
     cfg, world, ea, suspect = pursuit_scene(11.0)
     attempt_reformation(ea, world, cfg)
-    assert suspect.role is DroneRole.MALICIOUS
+    assert suspect.role is MALICIOUS
     assert ea.pursue_target == 2
     assert world.events == []
 
 
 def test_racing_agents_yield_exactly_one_reformation():
     cfg = default_config()
-    suspect = drone_at(2, 60.0, 60.0, role=DroneRole.MALICIOUS)
+    suspect = drone_at(2, 60.0, 60.0, role=MALICIOUS)
     first = ea_at(0, 55.0, 60.0, pursue_target=2, pursue_since=1, suspicion={2: 5})
     second = ea_at(1, 65.0, 60.0, pursue_target=2, pursue_since=1, suspicion={2: 6})
     world = make_world(drones=[suspect], eas=[first, second], step_index=9)
     attempt_reformation(first, world, cfg)
     attempt_reformation(second, world, cfg)
-    assert suspect.role is DroneRole.REFORMED
+    assert suspect.role is REFORMED
     assert sum(1 for e in world.events if e.kind == "reformation") == 1
     for agent in (first, second):
         assert agent.pursue_target is None
@@ -440,9 +442,9 @@ def test_racing_agents_yield_exactly_one_reformation():
 
 
 def test_catching_a_compliant_suspect_stands_down_without_event():
-    cfg, world, ea, suspect = pursuit_scene(9.0, role=DroneRole.COMPLIANT)
+    cfg, world, ea, suspect = pursuit_scene(9.0, role=COMPLIANT)
     attempt_reformation(ea, world, cfg)
-    assert suspect.role is DroneRole.COMPLIANT
+    assert suspect.role is COMPLIANT
     assert ea.pursue_target is None
     assert 2 not in ea.suspicion
     assert world.events == []
@@ -470,7 +472,7 @@ def test_reformed_drone_runs_the_compliant_policy_afterwards():
         before = copy.deepcopy(world)
         step(world, cfg, rng)
         for probe, actual in zip(before.drones, world.drones):
-            if probe.role is DroneRole.REFORMED:
+            if probe.role is REFORMED:
                 assert actual.position == clamp_to_map(compliant_policy(probe, before, cfg), cfg)
                 checked += 1
     assert checked > 0
@@ -485,13 +487,13 @@ def test_fresh_agent_has_no_suspicion_and_no_failsafe():
     ea = world.eas[0]
     assert ea.suspicion == {}
     assert failsafe_due(ea, world, cfg) is False
-    assert not any(d.role is DroneRole.REFORMED for d in world.drones)
+    assert not any(d.role is REFORMED for d in world.drones)
 
 
 def test_failsafe_stays_silent_when_disabled():
     cfg = default_config()
     ea = ea_at(0, 0.0, 0.0, pursue_target=1, pursue_since=0)
-    drone = drone_at(1, 90.0, 60.0, role=DroneRole.MALICIOUS)
+    drone = drone_at(1, 90.0, 60.0, role=MALICIOUS)
     world = make_world(drones=[drone], eas=[ea], step_index=1000)
     assert failsafe_due(ea, world, cfg) is False
 
@@ -500,7 +502,7 @@ def test_failsafe_window_is_four_thresholds_exclusive():
     cfg = apply_overrides(default_config(), failsafe_enabled=True)
     window = 4 * cfg.suspicion_threshold
     ea = ea_at(0, 0.0, 0.0, pursue_target=1, pursue_since=10)
-    drone = drone_at(1, 90.0, 60.0, role=DroneRole.MALICIOUS)
+    drone = drone_at(1, 90.0, 60.0, role=MALICIOUS)
     world = make_world(drones=[drone], eas=[ea], step_index=10 + window)
     assert failsafe_due(ea, world, cfg) is False
     world.step += 1
@@ -519,7 +521,7 @@ def test_failsafe_terminates_the_episode_through_step():
     world = initial_world(cfg, rng)
     ea = world.eas[0]
     ea.position = (0.0, 0.0)
-    ea.pursue_target = next(d.id for d in world.drones if d.role is DroneRole.MALICIOUS)
+    ea.pursue_target = next(d.id for d in world.drones if d.role is MALICIOUS)
     ea.pursue_since = 0
     while world.outcome is None:
         step(world, cfg, rng)
@@ -557,11 +559,11 @@ def test_pursue_targets_are_always_malicious_in_integrated_runs():
             for e in logged:
                 if e.kind == "suspicion_raised":
                     accusations += 1
-                    assert roles[e.data["drone"]] is DroneRole.MALICIOUS, (cfg, seed, e)
+                    assert roles[e.data["drone"]] is MALICIOUS, (cfg, seed, e)
             now = {d.id: d.role for d in world.drones}
             for agent in world.eas:
                 if agent.pursue_target is not None:
-                    assert now[agent.pursue_target] is DroneRole.MALICIOUS
+                    assert now[agent.pursue_target] is MALICIOUS
                 # The suspicion map holds only positive counts of the world's drones.
                 assert all(drone_id in now and count >= 1 for drone_id, count in agent.suspicion.items())
     assert accusations >= 20
@@ -589,7 +591,7 @@ def test_no_accepted_config_accuses_a_drone_that_was_not_malicious(cfg, seed):
     for _, roles, logged in steps_with_roles(cfg, seed):
         for e in logged:
             if e.kind == "suspicion_raised":
-                assert roles[e.data["drone"]] is DroneRole.MALICIOUS, e
+                assert roles[e.data["drone"]] is MALICIOUS, e
 
 
 def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():
@@ -600,13 +602,13 @@ def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():
     cfg = validate(apply_overrides(default_config(), num_eas=1, first_spawn_step=5000))
     suspect = drone_at(0, 90.0, 60.0)
     ea = ea_at(0, 100.5, 60.0, pursue_target=0, pursue_since=15, suspicion={0: 5})
-    world = make_world(drones=[suspect, drone_at(3, 30.0, 60.0, role=DroneRole.MALICIOUS)], eas=[ea], step_index=20)
+    world = make_world(drones=[suspect, drone_at(3, 30.0, 60.0, role=MALICIOUS)], eas=[ea], step_index=20)
     assert distance(ea.position, suspect.position) > cfg.reform_radius
     step(world, cfg, random.Random(0))
     assert distance(ea.position, suspect.position) <= cfg.reform_radius
     assert (ea.pursue_target, ea.pursue_since, ea.suspicion) == (None, None, {})
     assert not any(e.kind == "reformation" for e in world.events)
-    assert [d.role for d in world.drones] == [DroneRole.COMPLIANT, DroneRole.MALICIOUS]
+    assert [d.role for d in world.drones] == [COMPLIANT, MALICIOUS]
 
 
 # --- twin runs -----------------------------------------------------------------

@@ -25,7 +25,7 @@ from sentinel.experiment import (
     _worker_count,
 )
 from sentinel.fixtures import FIXTURE_NAMES, fixture_path
-from sentinel.world import DroneRole
+from sentinel.world import REFORMED
 
 
 # --- seed mixing ---------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_reformed_count_comes_from_the_final_world():
     cfg = apply_overrides(default_config(), num_eas=2)
     for seed in range(1, 12):
         record, world = run_episode(cfg, seed, seed)
-        assert record.reformed == sum(1 for d in world.drones if d.role is DroneRole.REFORMED)
+        assert record.reformed == sum(1 for d in world.drones if d.role is REFORMED)
         assert record.reformed <= record.malicious
 
 

@@ -25,8 +25,10 @@ from sentinel.render import (
     write_image,
 )
 from sentinel.world import (
+    COMPLIANT,
+    MALICIOUS,
+    REFORMED,
     Drone,
-    DroneRole,
     Enemy,
     EnforcementAgentState,
     WorldState,
@@ -118,11 +120,11 @@ def test_default_scale_yields_480_square_frames():
 def test_a_200_unit_map_draws_an_800_pixel_frame():
     cfg = apply_overrides(default_config(), map_size=200.0, center=(100.0, 100.0))
     world = empty_world()
-    world.drones.append(Drone(id=0, position=(160.0, 100.0), role=DroneRole.COMPLIANT))
+    world.drones.append(Drone(id=0, position=(160.0, 100.0), role=COMPLIANT))
     frame = render_frame(world, cfg)
     assert (frame.width, frame.height) == (800, 800)
     assert pixel(frame, 400, 400) == ZONE_GRAY
-    assert pixel(frame, 640, 400) == ROLE_COLORS[DroneRole.COMPLIANT]
+    assert pixel(frame, 640, 400) == ROLE_COLORS[COMPLIANT]
 
 
 def test_rendering_builds_the_canvas_bytes_once():
@@ -159,23 +161,23 @@ def test_empty_world_shows_only_background_and_zone():
 
 def test_one_reformed_drone_paints_exactly_one_blue_disc():
     world = empty_world()
-    world.drones.append(Drone(id=0, position=(30.0, 30.0), role=DroneRole.REFORMED))
+    world.drones.append(Drone(id=0, position=(30.0, 30.0), role=REFORMED))
     frame = render_frame(world, default_config())
     counts = color_counts(frame)
-    blue = ROLE_COLORS[DroneRole.REFORMED]
+    blue = ROLE_COLORS[REFORMED]
     assert counts[blue] == disc_cardinality(ENTITY_RADIUS_PX)
     assert pixel(frame, 120, 120) == blue
 
 
 def test_each_entity_kind_has_its_own_color():
     world = empty_world()
-    world.drones.append(Drone(id=0, position=(20.0, 20.0), role=DroneRole.COMPLIANT))
-    world.drones.append(Drone(id=1, position=(40.0, 20.0), role=DroneRole.MALICIOUS))
+    world.drones.append(Drone(id=0, position=(20.0, 20.0), role=COMPLIANT))
+    world.drones.append(Drone(id=1, position=(40.0, 20.0), role=MALICIOUS))
     world.enemies.append(Enemy(id=0, position=(20.0, 40.0), spawned_at=0))
     world.eas.append(EnforcementAgentState(id=0, position=(40.0, 40.0)))
     frame = render_frame(world, default_config())
-    assert pixel(frame, 80, 80) == ROLE_COLORS[DroneRole.COMPLIANT]
-    assert pixel(frame, 160, 80) == ROLE_COLORS[DroneRole.MALICIOUS]
+    assert pixel(frame, 80, 80) == ROLE_COLORS[COMPLIANT]
+    assert pixel(frame, 160, 80) == ROLE_COLORS[MALICIOUS]
     assert pixel(frame, 80, 160) == ENEMY_BLACK
     assert pixel(frame, 160, 160) == EA_ORANGE
 
@@ -183,9 +185,9 @@ def test_each_entity_kind_has_its_own_color():
 def test_draw_order_puts_agents_above_drones_above_zone():
     cfg = default_config()
     world = empty_world()
-    world.drones.append(Drone(id=0, position=(60.0, 60.0), role=DroneRole.COMPLIANT))
+    world.drones.append(Drone(id=0, position=(60.0, 60.0), role=COMPLIANT))
     frame = render_frame(world, cfg)
-    assert pixel(frame, 240, 240) == ROLE_COLORS[DroneRole.COMPLIANT]
+    assert pixel(frame, 240, 240) == ROLE_COLORS[COMPLIANT]
     world.eas.append(EnforcementAgentState(id=0, position=(60.0, 60.0)))
     frame = render_frame(world, cfg)
     assert pixel(frame, 240, 240) == EA_ORANGE
