@@ -18,6 +18,21 @@ from dataclasses import dataclass
 # onset, and a step of 1,024 ulps points within about 1/1,000 rad of its aim.
 SPEED_FLOOR_ULPS = 1024
 
+# The most drones validate accepts. A drone with its position takes about 280
+# bytes, so a million drones hold about 280 MB, and past sys.maxsize
+# random.sample cannot even draw their roles: initial_world would run out of
+# memory or raise long before it built the world.
+MAX_TOTAL_DRONES = 1_000_000
+
+
+def _quotient(a, b):
+    """a / b, or nan where the division raises: a zero divisor, or an int
+    too large for a float."""
+    try:
+        return a / b
+    except ArithmeticError:
+        return math.nan
+
 
 class ConfigError(ValueError):
     """A configuration rejected by validation or file parsing.
@@ -56,6 +71,16 @@ class SimConfig:
     suspicion_threshold: consecutive violations before pursuit
     reform_radius:       reformation range of an enforcement agent
     failsafe_enabled:    terminate runs with an uncatchable suspect
+
+    Derived once per config, for the per-step code to read like fields:
+
+    half_sector:         pi / total_drones, half a drone sector's angle
+    patrol_step:         drone_speed / patrol_radius, the angle of one step
+                         along the patrol circle
+    orbit_step:          drone_speed / ea_orbit_radius, the same along the
+                         agents' orbit
+    circles_inside:      both circles, widened by a rounding margin, lie
+                         strictly inside the map
     """
 
     total_drones: int = 6
@@ -79,6 +104,24 @@ class SimConfig:
     reform_radius: float = 10.0
     failsafe_enabled: bool = False
 
+    def __post_init__(self):
+        # Plain attributes, not fields: fields(), ==, hash and repr see only
+        # the knobs, replace() runs this again and a pickle carries them.
+        # Configs are built before they are validated, so this never
+        # raises: what cannot be computed reads nan, or not inside.
+        set_attr = object.__setattr__
+        set_attr(self, "half_sector", _quotient(math.pi, self.total_drones))
+        set_attr(self, "patrol_step", _quotient(self.drone_speed, self.patrol_radius))
+        set_attr(self, "orbit_step", _quotient(self.drone_speed, self.ea_orbit_radius))
+        try:
+            m, (cx, cy) = self.map_size, self.center
+            margin = 1e-9 * m
+            radii = (abs(self.patrol_radius), abs(self.ea_orbit_radius))
+            inside = all(margin < c - r and c + r < m - margin for r in radii for c in (cx, cy))
+        except ArithmeticError:
+            inside = False
+        set_attr(self, "circles_inside", inside)
+
 
 def default_config() -> SimConfig:
     """The calibrated baseline configuration."""
@@ -97,7 +140,12 @@ def validate(cfg: SimConfig) -> SimConfig:
     def check(ok: bool, name: str, detail: str) -> None:
         # detail is a str.format template over values, filled in only when broken.
         if not ok:
-            extra = {"half_map": cfg.map_size / 2, "speed_floor": speed_floor, "floor_ulps": SPEED_FLOOR_ULPS}
+            extra = {
+                "half_map": cfg.map_size / 2,
+                "speed_floor": speed_floor,
+                "floor_ulps": SPEED_FLOOR_ULPS,
+                "max_drones": MAX_TOTAL_DRONES,
+            }
             bad.append((name, detail.format(**extra, **values)))
 
     floats = {k: v for k, v in values.items() if isinstance(v, float)}
@@ -106,11 +154,16 @@ def validate(cfg: SimConfig) -> SimConfig:
         # spawn perimeter and the angular steps along the patrol and orbit.
         floats["4*map_size"] = 4.0 * cfg.map_size
         if cfg.patrol_radius > 0:
-            floats["drone_speed/patrol_radius"] = cfg.drone_speed / cfg.patrol_radius
+            floats["drone_speed/patrol_radius"] = cfg.patrol_step
         if cfg.ea_orbit_radius > 0:
-            floats["drone_speed/ea_orbit_radius"] = cfg.drone_speed / cfg.ea_orbit_radius
+            floats["drone_speed/ea_orbit_radius"] = cfg.orbit_step
     bad += [("NonFiniteValue", f"{name}={value}") for name, value in floats.items() if not math.isfinite(value)]
     check(cfg.total_drones > 0, "TotalDronesNotPositive", "total_drones={total_drones}")
+    check(
+        cfg.total_drones <= MAX_TOTAL_DRONES,
+        "TotalDronesExceedsMax",
+        "total_drones={total_drones} > {max_drones}",
+    )
     check(cfg.num_malicious >= 0, "MaliciousCountNegative", "num_malicious={num_malicious}")
     check(
         cfg.num_malicious <= cfg.total_drones,

@@ -4,8 +4,10 @@ step() applies one tick in a fixed sub-step order so that episodes are pure
 functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
-its entity moves to. A drone's or an agent's is clamped to the map; an
-enemy's needs no clamp, since it stops on the centre.
+its entity moves to. A drone's or an agent's is clamped to the map when it
+is off it, which can happen only when a patrol or orbit circle comes within
+a rounding margin of a wall (cfg.circles_inside is False); an enemy's needs
+no clamp, since it stops on the centre.
 """
 
 import math
@@ -16,6 +18,7 @@ from .config import SimConfig
 from .world import (
     MALICIOUS,
     ON_CIRCLE_EPS,
+    TAU,
     Drone,
     Enemy,
     Event,
@@ -64,11 +67,12 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     the sector boundaries. Updates drone.patrol_dir and drone.arc as it goes.
     """
     radius = cfg.patrol_radius
-    half = math.pi / cfg.total_drones
-    sector_center = 2.0 * math.pi * drone.id / cfg.total_drones
+    half = cfg.half_sector
+    sector_center = TAU * drone.id / cfg.total_drones
 
-    if drone.arc is not None and drone.arc[0] == drone.position:
-        offset, on_arc = drone.arc[1], True
+    arc = drone.arc
+    if arc is not None and arc[0] == drone.position:
+        offset, on_arc = arc[1], True
     else:
         r = distance(drone.position, cfg.center)
         if r == 0.0:
@@ -81,7 +85,7 @@ def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     if not on_arc:
         drone.arc = None
         return circle_step(drone.position, sector_center + min(max(offset, -half), half), radius, cfg)
-    offset += drone.patrol_dir * (cfg.drone_speed / radius)
+    offset += drone.patrol_dir * cfg.patrol_step
     if offset > half or offset < -half:
         offset, drone.patrol_dir = _fold_into_sector(offset, half, drone.patrol_dir)
     cx, cy = cfg.center
@@ -158,10 +162,10 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
     interceptors = [d for d in world.drones if d.role is not MALICIOUS]
     survivors = []
     for enemy in world.enemies:
-        best = None
+        best, best_gap = None, cfg.intercept_radius
         for d in interceptors:
             gap = distance(d.position, enemy.position)
-            if gap <= cfg.intercept_radius and (best is None or gap < best_gap or (gap == best_gap and d.id < best.id)):
+            if gap <= best_gap and (gap < best_gap or best is None or d.id < best.id):
                 best, best_gap = d, gap
         if best is None:
             survivors.append(enemy)
@@ -188,12 +192,16 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    it has chosen, and every choice is still made from the pre-move world.
     #    Here, as for agents, a target is clamped only when it is off the
     #    map: the inline test is the one clamp_to_map starts with, and it
-    #    saves a call per move.
-    m = cfg.map_size
+    #    saves a call per move. With cfg.circles_inside the test is skipped,
+    #    as it cannot fail in a world that initial_world built: every drone
+    #    and agent starts on its circle, and every target is the mover's own
+    #    position, a circle point, or a move_toward between two points on
+    #    the map (positions, enemies, circle points), which stays on it.
+    m, inside = cfg.map_size, cfg.circles_inside
     for d in world.drones:
         x, y = target = malicious_policy(d, world, cfg) if d.role is MALICIOUS else compliant_policy(d, world, cfg)
         d.prev_position = d.position
-        d.position = target if 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
+        d.position = target if inside or 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
 
     # Only the drone policies write drone.threat: one read serves the step.
     threat = threat_seen(world)

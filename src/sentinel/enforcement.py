@@ -14,6 +14,7 @@ from .world import (
     MALICIOUS,
     ON_CIRCLE_EPS,
     REFORMED,
+    TAU,
     EnforcementAgentState,
     Event,
     Point2,
@@ -123,8 +124,9 @@ def ea_policy(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> P
         # to, the agent carries that point's angle; fmod keeps the carried
         # angle bounded.
         radius = cfg.ea_orbit_radius
-        if ea.arc is not None and ea.arc[0] == ea.position:
-            angle, on_orbit = ea.arc[1], True
+        arc = ea.arc
+        if arc is not None and arc[0] == ea.position:
+            angle, on_orbit = arc[1], True
         else:
             (x, y), (cx, cy) = ea.position, cfg.center
             r = distance(ea.position, cfg.center)
@@ -133,7 +135,7 @@ def ea_policy(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> P
         if not on_orbit:
             ea.arc = None
             return circle_step(ea.position, angle, radius, cfg)
-        angle = math.fmod(angle + cfg.drone_speed / radius, 2.0 * math.pi)
+        angle = math.fmod(angle + cfg.orbit_step, TAU)
         cx, cy = cfg.center
         target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
         ea.arc = (target, angle)
@@ -202,13 +204,14 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig, threat: bool) -> bo
             if e.spawned_at == step:
                 quiet = False
                 break
-    m = cfg.map_size
+    # As in dynamics.step: with cfg.circles_inside no target is off the map.
+    m, inside = cfg.map_size, cfg.circles_inside
     failsafe_fired = False
     for ea in world.eas:
         if ea.suspicion or not quiet:
             update_suspicion(ea, observe(ea, world, cfg), world, cfg)
         x, y = target = ea_policy(ea, world, cfg)
-        ea.position = target if 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
+        ea.position = target if inside or 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
         attempt_reformation(ea, world, cfg)
         if ea.pursue_since is not None and failsafe_due(ea, world, cfg):
             world.events.append(Event(step=world.step, kind="failsafe", data={"ea": ea.id, "drone": ea.pursue_target}))

@@ -11,6 +11,9 @@ from .config import SimConfig
 Point2 = tuple[float, float]
 
 
+TAU = 2.0 * math.pi
+
+
 # Tolerance for "sitting exactly on a patrol circle". Circle walking
 # recomputes positions from the circle equation, so drift stays below this.
 ON_CIRCLE_EPS = 1e-9
@@ -28,7 +31,7 @@ def nearest_enemy(position: Point2, enemies: list["Enemy"], within: float = math
     best, best_gap = None, within
     for e in enemies:
         gap = distance(position, e.position)
-        if gap < best_gap or (gap == best_gap and (best is None or e.id < best.id)):
+        if gap <= best_gap and (gap < best_gap or best is None or e.id < best.id):
             best, best_gap = e, gap
     return best
 
@@ -53,7 +56,11 @@ def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
 
 
 def move_toward(p: Point2, target: Point2, max_step: float) -> Point2:
-    """Step from p toward target, at most max_step, never overshooting."""
+    """Step from p toward target, at most max_step, never overshooting.
+
+    A short step has f = max_step / gap at most 1 - 2**-53, so each rounded
+    coordinate lands between p's and the target's: a step between two
+    points on the map stays on it."""
     gap = distance(p, target)
     if gap <= max_step or gap == 0.0:
         return target
@@ -150,12 +157,12 @@ def initial_world(cfg: SimConfig, rng: random.Random) -> WorldState:
     malicious = set(rng.sample(range(n), cfg.num_malicious))
     drones = []
     for i in range(n):
-        angle = 2.0 * math.pi * i / n
+        angle = TAU * i / n
         pos = (cx + cfg.patrol_radius * math.cos(angle), cy + cfg.patrol_radius * math.sin(angle))
         drones.append(Drone(id=i, position=pos, role=MALICIOUS if i in malicious else COMPLIANT))
     eas = []
     for j in range(cfg.num_eas):
-        angle = 2.0 * math.pi * j / cfg.num_eas
+        angle = TAU * j / cfg.num_eas
         pos = (cx + cfg.ea_orbit_radius * math.cos(angle), cy + cfg.ea_orbit_radius * math.sin(angle))
         eas.append(EnforcementAgentState(id=j, position=pos))
     return WorldState(step=0, drones=drones, enemies=[], eas=eas)

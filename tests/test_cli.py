@@ -367,6 +367,19 @@ def test_map_too_large_to_walk_its_perimeter_is_a_runtime_error(tmp_path, capsys
     assert not out.exists()
 
 
+def test_more_drones_than_a_world_can_hold_is_a_runtime_error(tmp_path, capsys):
+    # 10**20 drones used to pass validation, and initial_world then died in
+    # random.sample with an OverflowError traceback.
+    cfg_file = tmp_path / "swarm.cfg"
+    cfg_file.write_text("total_drones = 100000000000000000000\n")
+    out = tmp_path / "records.csv"
+    code = main(["simulate", "--eas", "0", "--runs", "1", "--seed", "1", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: TotalDronesExceedsMax: total_drones=100000000000000000000 > 1000000\n"
+    assert not out.exists()
+
+
 def test_orbit_radius_beyond_half_map_is_a_runtime_error(tmp_path, capsys):
     cfg_file = tmp_path / "orbit.cfg"
     cfg_file.write_text("ea_orbit_radius = 70\n")

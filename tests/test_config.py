@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentinel.config import (
+    MAX_TOTAL_DRONES,
     SPEED_FLOOR_ULPS,
     ConfigError,
     SimConfig,
     apply_overrides,
     default_config,
     load_config,
+    read_config,
     validate,
 )
 from test_acceptance import random_valid_config
@@ -127,6 +130,14 @@ def test_malicious_count_bounded_by_drone_count():
     assert "MaliciousExceedsTotalDrones" in err.value.violations
 
 
+def test_drone_count_bounded_by_what_a_world_can_hold():
+    assert validate(apply_overrides(default_config(), total_drones=MAX_TOTAL_DRONES)).total_drones == MAX_TOTAL_DRONES
+    for count in (MAX_TOTAL_DRONES + 1, 10**20, 10**400):
+        with pytest.raises(ConfigError) as err:
+            validate(apply_overrides(default_config(), total_drones=count))
+        assert err.value.violations == ["TotalDronesExceedsMax"]
+
+
 def test_patrol_circle_must_fit_in_the_map():
     cfg = apply_overrides(default_config(), patrol_radius=60.0)
     with pytest.raises(ConfigError) as err:
@@ -212,6 +223,69 @@ def test_center_must_lie_inside_the_map():
     with pytest.raises(ConfigError) as err:
         validate(cfg)
     assert "CenterOutsideMap" in err.value.violations
+
+
+# --- derived geometry ----------------------------------------------------------
+
+DERIVED = ("half_sector", "patrol_step", "orbit_step", "circles_inside")
+
+
+def _derived(cfg):
+    return tuple(getattr(cfg, name) for name in DERIVED)
+
+
+def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
+    cfg = default_config()
+    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, True)
+    assert not set(DERIVED) & {f.name for f in dataclasses.fields(cfg)}
+    assert not any(name in repr(cfg) for name in DERIVED)
+    # == and hash read the fields alone.
+    skewed = dataclasses.replace(cfg)
+    object.__setattr__(skewed, "circles_inside", False)
+    assert skewed == cfg and hash(skewed) == hash(cfg)
+    # replace() recomputes, from the new fields.
+    moved = apply_overrides(skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0))
+    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, False)
+    assert dataclasses.replace(skewed).circles_inside is True
+    # A pickle, as a worker process receives its config, carries them.
+    for sent in (cfg, moved):
+        assert _derived(pickle.loads(pickle.dumps(sent))) == _derived(sent)
+
+
+def test_read_config_derives_the_geometry_of_the_file(tmp_path):
+    path = tmp_path / "edge.cfg"
+    path.write_text("center_x = 20\ntotal_drones = 3\npatrol_radius = 25\n")
+    cfg = read_config(path)
+    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, False)
+
+
+@pytest.mark.parametrize(
+    "overrides, inside",
+    [
+        ({"patrol_radius": 59.9}, True),
+        ({"center": (30.1, 60.0)}, True),
+        ({"center": (30.0, 60.0)}, False),  # the patrol circle touches the west wall
+        ({"center": (60.0, 90.0)}, False),  # and here the north wall
+        ({"center": (29.9, 60.0)}, False),
+        ({"center": (30.0 + 1e-8, 60.0)}, False),  # within the rounding margin
+        ({"ea_orbit_radius": 70.0}, False),  # agents or not, both circles count
+    ],
+)
+def test_the_circles_are_inside_only_clear_of_every_wall(overrides, inside):
+    assert apply_overrides(default_config(), **overrides).circles_inside is inside
+
+
+def test_building_a_config_never_raises():
+    # Configs are built before they are validated, so anything goes in:
+    # a quotient that cannot be taken reads nan, and a map or circle that
+    # is not finite leaves the circles not inside.
+    for field in ("total_drones", "map_size", "drone_speed", "patrol_radius", "ea_orbit_radius", "center"):
+        for value in (0, -1, -1.5, math.nan, math.inf, -math.inf, 10**400):
+            override = (value, 60.0) if field == "center" else value
+            cfg = apply_overrides(default_config(), **{field: override})
+            assert all(isinstance(v, float) for v in _derived(cfg)[:3]), (field, value)
+            if field in ("map_size", "center") or (field.endswith("radius") and not -1e300 < value < 1e300):
+                assert cfg.circles_inside is False, (field, value)
 
 
 def test_apply_overrides_returns_a_changed_copy():

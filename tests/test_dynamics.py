@@ -190,6 +190,50 @@ def test_a_bounded_scan_is_the_nearest_of_all_dropped_beyond_the_bound():
     assert bounded > 100
 
 
+def _nearest_as_two_tests(position, enemies, within):
+    # nearest_enemy's earlier test, which takes two comparisons to reject a
+    # candidate farther than the best so far.
+    best, best_gap = None, within
+    for e in enemies:
+        gap = distance(position, e.position)
+        if gap < best_gap or (gap == best_gap and (best is None or e.id < best.id)):
+            best, best_gap = e, gap
+    return best
+
+
+def _credit_as_two_tests(drones, enemy, radius):
+    # resolve_interceptions' earlier test, with the same two comparisons.
+    best = None
+    for d in drones:
+        gap = distance(d.position, enemy.position)
+        if gap <= radius and (best is None or gap < best_gap or (gap == best_gap and d.id < best.id)):
+            best, best_gap = d, gap
+    return best
+
+
+# Gaps that tie, sit on the bound, or are not numbers at all.
+GAPS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 2.5, 10.0, math.inf, math.nan]), st.floats(0.0, 20.0))
+
+
+@settings(max_examples=400)
+@given(st.lists(GAPS, max_size=7), GAPS, st.randoms(use_true_random=False))
+def test_one_comparison_rejects_a_far_candidate_as_two_did(gaps, bound, rand):
+    # Each candidate stands its gap away from the origin along x, so the
+    # scan measures exactly that gap; ids are shuffled so ties need them.
+    ids = list(range(len(gaps)))
+    rand.shuffle(ids)
+    enemies = [Enemy(i, (gap, 0.0), 0) for i, gap in zip(ids, gaps)]
+    assert nearest_enemy((0.0, 0.0), enemies, bound) is _nearest_as_two_tests((0.0, 0.0), enemies, bound)
+
+    drones = [compliant(i, gap, 0.0) for i, gap in zip(ids, gaps)]
+    target = Enemy(0, (0.0, 0.0), 0)
+    world = bare_world(*drones, enemies=[target])
+    resolve_interceptions(world, apply_overrides(default_config(), intercept_radius=bound))
+    expected = _credit_as_two_tests(drones, target, bound)
+    credited = [e.data["drone"] for e in world.events]
+    assert credited == ([] if expected is None else [expected.id])
+
+
 def test_compliant_policy_pursues_the_nearest_detected_enemy():
     cfg = default_config()
     d = compliant(0, 60.0, 60.0)
@@ -624,6 +668,27 @@ def test_an_enemy_moves_as_move_toward_the_centre_and_stays_on_the_map(map_size,
         p = q
 
 
+def test_skipping_the_map_test_inside_the_circles_plays_the_same_episodes():
+    # With cfg.circles_inside, step() and the agents take every target as on
+    # the map. Forced off, each target is tested and clamped when off it;
+    # an episode whose targets all lay on the map plays the same.
+    rng = random.Random(20260819)
+    configs = []
+    for _ in range(10):  # the criterion-6 configs, drawn as that test draws them
+        configs.append(random_valid_config(rng))
+        for _ in range(5):
+            rng.randint(0, 2**32)
+    for n in (0, 1, 2):
+        configs.append(apply_overrides(default_config(), num_eas=n))
+        configs.append(apply_overrides(default_config(), num_eas=n, center=(20.0, 60.0), ea_monitor_radius=40.0))
+    assert {c.circles_inside for c in configs} == {True, False}
+    for cfg in configs:
+        tested = dataclasses.replace(cfg)
+        object.__setattr__(tested, "circles_inside", False)
+        for run in (1, 2):
+            assert _events_and_record(cfg, run) == _events_and_record(tested, run), (cfg, run)
+
+
 def test_only_a_target_off_the_map_is_clamped(monkeypatch):
     # Drones and agents test the map inline and call clamp_to_map only for a
     # target off it; enemies never leave the map. At the defaults no target
@@ -816,4 +881,7 @@ def test_every_accepted_config_steps_to_the_end(overrides, num_eas, seed):
         step(world, cfg, rng)
         entities = world.drones + world.enemies + world.eas
         assert all(math.isfinite(c) for e in entities for c in e.position), overrides
+        if cfg.circles_inside:
+            # No map test ran, and none was needed.
+            assert all(0.0 <= c <= cfg.map_size for e in entities for c in e.position), overrides
     assert time.perf_counter() - started < 5.0

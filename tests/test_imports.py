@@ -1,6 +1,7 @@
 """Design rules of the package's imports: the runtime uses the standard
 library and itself only, its modules import each other without a cycle,
-and the CLI starts without modules that only some commands need."""
+and the CLI starts without modules that only some commands need. Also a
+source rule: no code tests identity against a literal."""
 
 import ast
 import os
@@ -99,3 +100,44 @@ def test_importing_the_cli_loads_neither_statistics_nor_pathlib():
     argv = [sys.executable, "-S", "-c", probe]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _is_literal(node):
+    """A constant other than the singletons None, True, False and Ellipsis."""
+    return isinstance(node, ast.Constant) and not any(node.value is v for v in (None, True, False, ...))
+
+
+def _identity_tests_of_literals(tree):
+    """Line of every `is` or `is not` with a literal operand."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Is, ast.IsNot)) and (_is_literal(left) or _is_literal(right)):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_no_code_tests_identity_against_a_literal():
+    # Roles are tested with `is` against the world constants. `is` against a
+    # literal is a SyntaxWarning, which pyproject.toml makes an error, but
+    # pytest's assertion rewriting moves the operands of a test's bare assert
+    # into temporaries first, so there it never fires. This reads the source.
+    sources = sorted(PACKAGE_DIR.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{line}"
+        for path in sources
+        for line in _identity_tests_of_literals(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_the_literal_check_sees_into_a_bare_assert():
+    source = (
+        'assert suspect.role is "reformed"\n'
+        "assert suspect.role is REFORMED\n"
+        "assert world.outcome is None and ok is True\n"
+        "assert 0 is not count < 3\n"
+    )
+    assert _identity_tests_of_literals(ast.parse(source)) == [1, 4]

@@ -3,6 +3,9 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sentinel.config import apply_overrides, default_config
 from sentinel.world import (
     COMPLIANT,
@@ -76,6 +79,34 @@ def test_move_toward_never_overshoots():
         moved = move_toward(p, t, speed)
         assert distance(p, moved) <= speed + 1e-9
         assert distance(moved, t) <= distance(p, t) + 1e-9
+
+
+# Where a coordinate sits on a map of side m: on a wall, one ulp inside it,
+# or a fraction of the way across.
+SPOTS = st.one_of(st.sampled_from(["wall", "ulp", "ulp_far", "wall_far"]), st.floats(0.0, 1.0))
+
+
+def _place(spot, m):
+    named = {"wall": 0.0, "ulp": math.nextafter(0.0, m), "ulp_far": math.nextafter(m, 0.0), "wall_far": m}
+    return named[spot] if isinstance(spot, str) else spot * m
+
+
+@settings(max_examples=500)
+@given(st.floats(min_value=1e-300, max_value=1e300), st.lists(SPOTS, min_size=4, max_size=4), st.data())
+def test_a_move_between_two_points_on_the_map_stays_on_it(m, spots, data):
+    # dynamics.step skips the map test where every target is a circle point
+    # or such a move. Each coordinate lands between the start's and the
+    # target's, for a step of any size short of the gap, one ulp short of it
+    # included.
+    x0, y0, x1, y1 = (_place(spot, m) for spot in spots)
+    p, target = (x0, y0), (x1, y1)
+    gap = distance(p, target)
+    fraction = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    scale = data.draw(st.floats(min_value=5e-324, max_value=1.0))
+    for max_step in (gap * fraction, math.nextafter(gap, 0.0), m * scale):
+        x, y = move_toward(p, target, max_step)
+        assert min(x0, x1) <= x <= max(x0, x1) and min(y0, y1) <= y <= max(y0, y1), (p, target, max_step)
+        assert 0.0 <= x <= m and 0.0 <= y <= m
 
 
 def test_initial_world_places_drones_evenly_on_the_patrol_circle():
