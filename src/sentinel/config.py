@@ -34,6 +34,14 @@ def _quotient(a, b):
         return math.nan
 
 
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 class ConfigError(ValueError):
     """A configuration rejected by validation or file parsing.
 
@@ -130,12 +138,17 @@ def default_config() -> SimConfig:
 
 def validate(cfg: SimConfig) -> SimConfig:
     """Return ``cfg`` unchanged, or raise ConfigError naming every violation."""
-    bad: list[tuple[str, str]] = []
-
+    # A float-typed field holding an int too large for a float would make
+    # the checks below overflow, so it is refused on its own.
     cx, cy = cfg.center
-    speed_floor = SPEED_FLOOR_ULPS * math.ulp(cfg.map_size)
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     values.update(center_x=cx, center_y=cy)
+    unfit = [name for name, kind in _KEY_TYPES.items() if kind is float and not _fits_float(values[name])]
+    if unfit:
+        raise ConfigError([("NonFiniteValue", f"{name} is too large for a float") for name in unfit])
+
+    bad: list[tuple[str, str]] = []
+    speed_floor = SPEED_FLOOR_ULPS * math.ulp(cfg.map_size)
 
     def check(ok: bool, name: str, detail: str) -> None:
         # detail is a str.format template over values, filled in only when broken.

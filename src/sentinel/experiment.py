@@ -2,9 +2,11 @@
 
 A batch derives one 64-bit seed per run from (base_seed, run_index) with the
 splitmix64 finalizer, so records depend only on those two integers and the
-config, never on scheduling. SENTINEL_THREADS caps worker processes
-(unset or 1 runs in-process, 0 picks the CPU count; anything but a
-non-negative integer is a ValueError).
+config, never on scheduling. SENTINEL_THREADS sets how many processes play
+a batch (unset or 1 plays it in-process, 0 picks the CPU count; anything but
+a non-negative integer is a ValueError). With N of them, process k plays the
+stripe of runs k+1, k+1+N, ...: the caller plays stripe 0 and N - 1 children
+forked from it play the others. Without os.fork a batch plays serially.
 """
 
 import math
@@ -160,29 +162,119 @@ def _worker_count(num_runs: int) -> int:
     return max(1, min(requested, num_runs))
 
 
+def _play_stripe(episode, cfg: SimConfig, runs, base_seed: int):
+    """Play runs in order until one raises: (records, None), or (records of
+    the runs before it, (run_index, exception))."""
+    records = []
+    for run in runs:
+        try:
+            records.append(episode(cfg, run, mix_seed(base_seed, run)))
+        except Exception as exc:
+            return records, (run, exc)
+    return records, None
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if a pickle round trip keeps its type and message, else a
+    RuntimeError that carries both."""
+    import pickle
+
+    try:
+        copy = pickle.loads(pickle.dumps(exc))
+        if type(copy) is type(exc) and str(copy) == str(exc):
+            return exc
+    except Exception:
+        pass
+    return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: int):
+    """Every stripe of the batch as _play_stripe returns it, stripe k holding
+    runs k+1, k+1+workers, ...: the caller plays stripe 0 while one forked
+    child per other stripe plays it and sends it back as one pickle over a
+    pipe. A child that exits without reporting raises ChildProcessError."""
+    # Imported here: only a pooled batch pays for loading pickle.
+    import pickle
+
+    children = {}  # pid -> (read end of its pipe, stripe), until reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child: no exception unwinds into the caller's frames,
+                # and os._exit flushes none of the parent's buffers.
+                status = 1
+                try:
+                    os.close(r)
+                    records, failure = _play_stripe(episode, cfg, runs[k::workers], base_seed)
+                    if failure is not None:
+                        failure = (failure[0], _portable(failure[1]))
+                    with open(w, "wb") as pipe:
+                        pickle.dump((records, failure), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = (open(r, "rb"), k)
+            os.close(w)
+        stripes = [_play_stripe(episode, cfg, runs[0::workers], base_seed)]
+        for pid, (pipe, k) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0 or not data:
+                raise ChildProcessError(
+                    f"the worker playing stripe {k} (runs {k + 1}, {k + 1 + workers}, ...) "
+                    f"exited with status {status} before reporting"
+                )
+            stripes.append(pickle.loads(data))
+        return stripes
+    finally:
+        # Children are left here only when the caller failed: an interrupt
+        # in its own stripe, or a child that did not report.
+        if children:
+            import signal
+
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
 def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_record) -> list[RunRecord]:
     """Records for runs 1..num_runs, in run order regardless of scheduling.
 
-    Each run is ``episode(cfg, run_index, seed)``, which returns its record;
-    with more than one worker it runs in a pool process, so it must pickle
-    (a module-level function, or a functools.partial of one).
+    Each run is ``episode(cfg, run_index, seed)``, which returns its record.
+    With more than one worker and os.fork, the batch is split into stripes
+    played by that many processes, the caller's included, so the return
+    value must pickle. The children are forked, so a caller that runs
+    threads of its own should play serially: a lock another thread holds
+    at the fork stays held in the child. An episode that raises stops the
+    batch with the exception of the lowest failing run, as serial play
+    does; one that does not survive a pickle round trip comes back as a
+    RuntimeError naming its type and message.
     """
     validate(cfg)
     if num_runs < 1:
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
     runs = range(1, num_runs + 1)
-    args = ([cfg] * num_runs, runs, [mix_seed(base_seed, i) for i in runs])
     workers = _worker_count(num_runs)
-    if workers <= 1:
-        return list(map(episode, *args))
-    # About eight chunks per worker: few enough round trips for short
-    # episodes, enough chunks to even out long ones.
-    chunksize = max(1, num_runs // (8 * workers))
-    # Imported here: only a pooled batch pays for loading concurrent.futures.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(episode, *args, chunksize=chunksize))
+    if workers == 1 or not hasattr(os, "fork"):
+        workers = 1
+        stripes = [_play_stripe(episode, cfg, runs, base_seed)]
+    else:
+        stripes = _run_stripes(episode, cfg, runs, base_seed, workers)
+    failures = [failure for _, failure in stripes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    records = [None] * num_runs
+    for k, (stripe, _) in enumerate(stripes):
+        records[k::workers] = stripe
+    return records
 
 
 def format_record(rec: RunRecord) -> str:

@@ -1,11 +1,12 @@
 """Command line behavior: flags, exit codes, and the three subcommands."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
-from sentinel import cli
+from sentinel import cli, experiment
 from sentinel.cli import main
 from sentinel.experiment import check_record, read_records
 from sentinel.fixtures import fixture_path
@@ -401,11 +402,47 @@ def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys, fram
     assert not (tmp_path / "frames").exists()
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # Only a pooled batch needs concurrent.futures; every start-up would pay for it.
-    code = "import sys, sentinel, sentinel.cli; print('concurrent.futures' in sys.modules)"
+def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
+    # A pooled batch forks its workers directly: neither start-up nor a
+    # pooled simulate pays for loading a process pool.
+    pool = "('concurrent.futures', 'multiprocessing')"
+    code = f"import sys, sentinel, sentinel.cli; print(any(m in sys.modules for m in {pool}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert proc.stdout == "False\n", proc.stderr
+
+    out = tmp_path / "records.csv"
+    argv = ["simulate", "--eas", "1", "--runs", "4", "--seed", "1", "--out", str(out)]
+    code = (
+        "import sys; from sentinel.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(any(m in sys.modules for m in {pool}))\n"
+    )
+    env = dict(os.environ, SENTINEL_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.stdout.splitlines()[-1] == "False", proc.stderr
+    assert len(read_records(out)) == 4
+
+
+def test_a_worker_that_exits_without_reporting_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # On 2 workers a child plays runs 2 and 4; it dies on run 4.
+    parent = os.getpid()
+    real = experiment.run_episode
+
+    def run_episode(cfg, run_index, seed):
+        if run_index == 4 and os.getpid() != parent:
+            os._exit(3)
+        return real(cfg, run_index, seed)
+
+    monkeypatch.setattr(experiment, "run_episode", run_episode)
+    monkeypatch.setenv("SENTINEL_THREADS", "2")
+    out = tmp_path / "records.csv"
+    code = main(["simulate", "--eas", "0", "--runs", "5", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the worker playing stripe 1 (runs 2, 4, ...) exited with status 3"), err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_module_entry_point_runs_as_a_subprocess(tmp_path):

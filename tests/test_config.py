@@ -167,6 +167,25 @@ def test_every_non_finite_float_is_rejected_by_name():
         assert "NonFiniteValue" in err.value.violations, override
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type is float] + ["center_x", "center_y"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_an_int_too_large_for_a_float_is_rejected_by_name(key):
+    # Built in Python, a float field can hold an int that float() overflows
+    # on; validate names it instead of raising OverflowError from a check.
+    base = default_config()
+    if key in ("center_x", "center_y"):
+        cx, cy = base.center
+        override = {"center": (10**400, cy) if key == "center_x" else (cx, 10**400)}
+    else:
+        override = {key: 10**400}
+    with pytest.raises(ConfigError) as err:
+        validate(apply_overrides(base, **override))
+    assert err.value.violations == ["NonFiniteValue"]
+    assert str(err.value) == f"NonFiniteValue: {key} is too large for a float"
+
+
 @pytest.mark.parametrize(
     "overrides, derived, also",
     [

@@ -1,12 +1,14 @@
 """Batch protocol: seed mixing, episode records, files, and parallel parity."""
 
 import dataclasses
+import os
 import random
+import time
 
 import pytest
 
 from sentinel import cli, experiment
-from sentinel.config import apply_overrides, default_config
+from sentinel.config import ConfigError, apply_overrides, default_config
 from sentinel.experiment import (
     CSV_HEADER,
     RecordInvariantError,
@@ -161,16 +163,125 @@ def test_parallel_batches_match_serial_output(monkeypatch):
     assert parallel == serial
 
 
-def test_chunked_parallel_batches_match_serial_output(monkeypatch):
-    # 37 runs on 2 workers go out in chunks of 37 // 16 = 2 runs, the last
-    # chunk holding one.
+@pytest.mark.parametrize("runs, threads", [(37, "2"), (37, "3"), (4, "4")], ids=["2of37", "3of37", "4of4"])
+def test_striped_batches_match_serial_output(monkeypatch, runs, threads):
+    # Worker k plays runs k+1, k+1+workers, ...; the caller plays stripe 0.
+    # 37 runs leave stripes of unequal length; 4 of 4 is one run a stripe.
     cfg = apply_overrides(default_config(), time_limit_steps=20)
     monkeypatch.delenv("SENTINEL_THREADS", raising=False)
-    serial = run_batch(cfg, 37, 5)
-    monkeypatch.setenv("SENTINEL_THREADS", "2")
-    parallel = run_batch(cfg, 37, 5)
-    assert [r.run for r in parallel] == list(range(1, 38))
+    serial = run_batch(cfg, runs, 5)
+    monkeypatch.setenv("SENTINEL_THREADS", threads)
+    parallel = run_batch(cfg, runs, 5)
+    assert [r.run for r in parallel] == list(range(1, runs + 1))
     assert parallel == serial
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_on(bad_runs, error=ValueError):
+    """An episode that raises on the runs in bad_runs."""
+
+    def episode(cfg, run_index, seed):
+        if run_index in bad_runs:
+            raise error(f"run {run_index} broke")
+        return experiment._episode_record(cfg, run_index, seed)
+
+    return episode
+
+
+def batch_error(episode, threads):
+    with pytest.MonkeyPatch.context() as mp:
+        if threads is None:
+            mp.delenv("SENTINEL_THREADS", raising=False)
+        else:
+            mp.setenv("SENTINEL_THREADS", threads)
+        with pytest.raises(Exception) as err:
+            run_batch(apply_overrides(default_config(), time_limit_steps=20), 7, 5, episode)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad_runs",
+    [{4}, {5}, {4, 5}, {5, 6}, {2, 7}],
+    ids=["child", "caller", "child-first", "caller-first", "child-then-caller"],
+)
+def test_a_striped_batch_raises_the_error_of_the_lowest_failing_run(bad_runs):
+    # On 2 workers the caller plays runs 1, 3, 5, 7 and a child 2, 4, 6.
+    episode = failing_on(bad_runs)
+    serial = batch_error(episode, None)
+    assert serial == (ValueError, f"run {min(bad_runs)} broke")
+    assert batch_error(episode, "2") == serial
+    assert batch_error(episode, "3") == serial
+    assert_no_child_left()
+
+
+def test_a_child_error_that_does_not_pickle_comes_back_as_a_runtime_error():
+    # A ConfigError does not survive a pickle round trip: its constructor
+    # takes the violations, not the message.
+    def broken(message):
+        return ConfigError([("Broken", message)])
+
+    episode = failing_on({2}, broken)
+    assert batch_error(episode, None) == (ConfigError, "Broken: run 2 broke")
+    assert batch_error(episode, "2") == (RuntimeError, "ConfigError: Broken: run 2 broke")
+    assert_no_child_left()
+
+
+def test_a_child_that_exits_without_reporting_is_a_child_process_error(monkeypatch):
+    # On 2 workers a child plays runs 2, 4 and 6; it dies on run 4.
+    parent = os.getpid()
+
+    def episode(cfg, run_index, seed):
+        if run_index == 4 and os.getpid() != parent:
+            os._exit(3)
+        return experiment._episode_record(cfg, run_index, seed)
+
+    monkeypatch.setenv("SENTINEL_THREADS", "2")
+    cfg = apply_overrides(default_config(), time_limit_steps=20)
+    with pytest.raises(ChildProcessError, match=r"stripe 1 \(runs 2, 4, \.\.\.\) exited with status 3"):
+        run_batch(cfg, 6, 5, episode)
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_the_callers_stripe_kills_and_reaps_every_child(monkeypatch):
+    # On 3 workers the caller plays runs 1, 4, 7, ... Each child would take
+    # 10 s over its 20 slow runs; the caller kills them instead of waiting.
+    parent = os.getpid()
+
+    def episode(cfg, run_index, seed):
+        if os.getpid() != parent:
+            time.sleep(0.5)
+        elif run_index == 4:
+            raise KeyboardInterrupt
+        return experiment._episode_record(cfg, run_index, seed)
+
+    monkeypatch.setenv("SENTINEL_THREADS", "3")
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(apply_overrides(default_config(), time_limit_steps=20), 60, 5, episode)
+    assert time.perf_counter() - start < 5
+    assert_no_child_left()
+
+
+def test_without_fork_a_pooled_batch_plays_serially(monkeypatch):
+    cfg = apply_overrides(default_config(), time_limit_steps=20)
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    serial = run_batch(cfg, 5, 3)
+    monkeypatch.setenv("SENTINEL_THREADS", "2")
+    monkeypatch.delattr(os, "fork")
+    parent = os.getpid()
+    pids = []
+
+    def episode(cfg, run_index, seed):
+        pids.append(os.getpid())
+        return experiment._episode_record(cfg, run_index, seed)
+
+    assert run_batch(cfg, 5, 3, episode) == serial
+    assert pids == [parent] * 5
 
 
 def test_worker_count_parsing(monkeypatch):
