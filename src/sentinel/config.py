@@ -24,6 +24,10 @@ SPEED_FLOOR_ULPS = 1024
 # memory or raise long before it built the world.
 MAX_TOTAL_DRONES = 1_000_000
 
+# Tolerance for "sitting exactly on a patrol circle". Circle walking
+# recomputes positions from the circle equation, so drift stays below this.
+ON_CIRCLE_EPS = 1e-9
+
 
 def _quotient(a, b):
     """a / b, or nan where the division raises: a zero divisor, or an int
@@ -32,6 +36,14 @@ def _quotient(a, b):
         return a / b
     except ArithmeticError:
         return math.nan
+
+
+def _shown(value):
+    """value as a message shows it: an int of more than 1,000 bits by its
+    size, since str() refuses an int of more than 4,300 digits."""
+    if type(value) is int and value.bit_length() > 1000:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+    return value
 
 
 def _fits_float(value) -> bool:
@@ -89,6 +101,9 @@ class SimConfig:
                          agents' orbit
     circles_inside:      both circles, widened by a rounding margin, lie
                          strictly inside the map
+    scan_reach:          patrol_radius + detection_radius plus a rounding
+                         margin: a drone on its patrol circle sees no enemy
+                         farther than this from the center
     """
 
     total_drones: int = 6
@@ -129,6 +144,11 @@ class SimConfig:
         except ArithmeticError:
             inside = False
         set_attr(self, "circles_inside", inside)
+        try:
+            reach = self.patrol_radius + self.detection_radius + ON_CIRCLE_EPS + 1e-9 * self.map_size
+        except ArithmeticError:
+            reach = math.nan
+        set_attr(self, "scan_reach", reach)
 
 
 def default_config() -> SimConfig:
@@ -159,7 +179,8 @@ def validate(cfg: SimConfig) -> SimConfig:
                 "floor_ulps": SPEED_FLOOR_ULPS,
                 "max_drones": MAX_TOTAL_DRONES,
             }
-            bad.append((name, detail.format(**extra, **values)))
+            shown = {k: _shown(v) for k, v in values.items()}
+            bad.append((name, detail.format(**extra, **shown)))
 
     floats = {k: v for k, v in values.items() if isinstance(v, float)}
     if all(map(math.isfinite, floats.values())):

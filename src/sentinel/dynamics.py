@@ -7,17 +7,18 @@ the step index the call advances the world to. A policy returns the position
 its entity moves to. A drone's or an agent's is clamped to the map when it
 is off it, which can happen only when a patrol or orbit circle comes within
 a rounding margin of a wall (cfg.circles_inside is False); an enemy's needs
-no clamp, since it stops on the centre.
+no clamp, since it stops on the centre. A drone on its arc point takes no
+threat scan while every enemy is farther than cfg.scan_reach from the
+centre, since the scan could find none.
 """
 
 import math
 import random
 
 from . import enforcement
-from .config import SimConfig
+from .config import ON_CIRCLE_EPS, SimConfig
 from .world import (
     MALICIOUS,
-    ON_CIRCLE_EPS,
     TAU,
     Drone,
     Enemy,
@@ -197,9 +198,28 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    and agent starts on its circle, and every target is the mover's own
     #    position, a circle point, or a move_toward between two points on
     #    the map (positions, enemies, circle points), which stays on it.
+    #    A drone standing on the arc point it was sent to is on its patrol
+    #    circle up to rounding, so while every enemy is farther than
+    #    cfg.scan_reach from the centre its scan would find none (triangle
+    #    inequality): it records no threat and patrols, as either policy
+    #    would. A nan reach compares false, so it never skips.
+    reach, center = cfg.scan_reach, cfg.center
+    for e in world.enemies:
+        if not distance(e.position, center) > reach:
+            far = False
+            break
+    else:
+        far = True
     m, inside = cfg.map_size, cfg.circles_inside
     for d in world.drones:
-        x, y = target = malicious_policy(d, world, cfg) if d.role is MALICIOUS else compliant_policy(d, world, cfg)
+        if far and d.arc is not None and d.arc[0] == d.position:
+            d.threat = None
+            target = _sector_patrol_move(d, cfg)
+        elif d.role is MALICIOUS:
+            target = malicious_policy(d, world, cfg)
+        else:
+            target = compliant_policy(d, world, cfg)
+        x, y = target
         d.prev_position = d.position
         d.position = target if inside or 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
 

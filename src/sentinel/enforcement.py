@@ -9,10 +9,9 @@ are merely mid-turn.
 
 import math
 
-from .config import SimConfig
+from .config import ON_CIRCLE_EPS, SimConfig
 from .world import (
     MALICIOUS,
-    ON_CIRCLE_EPS,
     REFORMED,
     TAU,
     EnforcementAgentState,

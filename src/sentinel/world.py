@@ -14,11 +14,6 @@ Point2 = tuple[float, float]
 TAU = 2.0 * math.pi
 
 
-# Tolerance for "sitting exactly on a patrol circle". Circle walking
-# recomputes positions from the circle equation, so drift stays below this.
-ON_CIRCLE_EPS = 1e-9
-
-
 # Euclidean distance between two (x, y) pairs, such as a position and
 # cfg.center; bit for bit the same as math.hypot(ax - bx, ay - by).
 distance = math.dist
@@ -89,8 +84,10 @@ class Drone:
     the nearest enemy within detection range of that position when the
     drone chose the move, or None. Every policy makes that scan, so a drone
     that ignores the threat can be judged against what it saw; an enemy
-    exactly detection_radius away is still a threat. Both are None until
-    the first step.
+    exactly detection_radius away is still a threat. step() skips the scan
+    of a drone on its arc point while every enemy is farther than
+    cfg.scan_reach from the center, and stores None, what the scan would
+    find. Both are None until the first step.
 
     arc is the point of its arc the drone was last sent to and that point's
     sector offset; while it stands there, the patrol carries the offset.

@@ -186,6 +186,35 @@ def test_an_int_too_large_for_a_float_is_rejected_by_name(key):
     assert str(err.value) == f"NonFiniteValue: {key} is too large for a float"
 
 
+INT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type is int]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_an_int_field_of_thousands_of_digits_fails_cleanly(field, sign):
+    # str() refuses an int of more than 4,300 digits, so a message names
+    # such a value by its size; validate returns the config or raises
+    # ConfigError, never anything else.
+    value = sign * 10**5000
+    try:
+        validate(apply_overrides(default_config(), **{field: value}))
+    except ConfigError as err:
+        assert len(str(err)) < 1000, field
+        if f"{field}=" in str(err):
+            assert f"{field}={'-' if sign < 0 else ''}<16610-bit int>" in str(err)
+    else:
+        assert sign > 0 and field in ("enemy_spawn_period", "first_spawn_step", "time_limit_steps", "fps", "suspicion_threshold")
+
+
+def test_a_huge_int_is_named_by_its_size_and_a_small_one_as_before():
+    with pytest.raises(ConfigError) as err:
+        validate(apply_overrides(default_config(), num_malicious=10**5000))
+    assert str(err.value) == "MaliciousExceedsTotalDrones: num_malicious=<16610-bit int> > total_drones=6"
+    with pytest.raises(ConfigError) as err:
+        validate(apply_overrides(default_config(), num_malicious=2**999))
+    assert str(err.value) == f"MaliciousExceedsTotalDrones: num_malicious={2**999} > total_drones=6"
+
+
 @pytest.mark.parametrize(
     "overrides, derived, also",
     [
@@ -246,7 +275,12 @@ def test_center_must_lie_inside_the_map():
 
 # --- derived geometry ----------------------------------------------------------
 
-DERIVED = ("half_sector", "patrol_step", "orbit_step", "circles_inside")
+DERIVED = ("half_sector", "patrol_step", "orbit_step", "scan_reach", "circles_inside")
+
+
+def _reach(patrol_radius, detection_radius, map_size=120.0):
+    # Summed in the order __post_init__ sums them; 1e-9 is ON_CIRCLE_EPS.
+    return patrol_radius + detection_radius + 1e-9 + 1e-9 * map_size
 
 
 def _derived(cfg):
@@ -255,7 +289,7 @@ def _derived(cfg):
 
 def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     cfg = default_config()
-    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, True)
+    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True)
     assert not set(DERIVED) & {f.name for f in dataclasses.fields(cfg)}
     assert not any(name in repr(cfg) for name in DERIVED)
     # == and hash read the fields alone.
@@ -263,8 +297,8 @@ def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     object.__setattr__(skewed, "circles_inside", False)
     assert skewed == cfg and hash(skewed) == hash(cfg)
     # replace() recomputes, from the new fields.
-    moved = apply_overrides(skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0))
-    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, False)
+    moved = apply_overrides(skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0), detection_radius=12.0)
+    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False)
     assert dataclasses.replace(skewed).circles_inside is True
     # A pickle, as a worker process receives its config, carries them.
     for sent in (cfg, moved):
@@ -275,7 +309,7 @@ def test_read_config_derives_the_geometry_of_the_file(tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text("center_x = 20\ntotal_drones = 3\npatrol_radius = 25\n")
     cfg = read_config(path)
-    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, False)
+    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False)
 
 
 @pytest.mark.parametrize(
@@ -296,13 +330,13 @@ def test_the_circles_are_inside_only_clear_of_every_wall(overrides, inside):
 
 def test_building_a_config_never_raises():
     # Configs are built before they are validated, so anything goes in:
-    # a quotient that cannot be taken reads nan, and a map or circle that
-    # is not finite leaves the circles not inside.
+    # a quotient or sum that cannot be taken reads nan, and a map or circle
+    # that is not finite leaves the circles not inside.
     for field in ("total_drones", "map_size", "drone_speed", "patrol_radius", "ea_orbit_radius", "center"):
         for value in (0, -1, -1.5, math.nan, math.inf, -math.inf, 10**400):
             override = (value, 60.0) if field == "center" else value
             cfg = apply_overrides(default_config(), **{field: override})
-            assert all(isinstance(v, float) for v in _derived(cfg)[:3]), (field, value)
+            assert all(isinstance(v, float) for v in _derived(cfg)[:4]), (field, value)
             if field in ("map_size", "center") or (field.endswith("radius") and not -1e300 < value < 1e300):
                 assert cfg.circles_inside is False, (field, value)
 

@@ -11,7 +11,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sentinel import dynamics, enforcement
-from sentinel.config import SPEED_FLOOR_ULPS, ConfigError, SimConfig, apply_overrides, default_config, validate
+from sentinel.config import (
+    ON_CIRCLE_EPS,
+    SPEED_FLOOR_ULPS,
+    ConfigError,
+    SimConfig,
+    apply_overrides,
+    default_config,
+    validate,
+)
 from sentinel.dynamics import (
     SteppingTerminatedEpisode,
     _fold_into_sector,
@@ -28,7 +36,6 @@ from sentinel.experiment import mix_seed, run_episode
 from sentinel.world import (
     COMPLIANT,
     MALICIOUS,
-    ON_CIRCLE_EPS,
     REFORMED,
     Drone,
     Enemy,
@@ -668,10 +675,7 @@ def test_an_enemy_moves_as_move_toward_the_centre_and_stays_on_the_map(map_size,
         p = q
 
 
-def test_skipping_the_map_test_inside_the_circles_plays_the_same_episodes():
-    # With cfg.circles_inside, step() and the agents take every target as on
-    # the map. Forced off, each target is tested and clamped when off it;
-    # an episode whose targets all lay on the map plays the same.
+def _criterion_6_and_golden_configs():
     rng = random.Random(20260819)
     configs = []
     for _ in range(10):  # the criterion-6 configs, drawn as that test draws them
@@ -681,12 +685,103 @@ def test_skipping_the_map_test_inside_the_circles_plays_the_same_episodes():
     for n in (0, 1, 2):
         configs.append(apply_overrides(default_config(), num_eas=n))
         configs.append(apply_overrides(default_config(), num_eas=n, center=(20.0, 60.0), ea_monitor_radius=40.0))
+    return configs
+
+
+def test_skipping_the_map_test_inside_the_circles_plays_the_same_episodes():
+    # With cfg.circles_inside, step() and the agents take every target as on
+    # the map. Forced off, each target is tested and clamped when off it;
+    # an episode whose targets all lay on the map plays the same.
+    configs = _criterion_6_and_golden_configs()
     assert {c.circles_inside for c in configs} == {True, False}
     for cfg in configs:
         tested = dataclasses.replace(cfg)
         object.__setattr__(tested, "circles_inside", False)
         for run in (1, 2):
             assert _events_and_record(cfg, run) == _events_and_record(tested, run), (cfg, run)
+
+
+def test_skipping_the_scan_while_every_enemy_is_out_of_reach_plays_the_same_episodes(monkeypatch):
+    # While every enemy is farther than cfg.scan_reach from the centre, a
+    # drone on its arc point takes no scan. Forced off by an infinite reach,
+    # every drone scans every step; the episodes play the same, with fewer
+    # scans when the skip is on.
+    scans = {"skip": 0, "forced": 0}
+    scan = dynamics.nearest_enemy
+    mode = "skip"
+
+    def counted(*args):
+        scans[mode] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(dynamics, "nearest_enemy", counted)
+    for cfg in _criterion_6_and_golden_configs():
+        forced = dataclasses.replace(cfg)
+        object.__setattr__(forced, "scan_reach", math.inf)
+        for run in (1, 2):
+            mode = "skip"
+            skipped = _events_and_record(cfg, run)
+            mode = "forced"
+            assert skipped == _events_and_record(forced, run), (cfg, run)
+    assert scans["skip"] < scans["forced"]
+
+
+def test_a_nan_scan_reach_skips_no_scan():
+    # No gap compares above nan, so no enemy counts as out of reach.
+    cfg = dataclasses.replace(default_config())
+    object.__setattr__(cfg, "scan_reach", math.nan)
+    rng = random.Random(2)
+    world = initial_world(cfg, rng)
+    step(world, cfg, rng)
+    d = world.drones[0]
+    assert d.arc[0] == d.position
+    enemy = Enemy(0, (d.position[0] + 5.0, d.position[1]), 0)
+    world.enemies.append(enemy)
+    step(world, cfg, rng)
+    assert d.threat is enemy
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=1e-3, max_value=1e300),
+    st.tuples(*[st.floats(min_value=0.01, max_value=0.99)] * 2),
+    st.floats(min_value=0.1, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.02, max_value=2.0),
+    st.integers(0, 5),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([1, -1]),
+    st.one_of(st.just(0.0), st.floats(min_value=-1e-3, max_value=1e-3)),
+    st.integers(0, 2**20),
+)
+def test_the_scan_reach_never_hides_a_threat(map_size, at, patrol, detection, drone_id, offset, way, turn, past):
+    # A drone on an arc point, built as the patrol builds it, and an enemy
+    # just past cfg.scan_reach from the centre, at about the drone's bearing:
+    # the drone's scan finds nothing, at any map scale.
+    fields = {name: getattr(default_config(), name) * (map_size / 120.0) for name in FLOAT_FIELDS}
+    fields.update(
+        map_size=map_size,
+        center=(at[0] * map_size, at[1] * map_size),
+        patrol_radius=patrol * map_size / 2.0,
+        detection_radius=detection * map_size,
+    )
+    try:
+        cfg = validate(apply_overrides(default_config(), **fields))
+    except ConfigError:
+        reject()
+    sent = (0.0, 0.0)
+    drone = Drone(id=drone_id, position=sent, role=COMPLIANT, patrol_dir=way, arc=(sent, offset * cfg.half_sector))
+    x, y = pos = dynamics._sector_patrol_move(drone, cfg)
+    assert drone.arc[0] == pos
+    (cx, cy), reach = cfg.center, cfg.scan_reach
+    bearing = math.atan2(y - cy, x - cx) + turn
+    for k in range(past, past + 1000):
+        rho = reach + k * math.ulp(reach)
+        enemy = (cx + rho * math.cos(bearing), cy + rho * math.sin(bearing))
+        if distance(enemy, cfg.center) > reach:
+            break
+    else:
+        reject()
+    assert nearest_enemy(pos, [Enemy(0, enemy, 0)], cfg.detection_radius) is None, (pos, enemy, cfg)
 
 
 def test_only_a_target_off_the_map_is_clamped(monkeypatch):
