@@ -203,7 +203,8 @@ def test_an_int_field_of_thousands_of_digits_fails_cleanly(field, sign):
         if f"{field}=" in str(err):
             assert f"{field}={'-' if sign < 0 else ''}<16610-bit int>" in str(err)
     else:
-        assert sign > 0 and field in ("enemy_spawn_period", "first_spawn_step", "time_limit_steps", "fps", "suspicion_threshold")
+        # Only a lower bound holds these back.
+        assert sign > 0 and field not in ("total_drones", "num_malicious", "num_eas"), field
 
 
 def test_a_huge_int_is_named_by_its_size_and_a_small_one_as_before():
