@@ -28,6 +28,9 @@ MAX_TOTAL_DRONES = 1_000_000
 # recomputes positions from the circle equation, so drift stays below this.
 ON_CIRCLE_EPS = 1e-9
 
+# A full turn, in radians.
+TAU = 2.0 * math.pi
+
 
 def _quotient(a, b):
     """a / b, or nan where the division raises: a zero divisor, or an int
@@ -104,6 +107,9 @@ class SimConfig:
     scan_reach:          patrol_radius + detection_radius plus a rounding
                          margin: a drone on its patrol circle sees no enemy
                          farther than this from the center
+    sector_centers:      TAU * i / total_drones for each drone id i, the
+                         angle of each drone's sector centre; () unless
+                         total_drones is an int from 1 to MAX_TOTAL_DRONES
     """
 
     total_drones: int = 6
@@ -131,7 +137,8 @@ class SimConfig:
         # Plain attributes, not fields: fields(), ==, hash and repr see only
         # the knobs, replace() runs this again and a pickle carries them.
         # Configs are built before they are validated, so this never
-        # raises: what cannot be computed reads nan, or not inside.
+        # raises: what cannot be computed reads nan, not inside, or no
+        # sector centres.
         set_attr = object.__setattr__
         set_attr(self, "half_sector", _quotient(math.pi, self.total_drones))
         set_attr(self, "patrol_step", _quotient(self.drone_speed, self.patrol_radius))
@@ -149,6 +156,9 @@ class SimConfig:
         except ArithmeticError:
             reach = math.nan
         set_attr(self, "scan_reach", reach)
+        n = self.total_drones
+        ok = isinstance(n, int) and 1 <= n <= MAX_TOTAL_DRONES
+        set_attr(self, "sector_centers", tuple(TAU * i / n for i in range(n)) if ok else ())
 
 
 def default_config() -> SimConfig:

@@ -19,7 +19,6 @@ from . import enforcement
 from .config import ON_CIRCLE_EPS, SimConfig
 from .world import (
     MALICIOUS,
-    TAU,
     Drone,
     Enemy,
     Event,
@@ -39,11 +38,6 @@ class SteppingTerminatedEpisode(RuntimeError):
     """Raised when step() is called on a world whose outcome is already set."""
 
 
-def _wrap_angle(a: float) -> float:
-    """Fold an angle into [-pi, pi)."""
-    return math.atan2(math.sin(a), math.cos(a))
-
-
 def _fold_into_sector(offset: float, half_width: float, direction: int) -> tuple[float, int]:
     # Reflect the angular offset back into [-half_width, half_width],
     # flipping the sweep direction once per bounce. A whole period of
@@ -60,40 +54,47 @@ def _fold_into_sector(offset: float, half_width: float, direction: int) -> tuple
     return offset, direction
 
 
+def _sweep(drone: Drone, offset: float, cfg: SimConfig) -> Point2:
+    """The arc point one patrol step on from sector offset ``offset``, where
+    the drone stands: the offset moves by patrol_step in patrol_dir (+1 or
+    -1, so a subtraction is bit for bit the step times -1), reversing at the
+    sector boundaries. Updates drone.patrol_dir and drone.arc."""
+    half = cfg.half_sector
+    if drone.patrol_dir > 0:
+        offset += cfg.patrol_step
+    else:
+        offset -= cfg.patrol_step
+    if offset > half or offset < -half:
+        offset, drone.patrol_dir = _fold_into_sector(offset, half, drone.patrol_dir)
+    (cx, cy), radius = cfg.center, cfg.patrol_radius
+    angle = cfg.sector_centers[drone.id] + offset
+    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    drone.arc = (target, offset)
+    return target
+
+
 def _sector_patrol_move(drone: Drone, cfg: SimConfig) -> Point2:
     """Target position for one patrol step along the drone's own sector arc.
 
     Off the arc (after a pursuit) the drone heads straight back to the
-    nearest point of its arc; on it, it sweeps at drone_speed, reversing at
-    the sector boundaries. Updates drone.patrol_dir and drone.arc as it goes.
+    nearest point of its arc; on it, it sweeps (_sweep). Updates
+    drone.patrol_dir and drone.arc as it goes.
     """
-    radius = cfg.patrol_radius
-    half = cfg.half_sector
-    sector_center = TAU * drone.id / cfg.total_drones
-
     arc = drone.arc
     if arc is not None and arc[0] == drone.position:
-        offset, on_arc = arc[1], True
+        return _sweep(drone, arc[1], cfg)
+    half, sector_center = cfg.half_sector, cfg.sector_centers[drone.id]
+    r = distance(drone.position, cfg.center)
+    if r == 0.0:
+        offset = 0.0
     else:
-        r = distance(drone.position, cfg.center)
-        if r == 0.0:
-            offset = 0.0
-        else:
-            (x, y), (cx, cy) = drone.position, cfg.center
-            offset = _wrap_angle(math.atan2(y - cy, x - cx) - sector_center)
-        on_arc = abs(r - radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12
-
-    if not on_arc:
-        drone.arc = None
-        return circle_step(drone.position, sector_center + min(max(offset, -half), half), radius, cfg)
-    offset += drone.patrol_dir * cfg.patrol_step
-    if offset > half or offset < -half:
-        offset, drone.patrol_dir = _fold_into_sector(offset, half, drone.patrol_dir)
-    cx, cy = cfg.center
-    angle = sector_center + offset
-    target = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
-    drone.arc = (target, offset)
-    return target
+        (x, y), (cx, cy) = drone.position, cfg.center
+        a = math.atan2(y - cy, x - cx) - sector_center
+        offset = math.atan2(math.sin(a), math.cos(a))  # folded into [-pi, pi)
+    if abs(r - cfg.patrol_radius) <= ON_CIRCLE_EPS and abs(offset) <= half + 1e-12:
+        return _sweep(drone, offset, cfg)
+    drone.arc = None
+    return circle_step(drone.position, sector_center + min(max(offset, -half), half), cfg.patrol_radius, cfg)
 
 
 def compliant_policy(drone: Drone, world: WorldState, cfg: SimConfig) -> Point2:
@@ -212,9 +213,10 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
         far = True
     m, inside = cfg.map_size, cfg.circles_inside
     for d in world.drones:
-        if far and d.arc is not None and d.arc[0] == d.position:
+        arc = d.arc
+        if far and arc is not None and arc[0] == d.position:
             d.threat = None
-            target = _sector_patrol_move(d, cfg)
+            target = _sweep(d, arc[1], cfg)
         elif d.role is MALICIOUS:
             target = malicious_policy(d, world, cfg)
         else:

@@ -9,11 +9,10 @@ are merely mid-turn.
 
 import math
 
-from .config import ON_CIRCLE_EPS, SimConfig
+from .config import ON_CIRCLE_EPS, TAU, SimConfig
 from .world import (
     MALICIOUS,
     REFORMED,
-    TAU,
     EnforcementAgentState,
     Event,
     Point2,

@@ -113,42 +113,13 @@ def format_summary_table(columns: list[tuple[str, AggregateStats]]) -> str:
 # Reference summaries for the 0/1/2 agent configurations, used by
 # the --verify flag to call out where recomputed aggregates differ.
 REFERENCE_AGGREGATES = {
-    0: AggregateStats(
-        ea=0,
-        n_runs=30,
-        success_rate_pct=0.0,
-        avg_duration_s=14.0,
-        duration_std_s=7.9,
-        avg_steps=168.3,
-        avg_reformed=0.00,
-        reformed_std=0.00,
-        avg_malicious=1.00,
-        malicious_std=0.00,
-    ),
-    1: AggregateStats(
-        ea=1,
-        n_runs=30,
-        success_rate_pct=7.4,
-        avg_duration_s=23.9,
-        duration_std_s=28.1,
-        avg_steps=263.5,
-        avg_reformed=0.20,
-        reformed_std=0.41,
-        avg_malicious=1.00,
-        malicious_std=0.00,
-    ),
-    2: AggregateStats(
-        ea=2,
-        n_runs=30,
-        success_rate_pct=26.7,
-        avg_duration_s=53.5,
-        duration_std_s=42.7,
-        avg_steps=559.1,
-        avg_reformed=0.63,
-        reformed_std=0.49,
-        avg_malicious=1.00,
-        malicious_std=0.00,
-    ),
+    row[0]: AggregateStats(*row)
+    for row in (
+        # ea, n_runs, success %, duration s and std, steps, reformed and std, malicious and std
+        (0, 30, 0.0, 14.0, 7.9, 168.3, 0.00, 0.00, 1.00, 0.00),
+        (1, 30, 7.4, 23.9, 28.1, 263.5, 0.20, 0.41, 1.00, 0.00),
+        (2, 30, 26.7, 53.5, 42.7, 559.1, 0.63, 0.49, 1.00, 0.00),
+    )
 }
 
 

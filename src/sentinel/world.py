@@ -4,14 +4,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .config import SimConfig
+from .config import TAU, SimConfig
 
 # A position on the map: a plain (x, y) tuple of floats, not a class, since a
 # step builds about ten and a NamedTuple's __new__ costs ten times a tuple.
 Point2 = tuple[float, float]
-
-
-TAU = 2.0 * math.pi
 
 
 # Euclidean distance between two (x, y) pairs, such as a position and

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sentinel.config import (
     MAX_TOTAL_DRONES,
     SPEED_FLOOR_ULPS,
+    TAU,
     ConfigError,
     SimConfig,
     apply_overrides,
@@ -276,12 +278,16 @@ def test_center_must_lie_inside_the_map():
 
 # --- derived geometry ----------------------------------------------------------
 
-DERIVED = ("half_sector", "patrol_step", "orbit_step", "scan_reach", "circles_inside")
+DERIVED = ("half_sector", "patrol_step", "orbit_step", "scan_reach", "circles_inside", "sector_centers")
 
 
 def _reach(patrol_radius, detection_radius, map_size=120.0):
     # Summed in the order __post_init__ sums them; 1e-9 is ON_CIRCLE_EPS.
     return patrol_radius + detection_radius + 1e-9 + 1e-9 * map_size
+
+
+def _centers(n):
+    return tuple(TAU * i / n for i in range(n))
 
 
 def _derived(cfg):
@@ -290,7 +296,7 @@ def _derived(cfg):
 
 def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     cfg = default_config()
-    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True)
+    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True, _centers(6))
     assert not set(DERIVED) & {f.name for f in dataclasses.fields(cfg)}
     assert not any(name in repr(cfg) for name in DERIVED)
     # == and hash read the fields alone.
@@ -299,18 +305,26 @@ def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     assert skewed == cfg and hash(skewed) == hash(cfg)
     # replace() recomputes, from the new fields.
     moved = apply_overrides(skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0), detection_radius=12.0)
-    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False)
+    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False, _centers(4))
     assert dataclasses.replace(skewed).circles_inside is True
     # A pickle, as a worker process receives its config, carries them.
     for sent in (cfg, moved):
         assert _derived(pickle.loads(pickle.dumps(sent))) == _derived(sent)
+    # Each sector centre is bit for bit the angle TAU * id / total_drones
+    # that the patrol computed per step before it was derived.
+    for n in (1, 2, 3, 6, 7, 1000, True):
+        centers = apply_overrides(cfg, total_drones=n).sector_centers
+        assert [c.hex() for c in centers] == [(TAU * i / n).hex() for i in range(n)], n
+    # A count that no world can hold builds without raising, and no centres.
+    for n in (0, -1, 6.0, MAX_TOTAL_DRONES + 1, 10**400):
+        assert SimConfig(total_drones=n).sector_centers == (), n
 
 
 def test_read_config_derives_the_geometry_of_the_file(tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text("center_x = 20\ntotal_drones = 3\npatrol_radius = 25\n")
     cfg = read_config(path)
-    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False)
+    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False, _centers(3))
 
 
 @pytest.mark.parametrize(
@@ -498,3 +512,53 @@ def test_every_field_written_as_its_repr_loads_back(tmp_path_factory, seed, fail
     path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
     path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()), encoding="utf-8")
     assert load_config(path) == cfg
+
+
+# --- property over every field --------------------------------------------------
+
+HUGE = 10**5000
+# Each type's extremes: ints of thousands of digits, bools and the drone
+# limit; floats with both zeros, subnormals, the largest finite, inf and
+# nan; and ints in float fields, as a config built in Python may hold.
+INTS = st.one_of(
+    st.integers(-HUGE, HUGE),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, MAX_TOTAL_DRONES, MAX_TOTAL_DRONES + 1, 2**63, HUGE, -HUGE]),
+)
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-HUGE, HUGE),
+)
+
+
+def _extremes(kind):
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return INTS
+    if kind is float:
+        return FLOATS
+    return st.tuples(FLOATS, FLOATS)  # center
+
+
+# Each field keeps its default or takes an extreme, so that single broken
+# rules are drawn as well as configs that break many.
+EVERY_FIELD = st.fixed_dictionaries(
+    {f.name: st.one_of(st.just(getattr(default_config(), f.name)), _extremes(f.type)) for f in dataclasses.fields(SimConfig)}
+)
+
+
+@PROPERTY_SETTINGS
+@given(EVERY_FIELD)
+def test_validate_returns_the_config_or_raises_config_error_in_bounded_time(fields):
+    # Building never raises, and validate names what is wrong instead of
+    # failing on it. The slowest config to build holds MAX_TOTAL_DRONES
+    # sector centres, about 0.15 s on a 2-vCPU VM.
+    start = time.perf_counter()
+    cfg = SimConfig(**fields)
+    try:
+        assert validate(cfg) is cfg
+    except ConfigError:
+        pass
+    assert time.perf_counter() - start < 2.0

@@ -14,6 +14,7 @@ from sentinel import dynamics, enforcement
 from sentinel.config import (
     ON_CIRCLE_EPS,
     SPEED_FLOOR_ULPS,
+    TAU,
     ConfigError,
     SimConfig,
     apply_overrides,
@@ -782,6 +783,50 @@ def test_the_scan_reach_never_hides_a_threat(map_size, at, patrol, detection, dr
     else:
         reject()
     assert nearest_enemy(pos, [Enemy(0, enemy, 0)], cfg.detection_radius) is None, (pos, enemy, cfg)
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=1e-3, max_value=1e300),
+    st.tuples(*[st.floats(min_value=0.01, max_value=0.99)] * 2),
+    st.floats(min_value=0.1, max_value=1.0, exclude_max=True),
+    st.one_of(st.integers(1, 12), st.just(1000)),
+    st.integers(0, 2**20),
+    st.sampled_from([1, -1]),
+    st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.just(None)),
+    st.sampled_from([1, -1]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_the_sweep_steps_bit_for_bit_as_the_mixed_arithmetic_did(map_size, at, patrol, n, k, way, u, edge, f):
+    # The sweep adds or subtracts patrol_step by direction and reads the
+    # sector centre from the config; before, it added patrol_dir *
+    # patrol_step and computed TAU * id / total_drones every step. The
+    # offset lies across the sector (u) or within one step of a bound,
+    # where the fold runs.
+    fields = {name: getattr(default_config(), name) * (map_size / 120.0) for name in FLOAT_FIELDS}
+    fields.update(map_size=map_size, center=(at[0] * map_size, at[1] * map_size), patrol_radius=patrol * map_size / 2.0)
+    try:
+        cfg = validate(apply_overrides(default_config(), total_drones=n, num_malicious=0, **fields))
+    except ConfigError:
+        reject()
+    half, step_angle = cfg.half_sector, cfg.patrol_step
+    offset = u * half if u is not None else edge * max(half - f * step_angle, -half)
+    drone = Drone(id=k % n, position=(0.0, 0.0), role=COMPLIANT, patrol_dir=way)
+    target = dynamics._sweep(drone, offset, cfg)
+
+    moved, direction = offset + way * step_angle, way
+    if moved > half or moved < -half:
+        moved, direction = _fold_into_sector(moved, half, way)
+    angle = TAU * drone.id / n + moved
+    (cx, cy), r = cfg.center, cfg.patrol_radius
+    expected = (cx + r * math.cos(angle), cy + r * math.sin(angle))
+
+    def bits(point, offset):
+        return [v.hex() for v in (*point, offset)]
+
+    assert bits(target, drone.arc[1]) == bits(expected, moved)
+    assert drone.arc[0] is target
+    assert drone.patrol_dir == direction
 
 
 def test_only_a_target_off_the_map_is_clamped(monkeypatch):
