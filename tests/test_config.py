@@ -310,12 +310,12 @@ def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     # A pickle, as a worker process receives its config, carries them.
     for sent in (cfg, moved):
         assert _derived(pickle.loads(pickle.dumps(sent))) == _derived(sent)
-    # Each sector centre is bit for bit the angle TAU * id / total_drones
-    # that the patrol computed per step before it was derived.
+    # Each sector centre is bit for bit TAU * id / total_drones.
     for n in (1, 2, 3, 6, 7, 1000, True):
         centers = apply_overrides(cfg, total_drones=n).sector_centers
         assert [c.hex() for c in centers] == [(TAU * i / n).hex() for i in range(n)], n
-    # A count that no world can hold builds without raising, and no centres.
+    # A count that is not an int from 1 to MAX_TOTAL_DRONES builds without
+    # raising, with no centres.
     for n in (0, -1, 6.0, MAX_TOTAL_DRONES + 1, 10**400):
         assert SimConfig(total_drones=n).sector_centers == (), n
 
@@ -545,7 +545,10 @@ def _extremes(kind):
 # Each field keeps its default or takes an extreme, so that single broken
 # rules are drawn as well as configs that break many.
 EVERY_FIELD = st.fixed_dictionaries(
-    {f.name: st.one_of(st.just(getattr(default_config(), f.name)), _extremes(f.type)) for f in dataclasses.fields(SimConfig)}
+    {
+        f.name: st.one_of(st.just(getattr(default_config(), f.name)), _extremes(f.type))
+        for f in dataclasses.fields(SimConfig)
+    }
 )
 
 

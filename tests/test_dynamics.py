@@ -797,14 +797,18 @@ def test_the_scan_reach_never_hides_a_threat(map_size, at, patrol, detection, dr
     st.sampled_from([1, -1]),
     st.floats(min_value=0.0, max_value=1.0),
 )
-def test_the_sweep_steps_bit_for_bit_as_the_mixed_arithmetic_did(map_size, at, patrol, n, k, way, u, edge, f):
+def test_the_sweep_matches_the_mixed_int_float_arithmetic_bit_for_bit(map_size, at, patrol, n, k, way, u, edge, f):
     # The sweep adds or subtracts patrol_step by direction and reads the
-    # sector centre from the config; before, it added patrol_dir *
-    # patrol_step and computed TAU * id / total_drones every step. The
-    # offset lies across the sector (u) or within one step of a bound,
-    # where the fold runs.
+    # sector centre from the config. The reference below multiplies by
+    # patrol_dir and divides TAU by the drone count instead; the two agree
+    # bit for bit. The offset lies across the sector (u) or within one step
+    # of a bound, where the fold runs.
     fields = {name: getattr(default_config(), name) * (map_size / 120.0) for name in FLOAT_FIELDS}
-    fields.update(map_size=map_size, center=(at[0] * map_size, at[1] * map_size), patrol_radius=patrol * map_size / 2.0)
+    fields.update(
+        map_size=map_size,
+        center=(at[0] * map_size, at[1] * map_size),
+        patrol_radius=patrol * map_size / 2.0,
+    )
     try:
         cfg = validate(apply_overrides(default_config(), total_drones=n, num_malicious=0, **fields))
     except ConfigError:
