@@ -10,6 +10,13 @@ a rounding margin of a wall (cfg.circles_inside is False); an enemy's needs
 no clamp, since it stops on the centre. A drone on its arc point takes no
 threat scan while every enemy is farther than cfg.scan_reach from the
 centre, since the scan could find none.
+
+Before the first spawn step (spawn_due) a world holds no enemy, so step()
+draws nothing from the rng and logs no event; no drone sees a threat, so
+both policies patrol and no agent suspects anyone. Roles, the only
+difference between two episodes' initial worlds, change nothing until
+then. That opening is a function of the config alone: experiment plays it
+once per config and starts every episode from it.
 """
 
 import math
@@ -141,10 +148,16 @@ def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
     return (0.0, m - along)
 
 
+def spawn_due(step_index: int, cfg: SimConfig) -> bool:
+    """True iff an enemy spawns at step ``step_index``: every
+    enemy_spawn_period steps from first_spawn_step on. Steps count from 1,
+    so with first_spawn_step = 0 the first spawn is at enemy_spawn_period."""
+    return step_index >= cfg.first_spawn_step and (step_index - cfg.first_spawn_step) % cfg.enemy_spawn_period == 0
+
+
 def spawn_enemies(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     """Append one enemy on the boundary when the current step is a spawn step."""
-    due = world.step >= cfg.first_spawn_step and (world.step - cfg.first_spawn_step) % cfg.enemy_spawn_period == 0
-    if not due:
+    if not spawn_due(world.step, cfg):
         return
     pos = _perimeter_point(rng.uniform(0.0, 4.0 * cfg.map_size), cfg)
     enemy = Enemy(id=world.next_enemy_id, position=pos, spawned_at=world.step)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .config import SimConfig, validate
-from .dynamics import step
+from .dynamics import spawn_due, step
 from .world import REFORMED, WorldState, initial_world
 
 _MASK64 = (1 << 64) - 1
@@ -121,12 +121,50 @@ def mix_seed(base_seed: int, run_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+# The last config whose opening was played, and that opening. A batch plays
+# one config, so one slot serves it; the slot is replaced, the list never
+# rebound, and holding the config keeps its id from being reused.
+_opening_cache: list[tuple[SimConfig, WorldState] | None] = [None]
+
+
+def opening(cfg: SimConfig) -> WorldState:
+    """The world every episode of cfg reaches before its first spawn step.
+
+    It is played from initial_world, through step(), up to the step before
+    the first one spawn_due accepts, or to the outcome if the time limit
+    comes first. No enemy exists until then, so no step draws from the rng
+    (it is None here: a draw would fail loudly) and the roles, drawn from a
+    fixed rng, steer nothing. Played once per config object and kept;
+    callers copy from it and must not change it.
+    """
+    cached = _opening_cache[0]
+    if cached is not None and cached[0] is cfg:
+        return cached[1]
+    world = initial_world(cfg, random.Random(0))
+    while world.outcome is None and not spawn_due(world.step + 1, cfg):
+        step(world, cfg, None)
+    _opening_cache[0] = (cfg, world)
+    return world
+
+
 def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, WorldState]:
     """Play one episode to termination and summarize it as a record. cfg is
     played as given and must already be valid: run_batch and load_config
-    validate, this function does not."""
+    validate, this function does not.
+
+    The episode draws its roles in initial_world, then starts from cfg's
+    opening (see opening): the positions, arcs and patrol directions every
+    episode of cfg has at the step before the first spawn, the same in each,
+    so an episode replays none of those steps.
+    """
     rng = random.Random(seed)
     world = initial_world(cfg, rng)
+    start = opening(cfg)
+    for d, o in zip(world.drones, start.drones):
+        d.position, d.prev_position, d.patrol_dir, d.arc = o.position, o.prev_position, o.patrol_dir, o.arc
+    for ea, o in zip(world.eas, start.eas):
+        ea.position, ea.arc = o.position, o.arc
+    world.step, world.outcome = start.step, start.outcome
     while world.outcome is None:
         step(world, cfg, rng)
     record = RunRecord(

@@ -1,14 +1,19 @@
 """Batch protocol: seed mixing, episode records, files, and parallel parity."""
 
+import copy
 import dataclasses
+import itertools
 import os
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sentinel import cli, experiment
-from sentinel.config import ConfigError, apply_overrides, default_config
+from sentinel import cli, dynamics, experiment
+from sentinel.config import ConfigError, apply_overrides, default_config, validate
+from sentinel.dynamics import spawn_due
 from sentinel.experiment import (
     CSV_HEADER,
     RecordInvariantError,
@@ -27,7 +32,8 @@ from sentinel.experiment import (
     _worker_count,
 )
 from sentinel.fixtures import FIXTURE_NAMES, fixture_path
-from sentinel.world import REFORMED
+from sentinel.world import REFORMED, initial_world
+from test_dynamics import _criterion_6_and_golden_configs
 
 
 # --- seed mixing ---------------------------------------------------------------
@@ -92,6 +98,85 @@ def test_reformed_count_comes_from_the_final_world():
         record, world = run_episode(cfg, seed, seed)
         assert record.reformed == sum(1 for d in world.drones if d.role is REFORMED)
         assert record.reformed <= record.malicious
+
+
+# --- the opening ------------------------------------------------------------------
+
+
+def _opening_configs():
+    # The criterion-6 and golden configs (the off-centre center = (20, 60)
+    # ones among them), and three whose opening has an edge: a first spawn
+    # at enemy_spawn_period, an empty opening, and a whole episode.
+    base = default_config()
+    return _criterion_6_and_golden_configs() + [
+        apply_overrides(base, num_eas=2, first_spawn_step=0),
+        apply_overrides(base, num_eas=2, first_spawn_step=1),
+        apply_overrides(base, num_eas=2, time_limit_steps=10),
+    ]
+
+
+def test_episodes_started_from_the_opening_play_as_episodes_stepped_from_step_0(monkeypatch):
+    # With the opening forced empty, every episode steps from initial_world;
+    # records, events and final worlds are the same.
+    configs = [validate(cfg) for cfg in _opening_configs()]
+    played = {(i, run): run_episode(cfg, run, mix_seed(3, run)) for i, cfg in enumerate(configs) for run in (1, 2)}
+    assert [experiment.opening(configs[-3 + k]).step for k in range(3)] == [14, 0, 10]
+    record, world = played[len(configs) - 1, 1]
+    assert (record.result, record.steps, world.events) == ("success", 10, [])
+
+    monkeypatch.setattr(experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0)))
+    for (i, run), expected in played.items():
+        assert run_episode(configs[i], run, mix_seed(3, run)) == expected, (configs[i], run)
+
+
+def test_drones_are_clamped_during_the_off_centre_opening(monkeypatch):
+    # The differential test covers the clamp only if the opening makes it.
+    clamps = []
+    clamp = dynamics.clamp_to_map
+    monkeypatch.setattr(dynamics, "clamp_to_map", lambda *args: clamps.append(args) or clamp(*args))
+    cfg = apply_overrides(default_config(), num_eas=1, center=(20.0, 60.0), ea_monitor_radius=40.0)
+    assert experiment.opening(cfg).step == 14
+    assert clamps
+
+
+def test_an_episode_shares_no_mutable_object_with_the_opening():
+    cfg = apply_overrides(default_config(), num_eas=2)
+    first = run_episode(cfg, 1, mix_seed(4, 1))
+    start = experiment.opening(cfg)
+    kept = copy.deepcopy(start)
+    second = run_episode(cfg, 2, mix_seed(4, 2))
+    again = run_episode(cfg, 1, mix_seed(4, 1))
+    assert again == first
+    assert experiment.opening(cfg) is start and start == kept
+    for _, world in (first, second, again):
+        for name in ("drones", "enemies", "eas", "events"):
+            assert getattr(world, name) is not getattr(start, name), name
+        for d, o in zip(world.drones, start.drones, strict=True):
+            assert d is not o
+        for ea, o in zip(world.eas, start.eas, strict=True):
+            assert ea is not o and ea.suspicion is not o.suspicion
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    limit=st.integers(1, 40),
+    first_past_limit=st.integers(-41, 5),
+    period=st.integers(1, 60),
+    eas=st.integers(0, 2),
+)
+def test_the_opening_ends_before_the_first_spawn_or_at_the_time_limit(limit, first_past_limit, period, eas):
+    first = max(0, limit + first_past_limit)
+    cfg = validate(
+        apply_overrides(
+            default_config(), time_limit_steps=limit, first_spawn_step=first, enemy_spawn_period=period, num_eas=eas
+        )
+    )
+    first_spawn = next(s for s in itertools.count(1) if spawn_due(s, cfg))
+    assert first_spawn == (first or period)
+    start = experiment.opening(cfg)
+    assert start.enemies == [] and start.events == [] and start.next_enemy_id == 0
+    assert start.step == min(first_spawn - 1, limit)
+    assert start.outcome == ("success" if first_spawn > limit else None)
 
 
 # --- batches ---------------------------------------------------------------------
