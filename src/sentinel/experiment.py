@@ -121,21 +121,20 @@ def mix_seed(base_seed: int, run_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-# The last config whose opening was played, and that opening. A batch plays
-# one config, so one slot serves it; the slot is replaced, the list never
-# rebound, and holding the config keeps its id from being reused.
+# The last config whose opening was played, and that opening: a batch plays
+# one config, so one slot serves it. The slot is replaced and the list never
+# rebound, since a traced run checks that no module global changes.
 _opening_cache: list[tuple[SimConfig, WorldState] | None] = [None]
 
 
 def opening(cfg: SimConfig) -> WorldState:
-    """The world every episode of cfg reaches before its first spawn step.
+    """The world every episode of cfg has at the step before its first
+    spawn (spawn_due), or at its end if the time limit comes first.
 
-    It is played from initial_world, through step(), up to the step before
-    the first one spawn_due accepts, or to the outcome if the time limit
-    comes first. No enemy exists until then, so no step draws from the rng
-    (it is None here: a draw would fail loudly) and the roles, drawn from a
-    fixed rng, steer nothing. Played once per config object and kept;
-    callers copy from it and must not change it.
+    Played from initial_world through step() once per config object, and
+    kept: callers copy from it and must not change it. No enemy exists
+    until then, so no step draws from the rng (None here: a draw fails
+    loudly) and the roles, drawn from a fixed rng, steer nothing.
     """
     cached = _opening_cache[0]
     if cached is not None and cached[0] is cfg:
