@@ -15,8 +15,14 @@ Before the first spawn step (spawn_due) a world holds no enemy, so step()
 draws nothing from the rng and logs no event; no drone sees a threat, so
 both policies patrol and no agent suspects anyone. Roles, the only
 difference between two episodes' initial worlds, change nothing until
-then. That opening is a function of the config alone: experiment plays it
-once per config and starts every episode from it.
+then. Nor does an enemy in the blind window after it (blind_moves): with
+cfg.circles_inside, while every enemy is farther from the centre than any
+drone or agent can see, no scan finds it, no agent logs its entry point
+and none is intercepted or breaches, so drones and agents move as with no
+enemy at all. That opening, the steps before the first spawn and the
+window, is a function of the config alone for drones and agents:
+experiment plays it once per config, and every episode starts from it and
+catches up its own enemies.
 """
 
 import math
@@ -155,6 +161,30 @@ def spawn_due(step_index: int, cfg: SimConfig) -> bool:
     return step_index >= cfg.first_spawn_step and (step_index - cfg.first_spawn_step) % cfg.enemy_spawn_period == 0
 
 
+def blind_moves(cfg: SimConfig) -> int:
+    """The length of cfg's blind window: how many moves an enemy makes from
+    the boundary while it stays farther from the centre than cfg.scan_reach
+    and, with agents, than ea_orbit_radius + ea_monitor_radius. 0 unless
+    cfg.circles_inside, as only then does every drone and agent keep within
+    its circle.
+
+    Spawns land on the boundary, no nearer the centre than its nearest
+    edge. A move closes at most enemy_speed and its rounding, which
+    validate's speed floor keeps below 1/256 of it; the divisor allows 1/64,
+    and 1e-9 * map_size is left over for the rounding of the distances.
+    """
+    if not cfg.circles_inside:
+        return 0
+    (cx, cy), m = cfg.center, cfg.map_size
+    bound = cfg.scan_reach
+    if cfg.num_eas:
+        bound = max(bound, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
+    slack = min(cx, cy, m - cx, m - cy) - bound - 1e-9 * m
+    if not slack > 0.0:  # also a nan or -inf bound
+        return 0
+    return math.floor(slack / (cfg.enemy_speed * (1.0 + 1.0 / 64.0)))
+
+
 def spawn_enemies(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     """Append one enemy on the boundary when the current step is a spawn step."""
     if not spawn_due(world.step, cfg):
@@ -209,7 +239,8 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    map: the inline test is the one clamp_to_map starts with, and it
     #    saves a call per move. With cfg.circles_inside the test is skipped,
     #    as it cannot fail in a world that initial_world built: every drone
-    #    and agent starts on its circle, and every target is the mover's own
+    #    and agent starts on its circle (or where step() moved it from there,
+    #    in experiment's opening), and every target is the mover's own
     #    position, a circle point, or a move_toward between two points on
     #    the map (positions, enemies, circle points), which stays on it.
     #    A drone standing on the arc point it was sent to is on its patrol

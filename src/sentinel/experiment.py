@@ -14,8 +14,8 @@ import os
 import random
 from dataclasses import dataclass, fields
 
-from .config import SimConfig, validate
-from .dynamics import spawn_due, step
+from .config import SimConfig, apply_overrides, validate
+from .dynamics import blind_moves, enemy_policy, spawn_enemies, step
 from .world import REFORMED, WorldState, initial_world
 
 _MASK64 = (1 << 64) - 1
@@ -128,20 +128,28 @@ _opening_cache: list[tuple[SimConfig, WorldState] | None] = [None]
 
 
 def opening(cfg: SimConfig) -> WorldState:
-    """The world every episode of cfg has at the step before its first
-    spawn (spawn_due), or at its end if the time limit comes first.
+    """The drones and agents every episode of cfg has at the end of its
+    opening: the steps before the first spawn (spawn_due) and then cfg's
+    blind window (dynamics.blind_moves), or up to the time limit if that
+    comes first.
 
-    Played from initial_world through step() once per config object, and
-    kept: callers copy from it and must not change it. No enemy exists
-    until then, so no step draws from the rng (None here: a draw fails
-    loudly) and the roles, drawn from a fixed rng, steer nothing.
+    Played from initial_world through step() once per config object, on a
+    copy of cfg whose first spawn comes after the opening, and kept:
+    callers copy from it and must not change it. It holds no enemy, so no
+    step draws from the rng (None here: a draw fails loudly) and the roles,
+    drawn from a fixed rng, steer nothing.
     """
     cached = _opening_cache[0]
     if cached is not None and cached[0] is cfg:
         return cached[1]
-    world = initial_world(cfg, random.Random(0))
-    while world.outcome is None and not spawn_due(world.step + 1, cfg):
-        step(world, cfg, None)
+    end = min(
+        (cfg.first_spawn_step or cfg.enemy_spawn_period) - 1 + blind_moves(cfg),
+        cfg.time_limit_steps,
+    )
+    held = apply_overrides(cfg, first_spawn_step=end + 1)
+    world = initial_world(held, random.Random(0))
+    while world.step < end:
+        step(world, held, None)
     _opening_cache[0] = (cfg, world)
     return world
 
@@ -151,19 +159,24 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
     played as given and must already be valid: run_batch and load_config
     validate, this function does not.
 
-    The episode draws its roles in initial_world, then starts from cfg's
-    opening (see opening): the positions, arcs and patrol directions every
-    episode of cfg has at the step before the first spawn, the same in each,
-    so an episode replays none of those steps.
+    The episode draws its roles in initial_world, which builds its drones
+    and agents from cfg's opening (see opening), the same in every episode.
+    It then catches up the enemies it spawned in the opening's blind
+    window, each spawn drawn in order and each enemy moved as often as
+    step() would have moved it, and steps on from there.
     """
     rng = random.Random(seed)
-    world = initial_world(cfg, rng)
-    start = opening(cfg)
-    for d, o in zip(world.drones, start.drones):
-        d.position, d.prev_position, d.patrol_dir, d.arc = o.position, o.prev_position, o.patrol_dir, o.arc
-    for ea, o in zip(world.eas, start.eas):
-        ea.position, ea.arc = o.position, o.arc
-    world.step, world.outcome = start.step, start.outcome
+    world = initial_world(cfg, rng, opening(cfg))
+    end, period = world.step, cfg.enemy_spawn_period
+    for s in range(cfg.first_spawn_step or period, end + 1, period):
+        world.step = s
+        spawn_enemies(world, cfg, rng)
+    world.step = end
+    # An enemy's move reads only its own position, so each makes its moves
+    # in one go.
+    for e in world.enemies:
+        for _ in range(end + 1 - e.spawned_at):
+            e.position = enemy_policy(e, cfg)
     while world.outcome is None:
         step(world, cfg, rng)
     record = RunRecord(

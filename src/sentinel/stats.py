@@ -88,6 +88,10 @@ SUMMARY_CSV_HEADER = ",".join(["label", "ea", "n_runs"] + [attr for _, attr, _ i
 
 
 def summary_csv_row(label: str, stats: AggregateStats) -> str:
+    """One row under SUMMARY_CSV_HEADER. A label, an input path, that holds
+    a comma, a quote or a line break is quoted as RFC 4180 quotes it."""
+    if any(c in label for c in ',"\r\n'):
+        label = '"' + label.replace('"', '""') + '"'
     metrics = [f"{getattr(stats, attr):.{decimals}f}" for _, attr, decimals in _TABLE_ROWS]
     return ",".join([label, str(stats.ea), str(stats.n_runs)] + metrics)
 

@@ -140,15 +140,27 @@ class WorldState:
     next_enemy_id: int = 0
 
 
-def initial_world(cfg: SimConfig, rng: random.Random) -> WorldState:
+def initial_world(cfg: SimConfig, rng: random.Random, start: "WorldState | None" = None) -> WorldState:
     """Deterministic symmetric start: drones and enforcement agents evenly
     spaced on their circles, roles drawn from ``rng``, the generator that
     keeps driving the episode afterwards. The role draw is the only
     randomness consumed here.
+
+    With ``start``, a world of cfg that holds no enemy (experiment's
+    opening), the drones and agents take its positions, patrol directions
+    and arcs instead, and the world its step and outcome; nothing else of
+    it is shared.
     """
-    cx, cy = cfg.center
     n = cfg.total_drones
     malicious = set(rng.sample(range(n), cfg.num_malicious))
+    if start is not None:
+        drones = []
+        for o in start.drones:
+            role = MALICIOUS if o.id in malicious else COMPLIANT
+            drones.append(Drone(o.id, o.position, role, o.patrol_dir, o.prev_position, arc=o.arc))
+        eas = [EnforcementAgentState(o.id, o.position, arc=o.arc) for o in start.eas]
+        return WorldState(step=start.step, drones=drones, enemies=[], eas=eas, outcome=start.outcome)
+    cx, cy = cfg.center
     drones = []
     for i in range(n):
         angle = TAU * i / n

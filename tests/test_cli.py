@@ -189,6 +189,24 @@ def test_aggregate_handles_multiple_inputs(capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", "plain"])
+def test_aggregate_quotes_a_label_that_would_split_its_csv_row(tmp_path, capsys, name):
+    # The label is the input path; csv.reader must read it back as one field.
+    import csv
+    import io
+
+    directory = tmp_path / name
+    directory.mkdir()
+    path = directory / "ea.csv"
+    path.write_bytes(fixture_path("two_ea").read_bytes())
+    assert main(["aggregate", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    header, row = list(csv.reader(io.StringIO(out.split("\n\n", 1)[0])))
+    assert len(header) == len(row) == 11
+    assert row[0] == str(path)
+    assert row[1:4] == ["2", "30", "26.7"]
+
+
 def test_aggregate_verify_confirms_the_two_agent_column(capsys):
     code = main(["aggregate", "--in", str(fixture_path("two_ea")), "--verify"])
     assert code == 0

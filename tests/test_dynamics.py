@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sentinel import dynamics, enforcement
@@ -674,6 +674,96 @@ def test_an_enemy_moves_as_move_toward_the_centre_and_stays_on_the_map(map_size,
         assert q == move_toward(p, cfg.center, cfg.enemy_speed), (p, cfg)
         assert 0.0 <= q[0] <= map_size and 0.0 <= q[1] <= map_size, (p, q, cfg)
         p = q
+
+
+def _sight_bound(cfg):
+    # How far from the centre a drone on its circle may see an enemy, and
+    # with agents how far an agent on its orbit may log one's entry point.
+    if cfg.num_eas:
+        return max(cfg.scan_reach, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
+    return cfg.scan_reach
+
+
+def _nearest_boundary_point(cfg):
+    (cx, cy), m = cfg.center, cfg.map_size
+    return min([(cx, (0.0, cy)), (cy, (cx, 0.0)), (m - cx, (m, cy)), (m - cy, (cx, m))])
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.integers(0, 3),
+    st.floats(min_value=-2.0, max_value=3000.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(0, 50),
+    st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+    st.integers(0, 2),
+)
+def test_no_enemy_comes_within_sight_during_the_blind_window(exponent, edge, moves, along, doublings, mantissa, num_eas):
+    # Maps from 1e-300 to 1e300, scaled from the defaults, with enemy_speed
+    # from its floor upward. The centre's nearest edge lies about `moves`
+    # enemy moves beyond the sight bound, so that the window is short enough
+    # to walk, and the centre lies anywhere along that edge. An enemy
+    # spawned at the nearest boundary point and moved through the window is
+    # still beyond the bound; where the nearest edge is no farther than the
+    # bound, the window is empty.
+    m = 10.0**exponent
+    fields = {name: getattr(default_config(), name) * (m / 120.0) for name in FLOAT_FIELDS}
+    fields.update(map_size=m, enemy_speed=SPEED_FLOOR_ULPS * math.ulp(m) * 2.0**doublings * mantissa)
+    base = apply_overrides(default_config(), num_eas=num_eas, **fields)
+    near = _sight_bound(base) + moves * base.enemy_speed
+    if not 0.0 < 2.0 * near < m:
+        center = (m / 2, m / 2)  # no nearer to any edge, so no longer a window
+    else:
+        other = min(max(near + along * (m - 2.0 * near), near), m - near)
+        center = [(near, other), (other, near), (m - near, other), (other, m - near)][edge]
+    cfg = validate(apply_overrides(base, center=center))
+    window = dynamics.blind_moves(cfg)
+    nearest, point = _nearest_boundary_point(cfg)
+    if not cfg.circles_inside or nearest <= _sight_bound(cfg):
+        assert window == 0, cfg
+        return
+    enemy = Enemy(0, point, 1)
+    for _ in range(window):
+        enemy.position = enemy_policy(enemy, cfg)
+    gap = distance(enemy.position, cfg.center)
+    assert gap > cfg.scan_reach, (window, cfg)
+    assert num_eas == 0 or gap > cfg.ea_orbit_radius + cfg.ea_monitor_radius, (window, cfg)
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)] * 2),
+    st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
+    st.integers(0, 2),
+)
+# A 100 map centred at (40, 50) with no agent: the orbit, of radius 45,
+# crosses the west wall, which lies 40 away, beyond the sight bound of 33.3.
+@example(2.0, (0.4, 0.5), 0.5, 0.9, 0)
+def test_the_blind_window_is_empty_unless_both_circles_are_inside_and_the_nearest_edge_is_beyond_sight(
+    exponent, at, patrol, orbit, num_eas
+):
+    # The centre anywhere on the map, and a patrol circle and an orbit each
+    # up to the map's half width: where a circle reaches a wall, even the
+    # orbit of no agent, or the nearest edge is no farther than the sight
+    # bound, no move is blind.
+    m = 10.0**exponent
+    fields = {name: getattr(default_config(), name) * (m / 120.0) for name in FLOAT_FIELDS}
+    fields.update(
+        map_size=m, center=(at[0] * m, at[1] * m), patrol_radius=patrol * m / 2.0, ea_orbit_radius=orbit * m / 2.0
+    )
+    try:
+        cfg = validate(apply_overrides(default_config(), num_eas=num_eas, **fields))
+    except ConfigError:
+        reject()
+    nearest = _nearest_boundary_point(cfg)[0]
+    window = dynamics.blind_moves(cfg)
+    if not cfg.circles_inside or nearest <= _sight_bound(cfg):
+        assert window == 0, cfg
+    else:
+        assert window == math.floor((nearest - _sight_bound(cfg) - 1e-9 * m) / (cfg.enemy_speed * (1 + 1 / 64))), cfg
 
 
 def _criterion_6_and_golden_configs():

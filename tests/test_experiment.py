@@ -106,7 +106,7 @@ def test_reformed_count_comes_from_the_final_world():
 def _opening_configs():
     # The criterion-6 and golden configs (the off-centre center = (20, 60)
     # ones among them), and three whose opening has an edge: a first spawn
-    # at enemy_spawn_period, an empty opening, and a whole episode.
+    # at enemy_spawn_period, a first spawn at step 1, and a whole episode.
     base = default_config()
     return _criterion_6_and_golden_configs() + [
         apply_overrides(base, num_eas=2, first_spawn_step=0),
@@ -115,14 +115,36 @@ def _opening_configs():
     ]
 
 
+# Each at 0, 1 and 2 agents, with the step its opening ends on: episodes
+# that end inside the blind window, a window longer than the episode, a
+# spawn on every step of the window, and no window at all (an enemy that
+# crosses the slack in one move, and an off-centre map).
+_WINDOW_CASES = [
+    (dict(time_limit_steps=20), 20),
+    (dict(time_limit_steps=25), 25),
+    (dict(enemy_speed=0.05, time_limit_steps=400), 400),
+    (dict(first_spawn_step=1, enemy_spawn_period=1), 19),
+    (dict(enemy_speed=25.0), 14),
+    (dict(center=(20.0, 60.0)), 14),
+]
+
+
 def test_episodes_started_from_the_opening_play_as_episodes_stepped_from_step_0(monkeypatch):
     # With the opening forced empty, every episode steps from initial_world;
-    # records, events and final worlds are the same.
-    configs = [validate(cfg) for cfg in _opening_configs()]
+    # records, events and final worlds are the same. At the defaults the
+    # opening runs through the blind window, 19 steps past the last one
+    # before the first spawn.
+    windows = [apply_overrides(default_config(), num_eas=n, **case) for case, _ in _WINDOW_CASES for n in range(3)]
+    configs = [validate(cfg) for cfg in _opening_configs() + windows]
     played = {(i, run): run_episode(cfg, run, mix_seed(3, run)) for i, cfg in enumerate(configs) for run in (1, 2)}
-    assert [experiment.opening(configs[-3 + k]).step for k in range(3)] == [14, 0, 10]
-    record, world = played[len(configs) - 1, 1]
+    edges = len(configs) - len(windows) - 3
+    assert [experiment.opening(configs[edges + k]).step for k in range(3)] == [33, 19, 10]
+    assert [experiment.opening(cfg).step for cfg in windows] == [end for _, end in _WINDOW_CASES for _ in range(3)]
+    record, world = played[edges + 2, 1]
     assert (record.result, record.steps, world.events) == ("success", 10, [])
+    # The episodes of 25 steps end in the window, holding the enemy of step 15.
+    record, world = played[edges + 3 + 3, 1]
+    assert (record.result, record.steps, [e.spawned_at for e in world.enemies]) == ("success", 25, [15])
 
     monkeypatch.setattr(experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0)))
     for (i, run), expected in played.items():
@@ -164,7 +186,10 @@ def test_an_episode_shares_no_mutable_object_with_the_opening():
     period=st.integers(1, 60),
     eas=st.integers(0, 2),
 )
-def test_the_opening_ends_before_the_first_spawn_or_at_the_time_limit(limit, first_past_limit, period, eas):
+def test_the_opening_ends_with_the_blind_window_or_at_the_time_limit(limit, first_past_limit, period, eas):
+    # At the default geometry the window is 19 moves at 0, 1 and 2 agents:
+    # (60 - 40 - margins) / (1 + 1/64), for spawns 60 units from the centre
+    # and a sight bound of 40.
     first = max(0, limit + first_past_limit)
     cfg = validate(
         apply_overrides(
@@ -173,10 +198,11 @@ def test_the_opening_ends_before_the_first_spawn_or_at_the_time_limit(limit, fir
     )
     first_spawn = next(s for s in itertools.count(1) if spawn_due(s, cfg))
     assert first_spawn == (first or period)
+    assert dynamics.blind_moves(cfg) == 19
     start = experiment.opening(cfg)
     assert start.enemies == [] and start.events == [] and start.next_enemy_id == 0
-    assert start.step == min(first_spawn - 1, limit)
-    assert start.outcome == ("success" if first_spawn > limit else None)
+    assert start.step == min(first_spawn - 1 + 19, limit)
+    assert start.outcome == ("success" if first_spawn - 1 + 19 >= limit else None)
 
 
 # --- batches ---------------------------------------------------------------------
@@ -252,14 +278,17 @@ def test_parallel_batches_match_serial_output(monkeypatch):
 def test_striped_batches_match_serial_output(monkeypatch, runs, threads):
     # Worker k plays runs k+1, k+1+workers, ...; the caller plays stripe 0.
     # 37 runs leave stripes of unequal length; 4 of 4 is one run a stripe.
-    cfg = apply_overrides(default_config(), time_limit_steps=20)
-    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
-    serial = run_batch(cfg, runs, 5)
-    monkeypatch.setenv("SENTINEL_THREADS", threads)
-    parallel = run_batch(cfg, runs, 5)
-    assert [r.run for r in parallel] == list(range(1, runs + 1))
-    assert parallel == serial
-    assert_no_child_left()
+    # Both limits end inside the opening's blind window, after the first
+    # spawn at step 15.
+    for limit in (20, 25):
+        cfg = apply_overrides(default_config(), time_limit_steps=limit)
+        monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+        serial = run_batch(cfg, runs, 5)
+        monkeypatch.setenv("SENTINEL_THREADS", threads)
+        parallel = run_batch(cfg, runs, 5)
+        assert [r.run for r in parallel] == list(range(1, runs + 1))
+        assert parallel == serial
+        assert_no_child_left()
 
 
 def assert_no_child_left():
