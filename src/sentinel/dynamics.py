@@ -4,25 +4,10 @@ step() applies one tick in a fixed sub-step order so that episodes are pure
 functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
-its entity moves to. A drone's or an agent's is clamped to the map when it
-is off it, which can happen only when a patrol or orbit circle comes within
-a rounding margin of a wall (cfg.circles_inside is False); an enemy's needs
-no clamp, since it stops on the centre. A drone on its arc point takes no
-threat scan while every enemy is farther than cfg.scan_reach from the
-centre, since the scan could find none.
-
-Before the first spawn step (spawn_due) a world holds no enemy, so step()
-draws nothing from the rng and logs no event; no drone sees a threat, so
-both policies patrol and no agent suspects anyone. Roles, the only
-difference between two episodes' initial worlds, change nothing until
-then. Nor does an enemy in the blind window after it (blind_moves): with
-cfg.circles_inside, while every enemy is farther from the centre than any
-drone or agent can see, no scan finds it, no agent logs its entry point
-and none is intercepted or breaches, so drones and agents move as with no
-enemy at all. That opening, the steps before the first spawn and the
-window, is a function of the config alone for drones and agents:
-experiment plays it once per config, and every episode starts from it and
-catches up its own enemies.
+its entity moves to. Each step skips work that cannot change a byte, and
+each skip is argued where it is made: the map test and the threat scan in
+step()'s drone loop, quiet steps at its interception skip, and the opening
+that every episode shares at blind_moves.
 """
 
 import math
@@ -164,14 +149,25 @@ def spawn_due(step_index: int, cfg: SimConfig) -> bool:
 def blind_moves(cfg: SimConfig) -> int:
     """The length of cfg's blind window: how many moves an enemy makes from
     the boundary while it stays farther from the centre than cfg.scan_reach
-    and, with agents, than ea_orbit_radius + ea_monitor_radius. 0 unless
-    cfg.circles_inside, as only then does every drone and agent keep within
-    its circle.
+    and, with agents, than ea_orbit_radius + ea_monitor_radius.
+
+    No enemy can be seen before the first spawn step (spawn_due), since
+    none exists, nor in this window after it: with cfg.circles_inside every
+    drone and agent keeps within its circle, so no scan finds an enemy, no
+    agent logs its entry point, none is intercepted and none breaches. Until
+    the window ends, step() draws from the rng only to spawn, logs only
+    spawns, and moves drones and agents as with no enemy, whatever the
+    roles. That opening is a function of the config alone: experiment plays
+    it once per config, and run_episode catches up each episode's enemies.
+    So the window is 0 unless cfg.circles_inside.
 
     Spawns land on the boundary, no nearer the centre than its nearest
     edge. A move closes at most enemy_speed and its rounding, which
-    validate's speed floor keeps below 1/256 of it; the divisor allows 1/64,
-    and 1e-9 * map_size is left over for the rounding of the distances.
+    validate's speed floor keeps below 1/256 of it; the divisor allows
+    1/64. Once the window is non-empty, that leaves at least 0.0115 times
+    the slack, at least 12 ulp(map_size) at the speed floor, for the
+    rounding of circle points and distances: a circle point lies at most 1
+    ulp beyond its circle (20,000 points at maps from 1e-300 to 1e300).
     """
     if not cfg.circles_inside:
         return 0
@@ -179,7 +175,7 @@ def blind_moves(cfg: SimConfig) -> int:
     bound = cfg.scan_reach
     if cfg.num_eas:
         bound = max(bound, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
-    slack = min(cx, cy, m - cx, m - cy) - bound - 1e-9 * m
+    slack = min(cx, cy, m - cx, m - cy) - bound
     if not slack > 0.0:  # also a nan or -inf bound
         return 0
     return math.floor(slack / (cfg.enemy_speed * (1.0 + 1.0 / 64.0)))
@@ -235,19 +231,17 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 2) drone motion; each drone keeps the threat it saw and the position it
     #    moved from. No policy reads another drone, so each moves as soon as
     #    it has chosen, and every choice is still made from the pre-move world.
-    #    Here, as for agents, a target is clamped only when it is off the
-    #    map: the inline test is the one clamp_to_map starts with, and it
-    #    saves a call per move. With cfg.circles_inside the test is skipped,
-    #    as it cannot fail in a world that initial_world built: every drone
-    #    and agent starts on its circle (or where step() moved it from there,
-    #    in experiment's opening), and every target is the mover's own
-    #    position, a circle point, or a move_toward between two points on
-    #    the map (positions, enemies, circle points), which stays on it.
-    #    A drone standing on the arc point it was sent to is on its patrol
-    #    circle up to rounding, so while every enemy is farther than
-    #    cfg.scan_reach from the centre its scan would find none (triangle
-    #    inequality): it records no threat and patrols, as either policy
-    #    would. A nan reach compares false, so it never skips.
+    #    The map test: a target is clamped only when it is off the map, and
+    #    with cfg.circles_inside it is not tested, as it cannot be off it.
+    #    Every drone and agent starts on its circle (initial_world), and
+    #    every target is the mover's own position, a circle point, or a
+    #    move_toward between two points on the map, which stays on it. Agents
+    #    make the same test in enforcement.
+    #    The scan skip: a drone standing on the arc point it was sent to is
+    #    on its patrol circle up to rounding, so while every enemy is farther
+    #    than cfg.scan_reach from the centre its scan would find none
+    #    (triangle inequality): it records no threat and patrols, as either
+    #    policy would. A nan reach compares false, so it never skips.
     reach, center = cfg.scan_reach, cfg.center
     for e in world.enemies:
         if not distance(e.position, center) > reach:

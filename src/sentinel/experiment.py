@@ -129,15 +129,14 @@ _opening_cache: list[tuple[SimConfig, WorldState] | None] = [None]
 
 def opening(cfg: SimConfig) -> WorldState:
     """The drones and agents every episode of cfg has at the end of its
-    opening: the steps before the first spawn (spawn_due) and then cfg's
-    blind window (dynamics.blind_moves), or up to the time limit if that
-    comes first.
+    opening: the steps before the first spawn and then cfg's blind window,
+    or up to the time limit if that comes first (dynamics.blind_moves says
+    why every episode has them).
 
     Played from initial_world through step() once per config object, on a
     copy of cfg whose first spawn comes after the opening, and kept:
-    callers copy from it and must not change it. It holds no enemy, so no
-    step draws from the rng (None here: a draw fails loudly) and the roles,
-    drawn from a fixed rng, steer nothing.
+    callers copy from it and must not change it. The rng is None, so a draw
+    would fail loudly.
     """
     cached = _opening_cache[0]
     if cached is not None and cached[0] is cfg:
@@ -160,10 +159,12 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
     validate, this function does not.
 
     The episode draws its roles in initial_world, which builds its drones
-    and agents from cfg's opening (see opening), the same in every episode.
-    It then catches up the enemies it spawned in the opening's blind
-    window, each spawn drawn in order and each enemy moved as often as
-    step() would have moved it, and steps on from there.
+    and agents from cfg's opening, and catches up the enemies it spawned in
+    the opening before it steps on. step() draws from the rng only to spawn
+    and, in the opening, logs only spawns, so the spawns drawn in order
+    leave the rng and the events as step() would. An enemy's move reads only
+    its own position, so each makes all its moves in one go, as many as
+    step() would have made.
     """
     rng = random.Random(seed)
     world = initial_world(cfg, rng, opening(cfg))
@@ -172,8 +173,6 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
         world.step = s
         spawn_enemies(world, cfg, rng)
     world.step = end
-    # An enemy's move reads only its own position, so each makes its moves
-    # in one go.
     for e in world.enemies:
         for _ in range(end + 1 - e.spawned_at):
             e.position = enemy_policy(e, cfg)
@@ -242,13 +241,13 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
     """Every stripe of the batch as _play_stripe returns it, stripe k holding
     runs k+1, k+1+workers, ...: the caller plays stripe 0 while one forked
     child per other stripe plays it and sends it back as one pickle over a
-    pipe. A child that exits without reporting raises ChildProcessError."""
-    # Imported here: only a pooled batch pays for loading pickle.
-    import pickle
-
+    pipe; one worker forks nothing. A child that exits without reporting
+    raises ChildProcessError."""
     children = {}  # pid -> (read end of its pipe, stripe), until reaped
     try:
         for k in range(1, workers):
+            import pickle  # here, so that a serial batch never loads it
+
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -313,11 +312,9 @@ def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_re
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
     runs = range(1, num_runs + 1)
     workers = _worker_count(num_runs)
-    if workers == 1 or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         workers = 1
-        stripes = [_play_stripe(episode, cfg, runs, base_seed)]
-    else:
-        stripes = _run_stripes(episode, cfg, runs, base_seed, workers)
+    stripes = _run_stripes(episode, cfg, runs, base_seed, workers)
     failures = [failure for _, failure in stripes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -38,12 +38,10 @@ def threat_seen(world: "WorldState") -> bool:
 
 
 def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
-    # Positions saturate at the walls, they never wrap. A point already on
-    # the map comes back as is, the same value the saturation would build.
+    # Positions saturate at the walls, they never wrap. Movers test the map
+    # first and clamp only a point off it (dynamics.step).
     m = cfg.map_size
     x, y = p
-    if 0.0 <= x <= m and 0.0 <= y <= m:
-        return p
     return (min(max(x, 0.0), m), min(max(y, 0.0), m))
 
 
@@ -81,10 +79,9 @@ class Drone:
     the nearest enemy within detection range of that position when the
     drone chose the move, or None. Every policy makes that scan, so a drone
     that ignores the threat can be judged against what it saw; an enemy
-    exactly detection_radius away is still a threat. step() skips the scan
-    of a drone on its arc point while every enemy is farther than
-    cfg.scan_reach from the center, and stores None, what the scan would
-    find. Both are None until the first step.
+    exactly detection_radius away is still a threat. Where step() skips the
+    scan, it stores None, what the scan would find. Both are None until the
+    first step.
 
     arc is the point of its arc the drone was last sent to and that point's
     sector offset; while it stands there, the patrol carries the offset.

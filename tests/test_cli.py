@@ -422,7 +422,8 @@ def test_bad_thread_count_is_a_runtime_error(tmp_path, monkeypatch, capsys, fram
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
     # A pooled batch forks its workers directly: neither start-up nor a
-    # pooled simulate pays for loading a process pool.
+    # pooled simulate pays for loading a process pool, and a serial one,
+    # played as one stripe with no fork, does not load pickle either.
     pool = "('concurrent.futures', 'multiprocessing')"
     code = f"import sys, sentinel, sentinel.cli; print(any(m in sys.modules for m in {pool}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
@@ -430,15 +431,16 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
 
     out = tmp_path / "records.csv"
     argv = ["simulate", "--eas", "1", "--runs", "4", "--seed", "1", "--out", str(out)]
-    code = (
-        "import sys; from sentinel.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        f"print(any(m in sys.modules for m in {pool}))\n"
-    )
-    env = dict(os.environ, SENTINEL_THREADS="2")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-    assert proc.stdout.splitlines()[-1] == "False", proc.stderr
-    assert len(read_records(out)) == 4
+    for threads, unloaded in (("2", pool), ("1", "('pickle',)")):
+        code = (
+            "import sys; from sentinel.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print(any(m in sys.modules for m in {unloaded}))\n"
+        )
+        env = dict(os.environ, SENTINEL_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.stdout.splitlines()[-1] == "False", (threads, proc.stderr)
+        assert len(read_records(out)) == 4
 
 
 def test_a_worker_that_exits_without_reporting_is_a_runtime_error(tmp_path, monkeypatch, capsys):

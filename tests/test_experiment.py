@@ -32,8 +32,7 @@ from sentinel.experiment import (
     _worker_count,
 )
 from sentinel.fixtures import FIXTURE_NAMES, fixture_path
-from sentinel.world import REFORMED, initial_world
-from test_dynamics import _criterion_6_and_golden_configs
+from sentinel.world import REFORMED
 
 
 # --- seed mixing ---------------------------------------------------------------
@@ -101,64 +100,6 @@ def test_reformed_count_comes_from_the_final_world():
 
 
 # --- the opening ------------------------------------------------------------------
-
-
-def _opening_configs():
-    # The criterion-6 and golden configs (the off-centre center = (20, 60)
-    # ones among them), and three whose opening has an edge: a first spawn
-    # at enemy_spawn_period, a first spawn at step 1, and a whole episode.
-    base = default_config()
-    return _criterion_6_and_golden_configs() + [
-        apply_overrides(base, num_eas=2, first_spawn_step=0),
-        apply_overrides(base, num_eas=2, first_spawn_step=1),
-        apply_overrides(base, num_eas=2, time_limit_steps=10),
-    ]
-
-
-# Each at 0, 1 and 2 agents, with the step its opening ends on: episodes
-# that end inside the blind window, a window longer than the episode, a
-# spawn on every step of the window, and no window at all (an enemy that
-# crosses the slack in one move, and an off-centre map).
-_WINDOW_CASES = [
-    (dict(time_limit_steps=20), 20),
-    (dict(time_limit_steps=25), 25),
-    (dict(enemy_speed=0.05, time_limit_steps=400), 400),
-    (dict(first_spawn_step=1, enemy_spawn_period=1), 19),
-    (dict(enemy_speed=25.0), 14),
-    (dict(center=(20.0, 60.0)), 14),
-]
-
-
-def test_episodes_started_from_the_opening_play_as_episodes_stepped_from_step_0(monkeypatch):
-    # With the opening forced empty, every episode steps from initial_world;
-    # records, events and final worlds are the same. At the defaults the
-    # opening runs through the blind window, 19 steps past the last one
-    # before the first spawn.
-    windows = [apply_overrides(default_config(), num_eas=n, **case) for case, _ in _WINDOW_CASES for n in range(3)]
-    configs = [validate(cfg) for cfg in _opening_configs() + windows]
-    played = {(i, run): run_episode(cfg, run, mix_seed(3, run)) for i, cfg in enumerate(configs) for run in (1, 2)}
-    edges = len(configs) - len(windows) - 3
-    assert [experiment.opening(configs[edges + k]).step for k in range(3)] == [33, 19, 10]
-    assert [experiment.opening(cfg).step for cfg in windows] == [end for _, end in _WINDOW_CASES for _ in range(3)]
-    record, world = played[edges + 2, 1]
-    assert (record.result, record.steps, world.events) == ("success", 10, [])
-    # The episodes of 25 steps end in the window, holding the enemy of step 15.
-    record, world = played[edges + 3 + 3, 1]
-    assert (record.result, record.steps, [e.spawned_at for e in world.enemies]) == ("success", 25, [15])
-
-    monkeypatch.setattr(experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0)))
-    for (i, run), expected in played.items():
-        assert run_episode(configs[i], run, mix_seed(3, run)) == expected, (configs[i], run)
-
-
-def test_drones_are_clamped_during_the_off_centre_opening(monkeypatch):
-    # The differential test covers the clamp only if the opening makes it.
-    clamps = []
-    clamp = dynamics.clamp_to_map
-    monkeypatch.setattr(dynamics, "clamp_to_map", lambda *args: clamps.append(args) or clamp(*args))
-    cfg = apply_overrides(default_config(), num_eas=1, center=(20.0, 60.0), ea_monitor_radius=40.0)
-    assert experiment.opening(cfg).step == 14
-    assert clamps
 
 
 def test_an_episode_shares_no_mutable_object_with_the_opening():

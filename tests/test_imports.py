@@ -1,7 +1,8 @@
 """Design rules of the package's imports: the runtime uses the standard
 library and itself only, its modules import each other without a cycle,
 and the CLI starts without modules that only some commands need. Also a
-source rule: no code tests identity against a literal."""
+source rule: no code tests identity against a literal; and tools/loc.py,
+which counts source lines by kind."""
 
 import ast
 import os
@@ -141,3 +142,14 @@ def test_the_literal_check_sees_into_a_bare_assert():
         "assert 0 is not count < 3\n"
     )
     assert _identity_tests_of_literals(ast.parse(source)) == [1, 4]
+
+
+def test_the_line_kinds_of_each_source_file_sum_to_its_line_count(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "tools"))
+    from loc import count_lines
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        assert sum(count_lines(path).values()) == path.read_bytes().count(b"\n"), path
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Doc\n\nstring."""\n\n# note\nx = """not\n\ndoc"""  # trailing\n')
+    assert count_lines(sample) == {"code": 2, "docstring": 2, "comment": 1, "blank": 3}

@@ -42,8 +42,7 @@ def test_clamp_saturates_at_the_walls():
 
 
 def test_clamp_matches_the_saturation_formula_bit_for_bit():
-    # The in-map fast path must return what the plain saturation returns,
-    # down to the sign of zero, and an in-map point itself.
+    # The plain saturation, down to the sign of zero.
     cfg = default_config()
     m = cfg.map_size
 
@@ -64,7 +63,6 @@ def test_clamp_matches_the_saturation_formula_bit_for_bit():
             p = (x, y)
             got, want = clamp_to_map(p, cfg), saturated(p)
             assert list(map(bits, got)) == list(map(bits, want)), (x, y)
-            assert (got is p) == (0.0 <= x <= m and 0.0 <= y <= m), (x, y)
 
 
 def test_move_toward_never_overshoots():
