@@ -50,6 +50,7 @@ from sentinel.world import (
 )
 
 from test_acceptance import random_valid_config
+from test_shortcuts import MAP_TEST, QUIET, SCAN, forced_off, unforced
 
 
 def bare_world(*drones, enemies=(), step_index=0):
@@ -519,6 +520,21 @@ def test_a_drone_clamped_onto_the_map_on_its_first_step_intercepts_an_enemy_it_d
     assert [(e.kind, e.data) for e in world.events] == [("interception", {"enemy": 0, "drone": 3})]
 
 
+def test_quiet_steps_play_the_same_episodes_as_steps_that_skip_nothing():
+    # Forced off by a dynamics.threat_seen that always reports a threat: it
+    # feeds both skips, so interception and every agent's observation then
+    # run on every step.
+    configs = [cfg for cfg, _, _ in unforced().table]
+    slack = [c.detection_radius - c.intercept_radius - c.drone_speed - c.enemy_speed for c in configs]
+    assert {s > ON_CIRCLE_EPS + 1e-9 * c.map_size for s, c in zip(slack, configs)} == {True, False}
+    assert {0, 1, 2} <= {c.num_eas for c in configs}
+    assert {c.failsafe_enabled for c in configs} == {True, False}
+    calls = forced_off(QUIET)
+    # The skips did happen.
+    for name in ("resolve_interceptions", "observe"):
+        assert unforced().calls[name] < calls[name] / 2, calls
+
+
 # --- step orchestration ----------------------------------------------------------
 
 
@@ -715,6 +731,19 @@ def test_the_blind_window_is_empty_unless_both_circles_are_inside_and_the_neares
         assert window == 0, cfg
     else:
         assert window == math.floor((nearest - _sight_bound(cfg)) / (cfg.enemy_speed * (1 + 1 / 64))), cfg
+
+
+def test_skipping_the_map_test_inside_the_circles_plays_the_same_episodes():
+    # Forced off, every target is tested against the map and clamped when off it.
+    assert {cfg.circles_inside for cfg, _, _ in unforced().table} == {True, False}
+    forced_off(MAP_TEST)
+
+
+def test_skipping_the_scan_while_every_enemy_is_out_of_reach_plays_the_same_episodes():
+    # Forced off by an infinite reach, every drone scans every step; the
+    # skip takes fewer scans.
+    calls = forced_off(SCAN)
+    assert unforced().calls["nearest_enemy"] < calls["nearest_enemy"], calls
 
 
 def test_a_nan_scan_reach_skips_no_scan():

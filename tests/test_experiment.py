@@ -34,6 +34,8 @@ from sentinel.experiment import (
 from sentinel.fixtures import FIXTURE_NAMES, fixture_path
 from sentinel.world import REFORMED
 
+from test_shortcuts import OPENING, OPENINGS, forced_off, unforced
+
 
 # --- seed mixing ---------------------------------------------------------------
 
@@ -100,6 +102,29 @@ def test_reformed_count_comes_from_the_final_world():
 
 
 # --- the opening ------------------------------------------------------------------
+
+
+def test_episodes_started_from_the_opening_play_as_episodes_stepped_from_step_0():
+    # Forced off by an experiment.opening that is an unstepped initial_world,
+    # every episode steps from step 0. At the defaults the opening runs
+    # through the blind window, 19 steps past the last one before the first
+    # spawn.
+    base = unforced()
+    ends = [(end, step, played[1]) for (_, _, end), step, played in zip(base.table, base.openings, base.played)]
+    assert [step for end, step, _ in ends if end is not None] == [end for _, end in OPENINGS]
+    for end, _, (record, world) in ends:
+        if end == 10:
+            assert (record.result, record.steps, world.events) == ("success", 10, [])
+        if end == 25:  # the episode ends inside the window, holding the enemy of step 15
+            assert (record.result, record.steps, [e.spawned_at for e in world.enemies]) == ("success", 25, [15])
+    forced_off(OPENING)
+
+
+def test_drones_are_clamped_during_the_off_centre_opening():
+    # The differential test covers the clamp only if the opening makes it.
+    table, clamped = unforced().table, unforced().clamped
+    off_centre = [c for (cfg, _, end), c in zip(table, clamped) if end == 14 and cfg.center == (20.0, 60.0)]
+    assert len(off_centre) == 6 and all(off_centre)
 
 
 def test_an_episode_shares_no_mutable_object_with_the_opening():

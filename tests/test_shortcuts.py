@@ -1,13 +1,17 @@
 """Every shortcut that can be switched off from outside src, switched off: the
-same records, events and final worlds, with each lever alone and all together."""
+same records, events and final worlds, with each lever alone and all together.
+Each lever alone is tested with its module's tests, through forced_off."""
 
 import collections
 import copy
+import functools
 import math
 import random
 
+import pytest
+
 from sentinel import dynamics, enforcement, experiment
-from sentinel.config import ON_CIRCLE_EPS, apply_overrides, default_config, validate
+from sentinel.config import apply_overrides, default_config, validate
 from sentinel.experiment import mix_seed, run_episode
 from sentinel.world import initial_world
 
@@ -24,8 +28,7 @@ SHORTCUTS = {
     "scan skip (dynamics.step)": (None, "scan_reach", math.inf),
     "opening (experiment.run_episode)": (experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0))),
 }
-QUIET, MAP_TEST, SCAN, OPENING = ((name,) for name in SHORTCUTS)
-ROWS = [QUIET, MAP_TEST, SCAN, OPENING, tuple(SHORTCUTS)]  # each alone, then all four
+QUIET, MAP_TEST, SCAN, OPENING = SHORTCUTS
 
 # The calls that quiet steps and the scan skip save, counted in the unforced
 # play and with that shortcut forced off.
@@ -55,7 +58,7 @@ OPENINGS = (
 )
 
 
-def _table():
+def table():
     """(config, runs, the step its opening ends on or None) for 55 configs."""
     base = default_config()
     # Runs 1-8: criterion-6 draws at 0-2 agents, failsafe on and off; at 0-2
@@ -84,11 +87,11 @@ def _table():
     )
 
 
-def _count(m, calls, row, *functions):
+def _count(m, calls, functions):
     for module, name in functions:
 
-        def counted(*args, real=getattr(module, name), key=(row, name)):
-            calls[key] += 1
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
             return real(*args)
 
         m.setattr(module, name, counted)
@@ -103,43 +106,46 @@ def _play(cfg, run, **attrs):
     return run_episode(cfg, run, mix_seed(1, run))
 
 
-def test_every_shortcut_forced_off_plays_the_same_episodes(monkeypatch):
-    table = _table()
-    configs = [cfg for cfg, _, _ in table]
-    slack = [c.detection_radius - c.intercept_radius - c.drone_speed - c.enemy_speed for c in configs]
-    assert len(configs) == 55
-    assert {c.circles_inside for c in configs} == {True, False}
-    assert {s > ON_CIRCLE_EPS + 1e-9 * c.map_size for s, c in zip(slack, configs)} == {True, False}
-    assert {0, 1, 2} <= {c.num_eas for c in configs}
-    assert {c.failsafe_enabled for c in configs} == {True, False}
+Unforced = collections.namedtuple("Unforced", "table openings clamped played calls")
 
+
+@functools.cache
+def unforced():
+    """The table played with every shortcut on: for each config the step its
+    opening ends on, whether building the opening clamped a drone, and the
+    (record, final world) of each run; and the calls counted in the plays."""
+    rows = table()
+    calls, openings, clamped, played = collections.Counter(), [], [], []
+    with pytest.MonkeyPatch.context() as m:
+        _count(m, calls, [(dynamics, "clamp_to_map"), *SAVED[QUIET], *SAVED[SCAN]])
+        for cfg, runs, _ in rows:
+            clamps = calls["clamp_to_map"]
+            openings.append(experiment.opening(cfg).step)
+            clamped.append(calls["clamp_to_map"] > clamps)
+            played.append({run: _play(cfg, run) for run in runs})
+    return Unforced(rows, openings, clamped, played, calls)
+
+
+def forced_off(*shortcuts):
+    """Plays the table with these shortcuts switched off, asserts that every
+    play equals the unforced one, and returns the calls that they save,
+    counted in the forced plays."""
+    base = unforced()
     calls = collections.Counter()
-    for cfg, runs, end in table:
-        with monkeypatch.context() as m:
-            _count(m, calls, (), (dynamics, "clamp_to_map"), *SAVED[QUIET], *SAVED[SCAN])
-            clamps = calls[(), "clamp_to_map"]
-            assert end is None or experiment.opening(cfg).step == end, cfg
-            if end == 14 and cfg.center == (20.0, 60.0):  # an off-centre opening clamps
-                assert calls[(), "clamp_to_map"] > clamps, cfg
-            played = {run: _play(cfg, run) for run in runs}
-        record, world = played[1]
-        if end == 10:
-            assert (record.result, record.steps, world.events) == ("success", 10, [])
-        if end == 25:  # the episode ends inside the window, holding the enemy of step 15
-            assert (record.result, record.steps, [e.spawned_at for e in world.enemies]) == ("success", 25, [15])
-        for forced_off in ROWS:
-            with monkeypatch.context() as m:
-                _count(m, calls, forced_off, *SAVED.get(forced_off, ()))
-                attrs = {}
-                for module, name, value in (SHORTCUTS[shortcut] for shortcut in forced_off):
-                    if module is None:
-                        attrs[name] = value
-                    else:
-                        m.setattr(module, name, value)
-                for run in runs:
-                    assert _play(cfg, run, **attrs) == played[run], (forced_off, cfg, run)
+    with pytest.MonkeyPatch.context() as m:
+        _count(m, calls, [f for shortcut in shortcuts for f in SAVED.get(shortcut, ())])
+        attrs = {}
+        for module, name, value in (SHORTCUTS[shortcut] for shortcut in shortcuts):
+            if module is None:
+                attrs[name] = value
+            else:
+                m.setattr(module, name, value)
+        for (cfg, runs, _), played in zip(base.table, base.played):
+            for run in runs:
+                assert _play(cfg, run, **attrs) == played[run], (shortcuts, cfg, run)
+    return calls
 
-    # The skips did happen.
-    for name in ("resolve_interceptions", "observe"):
-        assert calls[(), name] < calls[QUIET, name] / 2, calls
-    assert calls[(), "nearest_enemy"] < calls[SCAN, "nearest_enemy"], calls
+
+def test_every_shortcut_forced_off_plays_the_same_episodes():
+    assert len(unforced().table) == 55
+    forced_off(*SHORTCUTS)
