@@ -7,17 +7,10 @@ import os
 import sys
 from functools import partial
 
-from .config import ConfigError, SimConfig, apply_overrides, default_config, read_config, validate
-from .experiment import RecordError, mix_seed, read_records, run_batch, run_episode, write_records
+from .config import SimConfig, apply_overrides, default_config, read_config, validate
+from .experiment import mix_seed, read_records, run_batch, run_episode, write_records
 from .render import frame_side, render_frame, write_image
-from .stats import (
-    SUMMARY_CSV_HEADER,
-    StatsError,
-    aggregate,
-    format_summary_table,
-    summary_csv_row,
-    verify_against_reference,
-)
+from .stats import SUMMARY_CSV_HEADER, aggregate, format_summary_table, summary_csv_row, verify_against_reference
 
 
 def _nonneg_int(raw: str) -> int:
@@ -138,7 +131,7 @@ def main(argv=None) -> int:
         if args.command == "aggregate":
             return _cmd_aggregate(args)
         return _cmd_render(args)
-    except (ConfigError, RecordError, StatsError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

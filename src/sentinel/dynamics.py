@@ -5,7 +5,7 @@ functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
 its entity moves to. Each step skips work that cannot change a byte, and
-each skip is argued where it is made: the map test and the threat scan in
+each skip is argued where it is made: the clamp and the threat scan in
 step()'s drone loop, quiet steps at its interception skip, and the opening
 that every episode shares at blind_moves.
 """
@@ -30,10 +30,6 @@ from .world import (
     nearest_enemy,
     threat_seen,
 )
-
-
-class SteppingTerminatedEpisode(RuntimeError):
-    """Raised when step() is called on a world whose outcome is already set."""
 
 
 def _fold_into_sector(offset: float, half_width: float, direction: int) -> tuple[float, int]:
@@ -219,9 +215,9 @@ def resolve_interceptions(world: WorldState, cfg: SimConfig) -> None:
 
 def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     """Advance the world one tick; world.outcome is set once the episode
-    ends. Raises SteppingTerminatedEpisode if it already has an outcome."""
+    ends. Raises RuntimeError if it already has an outcome."""
     if world.outcome is not None:
-        raise SteppingTerminatedEpisode(f"episode ended with {world.outcome} at step {world.step}")
+        raise RuntimeError(f"episode ended with {world.outcome} at step {world.step}")
 
     world.step += 1
 
@@ -231,12 +227,13 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 2) drone motion; each drone keeps the threat it saw and the position it
     #    moved from. No policy reads another drone, so each moves as soon as
     #    it has chosen, and every choice is still made from the pre-move world.
-    #    The map test: a target is clamped only when it is off the map, and
-    #    with cfg.circles_inside it is not tested, as it cannot be off it.
-    #    Every drone and agent starts on its circle (initial_world), and
-    #    every target is the mover's own position, a circle point, or a
-    #    move_toward between two points on the map, which stays on it. Agents
-    #    make the same test in enforcement.
+    #    The clamp skip: with cfg.circles_inside no target is off the map, so
+    #    none is clamped; otherwise every target goes through clamp_to_map,
+    #    which returns a point on the map bit for bit. Every drone and agent
+    #    starts on its circle (initial_world), and every target is the
+    #    mover's own position, a circle point, or a move_toward between two
+    #    points on the map, which stays on it. Agents skip the clamp alike in
+    #    enforcement.
     #    The scan skip: a drone standing on the arc point it was sent to is
     #    on its patrol circle up to rounding, so while every enemy is farther
     #    than cfg.scan_reach from the centre its scan would find none
@@ -249,7 +246,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
             break
     else:
         far = True
-    m, inside = cfg.map_size, cfg.circles_inside
+    inside = cfg.circles_inside
     for d in world.drones:
         arc = d.arc
         if far and arc is not None and arc[0] == d.position:
@@ -259,9 +256,8 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
             target = malicious_policy(d, world, cfg)
         else:
             target = compliant_policy(d, world, cfg)
-        x, y = target
         d.prev_position = d.position
-        d.position = target if inside or 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
+        d.position = target if inside else clamp_to_map(target, cfg)
 
     # Only the drone policies write drone.threat: one read serves the step.
     threat = threat_seen(world)

@@ -203,13 +203,13 @@ def run_enforcement_phase(world: WorldState, cfg: SimConfig, threat: bool) -> bo
                 quiet = False
                 break
     # As in dynamics.step: with cfg.circles_inside no target is off the map.
-    m, inside = cfg.map_size, cfg.circles_inside
+    inside = cfg.circles_inside
     failsafe_fired = False
     for ea in world.eas:
         if ea.suspicion or not quiet:
             update_suspicion(ea, observe(ea, world, cfg), world, cfg)
-        x, y = target = ea_policy(ea, world, cfg)
-        ea.position = target if inside or 0.0 <= x <= m and 0.0 <= y <= m else clamp_to_map(target, cfg)
+        target = ea_policy(ea, world, cfg)
+        ea.position = target if inside else clamp_to_map(target, cfg)
         attempt_reformation(ea, world, cfg)
         if ea.pursue_since is not None and failsafe_due(ea, world, cfg):
             world.events.append(Event(step=world.step, kind="failsafe", data={"ea": ea.id, "drone": ea.pursue_target}))

@@ -23,23 +23,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class RecordError(ValueError):
-    pass
-
-
-class RecordSchemaError(RecordError):
-    """The file's header line is not the record schema."""
-
-
-class RecordParseError(RecordError):
-    """A data line that does not parse; carries its 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
-
-
-class RecordInvariantError(RecordError):
-    pass
+    """A bad record, records file or set of records to aggregate; the message
+    for a bad line of a file begins ``line N:``."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,7 @@ def check_record(
     fps: int | None = None,
     total_drones: int | None = None,
 ) -> None:
-    """Raise RecordInvariantError on a malformed record.
+    """Raise RecordError on a malformed record.
 
     Structural invariants, such as a finite, non-negative time_s, are always
     enforced. The config-dependent ones run only when the matching
@@ -110,7 +95,7 @@ def check_record(
     if total_drones is not None and rec.healthy + rec.malicious != total_drones:
         bad.append(f"healthy {rec.healthy} + malicious {rec.malicious} != {total_drones}")
     if bad:
-        raise RecordInvariantError(f"run {rec.run}: " + "; ".join(bad))
+        raise RecordError(f"run {rec.run}: " + "; ".join(bad))
 
 
 def mix_seed(base_seed: int, run_index: int) -> int:
@@ -342,11 +327,11 @@ def write_records(records: list[RunRecord], dest) -> None:
 def parse_record_line(line: str, line_number: int) -> RunRecord:
     parts = line.split(",")
     if len(parts) != len(_FIELDS):
-        raise RecordParseError(line_number, f"expected {len(_FIELDS)} fields, got {len(parts)}")
+        raise RecordError(f"line {line_number}: expected {len(_FIELDS)} fields, got {len(parts)}")
     try:
         return RunRecord(*(f.type(raw) for f, raw in zip(_FIELDS, parts)))
     except ValueError as exc:
-        raise RecordParseError(line_number, str(exc)) from None
+        raise RecordError(f"line {line_number}: {exc}") from None
 
 
 def read_records(source) -> list[RunRecord]:
@@ -359,7 +344,7 @@ def read_records(source) -> list[RunRecord]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         found = lines[0] if lines else "<empty file>"
-        raise RecordSchemaError(f"expected header {CSV_HEADER!r}, found {found!r}")
+        raise RecordError(f"expected header {CSV_HEADER!r}, found {found!r}")
     records = []
     for line_number, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -367,7 +352,7 @@ def read_records(source) -> list[RunRecord]:
         rec = parse_record_line(line, line_number)
         try:
             check_record(rec)
-        except RecordInvariantError as exc:
-            raise RecordParseError(line_number, str(exc)) from None
+        except RecordError as exc:
+            raise RecordError(f"line {line_number}: {exc}") from None
         records.append(rec)
     return records

@@ -28,10 +28,6 @@ class Frame:
     pixels: bytearray  # row-major RGB, 3 bytes per pixel
 
 
-def round_half_up(v: float) -> int:
-    return math.floor(v + 0.5)
-
-
 def _fill_disc(frame: Frame, cx: int, cy: int, radius: float, color: tuple[int, int, int]) -> None:
     """Paint the pixels with dx*dx + dy*dy <= radius*radius, clipped to the
     frame, as one run of bytes per row."""
@@ -51,7 +47,7 @@ def _fill_disc(frame: Frame, cx: int, cy: int, radius: float, color: tuple[int, 
 
 
 def _px(v: float) -> int:
-    return round_half_up(v * SCALE)
+    return math.floor(v * SCALE + 0.5)
 
 
 def frame_side(cfg: SimConfig) -> int:

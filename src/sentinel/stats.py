@@ -6,19 +6,7 @@ helpers (percentages and seconds to 1 decimal, means to 2 decimals).
 
 from dataclasses import dataclass
 
-from .experiment import RunRecord
-
-
-class StatsError(ValueError):
-    pass
-
-
-class EmptyInputError(StatsError):
-    pass
-
-
-class MixedConfigurationsError(StatsError):
-    """Records with differing ea counts cannot share one summary column."""
+from .experiment import RecordError, RunRecord
 
 
 def sample_std(values: list) -> float:
@@ -45,14 +33,15 @@ class AggregateStats:
 
 
 def aggregate(records: list[RunRecord]) -> AggregateStats:
-    """One summary column over records that share an ea count."""
+    """One summary column over records that share an ea count; a RecordError
+    for no records or records of differing ea counts."""
     from statistics import fmean
 
     if not records:
-        raise EmptyInputError("no records to aggregate")
+        raise RecordError("no records to aggregate")
     eas = {r.ea for r in records}
     if len(eas) != 1:
-        raise MixedConfigurationsError(f"records mix ea counts {sorted(eas)}")
+        raise RecordError(f"records mix ea counts {sorted(eas)}")
     times = [r.time_s for r in records]
     reformed = [r.reformed for r in records]
     malicious = [r.malicious for r in records]

@@ -38,8 +38,9 @@ def threat_seen(world: "WorldState") -> bool:
 
 
 def clamp_to_map(p: Point2, cfg: SimConfig) -> Point2:
-    # Positions saturate at the walls, they never wrap. Movers test the map
-    # first and clamp only a point off it (dynamics.step).
+    # Positions saturate at the walls, they never wrap. On a tie max and min
+    # return their first argument, so a point on the map comes back bit for
+    # bit, -0.0 and the walls included (dynamics.step relies on it).
     m = cfg.map_size
     x, y = p
     return (min(max(x, 0.0), m), min(max(y, 0.0), m))

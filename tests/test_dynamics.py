@@ -22,7 +22,6 @@ from sentinel.config import (
     validate,
 )
 from sentinel.dynamics import (
-    SteppingTerminatedEpisode,
     _fold_into_sector,
     _perimeter_point,
     compliant_policy,
@@ -50,7 +49,7 @@ from sentinel.world import (
 )
 
 from test_acceptance import random_valid_config
-from test_shortcuts import MAP_TEST, QUIET, SCAN, forced_off, unforced
+from test_shortcuts import CLAMP, QUIET, SCAN, forced_off, unforced
 
 
 def bare_world(*drones, enemies=(), step_index=0):
@@ -562,7 +561,7 @@ def test_stepping_a_terminated_episode_raises():
     world = initial_world(cfg, random.Random(3))
     world.step = 1199
     step(world, cfg, random.Random(0))
-    with pytest.raises(SteppingTerminatedEpisode):
+    with pytest.raises(RuntimeError, match="^episode ended with success at step 1200$"):
         step(world, cfg, random.Random(0))
 
 
@@ -733,10 +732,10 @@ def test_the_blind_window_is_empty_unless_both_circles_are_inside_and_the_neares
         assert window == math.floor((nearest - _sight_bound(cfg)) / (cfg.enemy_speed * (1 + 1 / 64))), cfg
 
 
-def test_skipping_the_map_test_inside_the_circles_plays_the_same_episodes():
-    # Forced off, every target is tested against the map and clamped when off it.
+def test_skipping_the_clamp_inside_the_circles_plays_the_same_episodes():
+    # Forced off, every target goes through clamp_to_map.
     assert {cfg.circles_inside for cfg, _, _ in unforced().table} == {True, False}
-    forced_off(MAP_TEST)
+    forced_off(CLAMP)
 
 
 def test_skipping_the_scan_while_every_enemy_is_out_of_reach_plays_the_same_episodes():
@@ -852,16 +851,19 @@ def test_the_sweep_matches_the_mixed_int_float_arithmetic_bit_for_bit(map_size, 
     assert drone.patrol_dir == direction
 
 
-def test_only_a_target_off_the_map_is_clamped(monkeypatch):
-    # Drones and agents test the map inline and call clamp_to_map only for a
-    # target off it; enemies never leave the map. At the defaults no target
-    # is off it; on the golden edge0 config a drone starts beyond the west
-    # wall.
-    clamped = []
+def test_the_clamp_is_called_only_when_a_circle_leaves_the_map(monkeypatch):
+    # With cfg.circles_inside, as at the defaults, drones and agents never
+    # call clamp_to_map; enemies never leave the map. On the golden edge0
+    # config a drone starts beyond the west wall: every move calls it, and
+    # some calls move the target.
+    calls, clamped = [], []
 
     def counted(p, cfg):
-        clamped.append(p)
-        return clamp_to_map(p, cfg)
+        q = clamp_to_map(p, cfg)
+        calls.append(p)
+        if q != p:
+            clamped.append(p)
+        return q
 
     monkeypatch.setattr(dynamics, "clamp_to_map", counted)
     monkeypatch.setattr(enforcement, "clamp_to_map", counted)
@@ -869,11 +871,10 @@ def test_only_a_target_off_the_map_is_clamped(monkeypatch):
         cfg = apply_overrides(default_config(), num_eas=n)
         for run in (1, 2, 3):
             run_episode(cfg, run, mix_seed(1, run))
-    assert clamped == []
+    assert calls == []
     edge0 = apply_overrides(default_config(), center=(20.0, 60.0), ea_monitor_radius=40.0)
     run_episode(edge0, 1, mix_seed(1, 1))
-    assert clamped
-    assert all(clamp_to_map(p, edge0) != p for p in clamped)
+    assert 0 < len(clamped) < len(calls)
 
 
 def test_step_increments_the_counter_exactly_once():
@@ -1045,6 +1046,6 @@ def test_every_accepted_config_steps_to_the_end(overrides, num_eas, seed):
         entities = world.drones + world.enemies + world.eas
         assert all(math.isfinite(c) for e in entities for c in e.position), overrides
         if cfg.circles_inside:
-            # No map test ran, and none was needed.
+            # No clamp ran, and none was needed.
             assert all(0.0 <= c <= cfg.map_size for e in entities for c in e.position), overrides
     assert time.perf_counter() - started < 5.0

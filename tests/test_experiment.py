@@ -16,9 +16,6 @@ from sentinel.config import ConfigError, apply_overrides, default_config, valida
 from sentinel.dynamics import spawn_due
 from sentinel.experiment import (
     CSV_HEADER,
-    RecordInvariantError,
-    RecordParseError,
-    RecordSchemaError,
     RecordError,
     RunRecord,
     check_record,
@@ -407,41 +404,36 @@ def test_round_trip_identity_on_generated_records(tmp_path):
 
 
 def test_write_refuses_an_empty_table(tmp_path):
-    with pytest.raises(RecordError):
+    with pytest.raises(RecordError, match="^refusing to write an empty record table$"):
         write_records([], tmp_path / "records.csv")
 
 
 def test_read_rejects_a_wrong_header(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("run,ea,steps\n1,0,116\n")
-    with pytest.raises(RecordSchemaError):
+    with pytest.raises(RecordError, match=f"^expected header {CSV_HEADER!r}, found 'run,ea,steps'$"):
         read_records(path)
 
 
 def test_read_reports_parse_errors_with_line_numbers(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(CSV_HEADER + "\n1,0,fail,116,11.60,5,1,0\n2,0,fail,banana,1.00,5,1,0\n")
-    with pytest.raises(RecordParseError) as err:
+    with pytest.raises(RecordError, match="^line 3: invalid literal for int"):
         read_records(path)
-    assert err.value.line_number == 3
-    assert "line 3" in str(err.value)
 
 
 def test_read_reports_wrong_field_counts(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(CSV_HEADER + "\n1,0,fail,116\n")
-    with pytest.raises(RecordParseError) as err:
+    with pytest.raises(RecordError, match="^line 2: expected 8 fields, got 4$"):
         read_records(path)
-    assert err.value.line_number == 2
 
 
 def test_read_flags_invariant_violations_with_line_numbers(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(CSV_HEADER + "\n1,0,fail,116,11.60,5,1,2\n")
-    with pytest.raises(RecordParseError) as err:
+    with pytest.raises(RecordError, match="^line 2: run 1: reformed 2 > malicious 1$"):
         read_records(path)
-    assert err.value.line_number == 2
-    assert "reformed" in str(err.value)
 
 
 def test_read_skips_blank_lines(tmp_path):
@@ -452,26 +444,26 @@ def test_read_skips_blank_lines(tmp_path):
 
 def test_check_record_validates_result_against_the_step_budget():
     rec = RunRecord(run=1, ea=0, result="success", steps=900, time_s=90.0, healthy=5, malicious=1, reformed=0)
-    with pytest.raises(RecordInvariantError):
+    with pytest.raises(RecordError, match="^run 1: result 'success' inconsistent with steps 900 of 1200$"):
         check_record(rec, time_limit_steps=1200)
     check_record(rec)  # structural checks alone cannot see the budget
     # A breach or the failsafe may end a run on its last allowed step.
     check_record(dataclasses.replace(rec, result="fail", steps=1200, time_s=120.0), time_limit_steps=1200)
     for result in ("fail", "success"):
-        with pytest.raises(RecordInvariantError):
+        with pytest.raises(RecordError, match=f"^run 1: result '{result}' inconsistent with steps 1201 of 1200$"):
             check_record(dataclasses.replace(rec, result=result, steps=1201, time_s=120.1), time_limit_steps=1200)
 
 
 def test_check_record_validates_simulated_time():
     rec = RunRecord(run=1, ea=0, result="fail", steps=116, time_s=10.19, healthy=5, malicious=1, reformed=0)
-    with pytest.raises(RecordInvariantError):
+    with pytest.raises(RecordError, match=r"^run 1: time_s 10\.19 != steps/fps 11\.6$"):
         check_record(rec, fps=10)
     check_record(rec)  # structural checks alone cannot see the frame rate
 
 
 def test_check_record_rejects_unknown_results():
     rec = RunRecord(run=1, ea=0, result="draw", steps=116, time_s=11.6, healthy=5, malicious=1, reformed=0)
-    with pytest.raises(RecordInvariantError):
+    with pytest.raises(RecordError, match="^run 1: result 'draw'$"):
         check_record(rec)
 
 

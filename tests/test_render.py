@@ -18,10 +18,10 @@ from sentinel.render import (
     WHITE,
     ZONE_GRAY,
     _fill_disc,
+    _px,
     frame_side,
     ppm_bytes,
     render_frame,
-    round_half_up,
     write_image,
 )
 from sentinel.world import (
@@ -97,12 +97,14 @@ def test_disc_fill_matches_the_per_pixel_reference_randomized():
 
 
 def test_round_half_up_behavior():
-    assert round_half_up(0.5) == 1
-    assert round_half_up(1.5) == 2
-    assert round_half_up(2.4) == 2
-    assert round_half_up(2.5) == 3
-    assert round_half_up(-0.5) == 0
-    assert round_half_up(3.0) == 3
+    # Exact cases: dividing by SCALE, a power of two, and scaling back lose no bit.
+    assert SCALE == 4
+    assert _px(0.5 / SCALE) == 1
+    assert _px(1.5 / SCALE) == 2
+    assert _px(2.4 / SCALE) == 2
+    assert _px(2.5 / SCALE) == 3
+    assert _px(-0.5 / SCALE) == 0
+    assert _px(3.0 / SCALE) == 3
 
 
 def test_ppm_encoding_of_the_two_pixel_reference_frame():

@@ -5,11 +5,9 @@ import random
 
 import pytest
 
-from sentinel.experiment import RunRecord, read_records
+from sentinel.experiment import RecordError, RunRecord, read_records
 from sentinel.fixtures import fixture_path
 from sentinel.stats import (
-    EmptyInputError,
-    MixedConfigurationsError,
     SUMMARY_CSV_HEADER,
     aggregate,
     format_summary_table,
@@ -42,7 +40,7 @@ def test_sample_std_of_a_single_value_is_zero():
 
 
 def test_empty_input_is_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(RecordError, match="^no records to aggregate$"):
         aggregate([])
 
 
@@ -73,7 +71,7 @@ def test_aggregate_requires_a_homogeneous_ea_column():
         record(1, 0, "fail", 116, 11.6, 0),
         record(2, 1, "fail", 116, 11.6, 0),
     ]
-    with pytest.raises(MixedConfigurationsError):
+    with pytest.raises(RecordError, match=r"^records mix ea counts \[0, 1\]$"):
         aggregate(records)
 
 

@@ -42,7 +42,8 @@ def test_clamp_saturates_at_the_walls():
 
 
 def test_clamp_matches_the_saturation_formula_bit_for_bit():
-    # The plain saturation, down to the sign of zero.
+    # The plain saturation, down to the sign of zero; on the map, the
+    # identity, which lets movers clamp every target off the centre.
     cfg = default_config()
     m = cfg.map_size
 
@@ -63,6 +64,12 @@ def test_clamp_matches_the_saturation_formula_bit_for_bit():
             p = (x, y)
             got, want = clamp_to_map(p, cfg), saturated(p)
             assert list(map(bits, got)) == list(map(bits, want)), (x, y)
+    on_map = [0.0, -0.0, m, math.nextafter(0.0, m), math.nextafter(m, 0.0)]
+    on_map += [rng.uniform(0.0, m) for _ in range(500)]
+    for x in on_map:
+        for y in on_map[:5] + [rng.choice(on_map)]:
+            p = (x, y)
+            assert list(map(bits, clamp_to_map(p, cfg))) == list(map(bits, p)), (x, y)
 
 
 def test_move_toward_never_overshoots():
@@ -92,7 +99,7 @@ def _place(spot, m):
 @settings(max_examples=500)
 @given(st.floats(min_value=1e-300, max_value=1e300), st.lists(SPOTS, min_size=4, max_size=4), st.data())
 def test_a_move_between_two_points_on_the_map_stays_on_it(m, spots, data):
-    # dynamics.step skips the map test where every target is a circle point
+    # dynamics.step skips the clamp where every target is a circle point
     # or such a move. Each coordinate lands between the start's and the
     # target's, for a step of any size short of the gap, one ulp short of it
     # included.
