@@ -107,6 +107,8 @@ class SimConfig:
     scan_reach:          patrol_radius + detection_radius plus a rounding
                          margin: a drone on its patrol circle sees no enemy
                          farther than this from the center
+    first_spawn:         the first spawn step: first_spawn_step, or
+                         enemy_spawn_period if that is 0, as steps count from 1
     sector_centers:      TAU * i / total_drones for each drone id i, the
                          angle of each drone's sector centre; () unless
                          total_drones is an int from 1 to MAX_TOTAL_DRONES
@@ -156,6 +158,7 @@ class SimConfig:
         except ArithmeticError:
             reach = math.nan
         set_attr(self, "scan_reach", reach)
+        set_attr(self, "first_spawn", self.first_spawn_step or self.enemy_spawn_period)
         n = self.total_drones
         ok = isinstance(n, int) and 1 <= n <= MAX_TOTAL_DRONES
         set_attr(self, "sector_centers", tuple(TAU * i / n for i in range(n)) if ok else ())
@@ -202,6 +205,8 @@ def validate(cfg: SimConfig) -> SimConfig:
         if cfg.ea_orbit_radius > 0:
             floats["drone_speed/ea_orbit_radius"] = cfg.orbit_step
     bad += [("NonFiniteValue", f"{name}={value}") for name, value in floats.items() if not math.isfinite(value)]
+    non_ints = [name for name, kind in _KEY_TYPES.items() if kind is int and type(values[name]) is not int]
+    bad += [("NotAnInteger", f"{name}={values[name]!r} is not an int") for name in non_ints]
     check(cfg.total_drones > 0, "TotalDronesNotPositive", "total_drones={total_drones}")
     check(
         cfg.total_drones <= MAX_TOTAL_DRONES,

@@ -135,19 +135,12 @@ def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
     return (0.0, m - along)
 
 
-def spawn_due(step_index: int, cfg: SimConfig) -> bool:
-    """True iff an enemy spawns at step ``step_index``: every
-    enemy_spawn_period steps from first_spawn_step on. Steps count from 1,
-    so with first_spawn_step = 0 the first spawn is at enemy_spawn_period."""
-    return step_index >= cfg.first_spawn_step and (step_index - cfg.first_spawn_step) % cfg.enemy_spawn_period == 0
-
-
 def blind_moves(cfg: SimConfig) -> int:
     """The length of cfg's blind window: how many moves an enemy makes from
     the boundary while it stays farther from the centre than cfg.scan_reach
     and, with agents, than ea_orbit_radius + ea_monitor_radius.
 
-    No enemy can be seen before the first spawn step (spawn_due), since
+    No enemy can be seen before the first spawn (cfg.first_spawn), since
     none exists, nor in this window after it: with cfg.circles_inside every
     drone and agent keeps within its circle, so no scan finds an enemy, no
     agent logs its entry point, none is intercepted and none breaches. Until
@@ -178,8 +171,10 @@ def blind_moves(cfg: SimConfig) -> int:
 
 
 def spawn_enemies(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
-    """Append one enemy on the boundary when the current step is a spawn step."""
-    if not spawn_due(world.step, cfg):
+    """Append one enemy on the boundary when the current step is a spawn
+    step: every enemy_spawn_period steps from cfg.first_spawn on."""
+    s, first = world.step, cfg.first_spawn
+    if s < first or (s - first) % cfg.enemy_spawn_period:
         return
     pos = _perimeter_point(rng.uniform(0.0, 4.0 * cfg.map_size), cfg)
     enemy = Enemy(id=world.next_enemy_id, position=pos, spawned_at=world.step)

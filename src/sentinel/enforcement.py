@@ -159,18 +159,17 @@ def attempt_reformation(ea: EnforcementAgentState, world: WorldState, cfg: SimCo
 
     if suspect.role is MALICIOUS:
         suspect.role = REFORMED
-        for agent in world.eas:
-            agent.suspicion.pop(suspect.id, None)
-            if agent.pursue_target == suspect.id:
-                agent.pursue_target = None
-                agent.pursue_since = None
         world.events.append(Event(step=world.step, kind="reformation", data={"ea": ea.id, "drone": suspect.id}))
+        standing_down = world.eas
     else:
         # Raced by another agent, or a suspect that was never malicious:
-        # stand down and demand fresh evidence.
-        ea.suspicion.pop(suspect.id, None)
-        ea.pursue_target = None
-        ea.pursue_since = None
+        # this agent alone stands down and demands fresh evidence.
+        standing_down = (ea,)
+    for agent in standing_down:
+        agent.suspicion.pop(suspect.id, None)
+        if agent.pursue_target == suspect.id:
+            agent.pursue_target = None
+            agent.pursue_since = None
 
 
 def failsafe_due(ea: EnforcementAgentState, world: WorldState, cfg: SimConfig) -> bool:

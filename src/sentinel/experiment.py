@@ -126,10 +126,7 @@ def opening(cfg: SimConfig) -> WorldState:
     cached = _opening_cache[0]
     if cached is not None and cached[0] is cfg:
         return cached[1]
-    end = min(
-        (cfg.first_spawn_step or cfg.enemy_spawn_period) - 1 + blind_moves(cfg),
-        cfg.time_limit_steps,
-    )
+    end = min(cfg.first_spawn - 1 + blind_moves(cfg), cfg.time_limit_steps)
     held = apply_overrides(cfg, first_spawn_step=end + 1)
     world = initial_world(held, random.Random(0))
     while world.step < end:
@@ -153,8 +150,8 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
     """
     rng = random.Random(seed)
     world = initial_world(cfg, rng, opening(cfg))
-    end, period = world.step, cfg.enemy_spawn_period
-    for s in range(cfg.first_spawn_step or period, end + 1, period):
+    end = world.step
+    for s in range(cfg.first_spawn, end + 1, cfg.enemy_spawn_period):
         world.step = s
         spawn_enemies(world, cfg, rng)
     world.step = end
@@ -325,13 +322,16 @@ def write_records(records: list[RunRecord], dest) -> None:
 
 
 def parse_record_line(line: str, line_number: int) -> RunRecord:
+    """A records-file line as a record that passes check_record, or RecordError."""
     parts = line.split(",")
     if len(parts) != len(_FIELDS):
         raise RecordError(f"line {line_number}: expected {len(_FIELDS)} fields, got {len(parts)}")
     try:
-        return RunRecord(*(f.type(raw) for f, raw in zip(_FIELDS, parts)))
-    except ValueError as exc:
+        rec = RunRecord(*(f.type(raw) for f, raw in zip(_FIELDS, parts)))
+        check_record(rec)
+    except ValueError as exc:  # RecordError included
         raise RecordError(f"line {line_number}: {exc}") from None
+    return rec
 
 
 def read_records(source) -> list[RunRecord]:
@@ -349,10 +349,5 @@ def read_records(source) -> list[RunRecord]:
     for line_number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = parse_record_line(line, line_number)
-        try:
-            check_record(rec)
-        except RecordError as exc:
-            raise RecordError(f"line {line_number}: {exc}") from None
-        records.append(rec)
+        records.append(parse_record_line(line, line_number))
     return records

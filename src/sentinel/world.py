@@ -160,8 +160,7 @@ def initial_world(cfg: SimConfig, rng: random.Random, start: "WorldState | None"
         return WorldState(step=start.step, drones=drones, enemies=[], eas=eas, outcome=start.outcome)
     cx, cy = cfg.center
     drones = []
-    for i in range(n):
-        angle = TAU * i / n
+    for i, angle in enumerate(cfg.sector_centers):
         pos = (cx + cfg.patrol_radius * math.cos(angle), cy + cfg.patrol_radius * math.sin(angle))
         drones.append(Drone(id=i, position=pos, role=MALICIOUS if i in malicious else COMPLIANT))
     eas = []

@@ -6,7 +6,6 @@ one `criterion N (...): PASS|FAIL` line before asserting, so the printed
 transcript always carries the full scorecard.
 """
 
-import math
 import random
 import subprocess
 import sys

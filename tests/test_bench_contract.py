@@ -7,6 +7,7 @@ fails on a wrong run."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,6 +128,16 @@ def test_bench_flags_each_spread_wider_than_its_bound_and_keeps_the_exit_status(
         "cli-frames wall_s: spread 40.0% (bound 25%), WIDER than its bound: retake this file"
     ]
     assert len([line for line in out if ": spread " in line]) == 4 * 5
+
+
+def test_bench_records_an_unknown_commit_for_a_tree_without_git(bench, tmp_path, monkeypatch):
+    # A copy of the tree made without .git: only BENCHMARK.json is read.
+    checkout = tmp_path / "copy"
+    checkout.mkdir()
+    (checkout / "BENCHMARK.json").write_bytes((PERFBENCH.parent / "BENCHMARK.json").read_bytes())
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-git"))
+    assert bench.main(["copy", "--checkout", str(checkout)]) == 0
+    assert json.loads((tmp_path / "BENCH_copy.json").read_text())["commit"] == "unknown"
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from sentinel.config import (
     read_config,
     validate,
 )
+from sentinel.experiment import run_batch
 from test_acceptance import random_valid_config
 
 
@@ -218,6 +219,22 @@ def test_a_huge_int_is_named_by_its_size_and_a_small_one_as_before():
     assert str(err.value) == f"MaliciousExceedsTotalDrones: num_malicious={2**999} > total_drones=6"
 
 
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_a_float_or_bool_in_an_int_field_is_refused_by_name(field):
+    # Built in Python, an int field can hold a float or a bool: a batch at
+    # total_drones=6.0 died with a TypeError, and one at num_eas=True wrote
+    # records that read_records refuses.
+    base = default_config()
+    for value in (float(getattr(base, field)), 7.5, True):
+        with pytest.raises(ConfigError) as err:
+            validate(apply_overrides(base, **{field: value}))
+        assert "NotAnInteger" in err.value.violations, value
+        assert f"NotAnInteger: {field}={value!r} is not an int" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        run_batch(apply_overrides(base, **{field: float(getattr(base, field))}), 1, 1)
+    assert err.value.violations == ["NotAnInteger"]
+
+
 @pytest.mark.parametrize(
     "overrides, derived, also",
     [
@@ -278,7 +295,7 @@ def test_center_must_lie_inside_the_map():
 
 # --- derived geometry ----------------------------------------------------------
 
-DERIVED = ("half_sector", "patrol_step", "orbit_step", "scan_reach", "circles_inside", "sector_centers")
+DERIVED = ("half_sector", "patrol_step", "orbit_step", "scan_reach", "circles_inside", "sector_centers", "first_spawn")
 
 
 def _reach(patrol_radius, detection_radius, map_size=120.0):
@@ -296,16 +313,20 @@ def _derived(cfg):
 
 def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     cfg = default_config()
-    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True, _centers(6))
+    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True, _centers(6), 15)
     assert not set(DERIVED) & {f.name for f in dataclasses.fields(cfg)}
-    assert not any(name in repr(cfg) for name in DERIVED)
+    assert not any(f"{name}=" in repr(cfg) for name in DERIVED)  # first_spawn_step= is a field
     # == and hash read the fields alone.
     skewed = dataclasses.replace(cfg)
     object.__setattr__(skewed, "circles_inside", False)
     assert skewed == cfg and hash(skewed) == hash(cfg)
     # replace() recomputes, from the new fields.
-    moved = apply_overrides(skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0), detection_radius=12.0)
-    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False, _centers(4))
+    moved = apply_overrides(
+        skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0), detection_radius=12.0, first_spawn_step=0
+    )
+    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False, _centers(4), 15)
+    # With first_spawn_step 0 the first spawn comes one period after step 0.
+    assert apply_overrides(moved, enemy_spawn_period=7).first_spawn == 7
     assert dataclasses.replace(skewed).circles_inside is True
     # A pickle, as a worker process receives its config, carries them.
     for sent in (cfg, moved):
@@ -324,7 +345,7 @@ def test_read_config_derives_the_geometry_of_the_file(tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text("center_x = 20\ntotal_drones = 3\npatrol_radius = 25\n")
     cfg = read_config(path)
-    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False, _centers(3))
+    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False, _centers(3), 15)
 
 
 @pytest.mark.parametrize(

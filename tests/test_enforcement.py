@@ -465,6 +465,18 @@ def test_catching_a_compliant_suspect_stands_down_without_event():
     assert world.events == []
 
 
+def test_a_compliant_suspect_stands_down_only_the_agent_that_caught_it():
+    # Only a reformation clears every agent: a second agent chasing the same
+    # drone keeps its pursuit, its start and its count.
+    cfg, world, ea, suspect = pursuit_scene(9.0, role=COMPLIANT)
+    other = ea_at(1, 80.0, 60.0, pursue_target=2, pursue_since=4, suspicion={2: 7})
+    world.eas.append(other)
+    attempt_reformation(ea, world, cfg)
+    assert (ea.pursue_target, ea.pursue_since, ea.suspicion) == (None, None, {})
+    assert (other.pursue_target, other.pursue_since, other.suspicion) == (2, 4, {2: 7})
+    assert world.events == []
+
+
 def test_reformed_drone_runs_the_compliant_policy_afterwards():
     # Replay an episode that contains a reformation and recompute the
     # reformed drone's positions independently from each pre-step snapshot.

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import itertools
 import os
 import random
 import time
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from sentinel import cli, dynamics, experiment
 from sentinel.config import ConfigError, apply_overrides, default_config, validate
-from sentinel.dynamics import spawn_due
 from sentinel.experiment import (
     CSV_HEADER,
     RecordError,
@@ -29,7 +27,7 @@ from sentinel.experiment import (
     _worker_count,
 )
 from sentinel.fixtures import FIXTURE_NAMES, fixture_path
-from sentinel.world import REFORMED
+from sentinel.world import REFORMED, WorldState
 
 from test_shortcuts import OPENING, OPENINGS, forced_off, unforced
 
@@ -159,7 +157,12 @@ def test_the_opening_ends_with_the_blind_window_or_at_the_time_limit(limit, firs
             default_config(), time_limit_steps=limit, first_spawn_step=first, enemy_spawn_period=period, num_eas=eas
         )
     )
-    first_spawn = next(s for s in itertools.count(1) if spawn_due(s, cfg))
+    # The first spawn as step() would play it, stepping from 1 on.
+    probe, rng = WorldState(step=0, drones=[], enemies=[], eas=[]), random.Random(0)
+    while not probe.enemies:
+        probe.step += 1
+        dynamics.spawn_enemies(probe, cfg, rng)
+    first_spawn = probe.step
     assert first_spawn == (first or period)
     assert dynamics.blind_moves(cfg) == 19
     start = experiment.opening(cfg)

@@ -1,8 +1,9 @@
 """Design rules of the package's imports: the runtime uses the standard
 library and itself only, its modules import each other without a cycle,
-and the CLI starts without modules that only some commands need. Also a
-source rule: no code tests identity against a literal; and tools/loc.py,
-which counts source lines by kind."""
+and the CLI starts without modules that only some commands need. Also two
+source rules: no code tests identity against a literal, and no module
+imports a name it never reads; and tools/loc.py, which counts source lines
+by kind."""
 
 import ast
 import os
@@ -142,6 +143,53 @@ def test_the_literal_check_sees_into_a_bare_assert():
         "assert 0 is not count < 3\n"
     )
     assert _identity_tests_of_literals(ast.parse(source)) == [1, 4]
+
+
+def _unused_imports(source):
+    """Line and name of every name that a module-level import of source binds
+    and the module never reads, unless the line is marked ``# noqa: F401``."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node, at_top in _imports(tree):
+        if not at_top or isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # An __init__.py imports names to re-export them, so it is not read.
+    sources = sorted(PACKAGE_DIR.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{entry}"
+        for path in sources
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_unused_import_check_reads_names_not_text():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import random as rng\n"
+        "from .world import (\n"
+        "    distance,\n"
+        "    nearest_enemy,  # noqa: F401  kept for a wrapper\n"
+        "    move_toward,\n"
+        ")\n"
+        "\n"
+        "def f(move_toward):\n"
+        "    import sys\n"
+        "    return os.path.join(distance, 'math')\n"
+    )
+    assert _unused_imports(source) == ["2: math", "4: rng", "8: move_toward"]
 
 
 def test_the_line_kinds_of_each_source_file_sum_to_its_line_count(monkeypatch, tmp_path):

@@ -13,7 +13,8 @@ one wider than its BENCHMARK.json bound: such a file was likely taken in a
 slow spell of the host and should be retaken, not cited. Exits 1, after
 writing the file, naming every workload and seed whose run was not correct
 or had failed operations. To compare two commits, run it on a checkout of
-each.
+each. The file's ``commit`` is ``git describe`` of the checkout, or
+``unknown`` for a tree without git.
 """
 
 import argparse
@@ -47,9 +48,12 @@ def main(argv=None) -> int:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    commit = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True, check=True
-    ).stdout.strip()
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):  # no git, or a tree without its .git
+        commit = "unknown"
 
     results = {w: {} for w in workloads}
     for seed in SEEDS:
