@@ -33,11 +33,11 @@ TAU = 2.0 * math.pi
 
 
 def _quotient(a, b):
-    """a / b, or nan where the division raises: a zero divisor, or an int
-    too large for a float."""
+    """a / b, or nan where the division raises: a zero divisor, an int too
+    large for a float, or a value that is not a number."""
     try:
         return a / b
-    except ArithmeticError:
+    except (ArithmeticError, TypeError):
         return math.nan
 
 
@@ -139,8 +139,9 @@ class SimConfig:
         # Plain attributes, not fields: fields(), ==, hash and repr see only
         # the knobs, replace() runs this again and a pickle carries them.
         # Configs are built before they are validated, so this never
-        # raises: what cannot be computed reads nan, not inside, or no
-        # sector centres.
+        # raises: what cannot be computed, from a zero, a huge int or a
+        # value that is not a number, reads nan, not inside, or no sector
+        # centres.
         set_attr = object.__setattr__
         set_attr(self, "half_sector", _quotient(math.pi, self.total_drones))
         set_attr(self, "patrol_step", _quotient(self.drone_speed, self.patrol_radius))
@@ -150,12 +151,12 @@ class SimConfig:
             margin = 1e-9 * m
             radii = (abs(self.patrol_radius), abs(self.ea_orbit_radius))
             inside = all(margin < c - r and c + r < m - margin for r in radii for c in (cx, cy))
-        except ArithmeticError:
+        except (ArithmeticError, TypeError):
             inside = False
         set_attr(self, "circles_inside", inside)
         try:
             reach = self.patrol_radius + self.detection_radius + ON_CIRCLE_EPS + 1e-9 * self.map_size
-        except ArithmeticError:
+        except (ArithmeticError, TypeError):
             reach = math.nan
         set_attr(self, "scan_reach", reach)
         set_attr(self, "first_spawn", self.first_spawn_step or self.enemy_spawn_period)
@@ -171,11 +172,17 @@ def default_config() -> SimConfig:
 
 def validate(cfg: SimConfig) -> SimConfig:
     """Return ``cfg`` unchanged, or raise ConfigError naming every violation."""
-    # A float-typed field holding an int too large for a float would make
-    # the checks below overflow, so it is refused on its own.
+    # A numeric field holding something that is not a number, or a
+    # float-typed one holding an int too large for a float, would make the
+    # checks below raise or overflow, so each is refused on its own.
     cx, cy = cfg.center
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     values.update(center_x=cx, center_y=cy)
+    strange = [
+        name for name, kind in _KEY_TYPES.items() if kind is not bool and not isinstance(values[name], (int, float))
+    ]
+    if strange:
+        raise ConfigError([("NotANumber", f"{name}={values[name]!r} is not a number") for name in strange])
     unfit = [name for name, kind in _KEY_TYPES.items() if kind is float and not _fits_float(values[name])]
     if unfit:
         raise ConfigError([("NonFiniteValue", f"{name} is too large for a float") for name in unfit])
@@ -207,6 +214,8 @@ def validate(cfg: SimConfig) -> SimConfig:
     bad += [("NonFiniteValue", f"{name}={value}") for name, value in floats.items() if not math.isfinite(value)]
     non_ints = [name for name, kind in _KEY_TYPES.items() if kind is int and type(values[name]) is not int]
     bad += [("NotAnInteger", f"{name}={values[name]!r} is not an int") for name in non_ints]
+    non_bools = [name for name, kind in _KEY_TYPES.items() if kind is bool and type(values[name]) is not bool]
+    bad += [("NotABool", f"{name}={values[name]!r} is not a bool") for name in non_bools]
     check(cfg.total_drones > 0, "TotalDronesNotPositive", "total_drones={total_drones}")
     check(
         cfg.total_drones <= MAX_TOTAL_DRONES,

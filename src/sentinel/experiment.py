@@ -3,10 +3,12 @@
 A batch derives one 64-bit seed per run from (base_seed, run_index) with the
 splitmix64 finalizer, so records depend only on those two integers and the
 config, never on scheduling. SENTINEL_THREADS sets how many processes play
-a batch (unset or 1 plays it in-process, 0 picks the CPU count; anything but
-a non-negative integer is a ValueError). With N of them, process k plays the
-stripe of runs k+1, k+1+N, ...: the caller plays stripe 0 and N - 1 children
-forked from it play the others. Without os.fork a batch plays serially.
+a batch (unset or 1 plays it in-process, 0 picks the number of CPUs this
+process may run on; anything but a non-negative integer is a ValueError).
+With N of them, process k plays the stripe of runs k+1, k+1+N, ...: the
+caller plays stripe 0 and N - 1 children forked from it play the others,
+each pinned to one of the caller's CPUs. Without os.fork a batch plays
+serially.
 """
 
 import math
@@ -189,7 +191,10 @@ def _worker_count(num_runs: int) -> int:
     except ValueError:
         raise ValueError(f"SENTINEL_THREADS must be a non-negative integer, got {raw!r}") from None
     if requested == 0:
-        requested = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            requested = len(os.sched_getaffinity(0))
+        else:
+            requested = os.cpu_count() or 1
     return max(1, min(requested, num_runs))
 
 
@@ -219,13 +224,28 @@ def _portable(exc: Exception) -> Exception:
     return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+def _pin(cpus) -> None:
+    """Run this process on the CPUs cpus. Pinning is a hint: a mask the
+    kernel refuses leaves the process where it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: int):
     """Every stripe of the batch as _play_stripe returns it, stripe k holding
     runs k+1, k+1+workers, ...: the caller plays stripe 0 while one forked
     child per other stripe plays it and sends it back as one pickle over a
     pipe; one worker forks nothing. A child that exits without reporting
-    raises ChildProcessError."""
+    raises ChildProcessError.
+
+    Left to the scheduler, a child runs on its parent's CPU, so each process
+    of the batch pins itself to one of the caller's CPUs, stripe k to
+    cpus[k % len(cpus)], and the caller gets its own mask back on every
+    exit. A platform without sched_setaffinity plays unpinned."""
     children = {}  # pid -> (read end of its pipe, stripe), until reaped
+    cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
     try:
         for k in range(1, workers):
             import pickle  # here, so that a serial batch never loads it
@@ -238,6 +258,8 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
                 status = 1
                 try:
                     os.close(r)
+                    if cpus:
+                        _pin({cpus[k % len(cpus)]})
                     records, failure = _play_stripe(episode, cfg, runs[k::workers], base_seed)
                     if failure is not None:
                         failure = (failure[0], _portable(failure[1]))
@@ -248,6 +270,8 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
                     os._exit(status)
             children[pid] = (open(r, "rb"), k)
             os.close(w)
+        if cpus:
+            _pin({cpus[0]})
         stripes = [_play_stripe(episode, cfg, runs[0::workers], base_seed)]
         for pid, (pipe, k) in list(children.items()):
             with pipe:
@@ -262,6 +286,8 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
             stripes.append(pickle.loads(data))
         return stripes
     finally:
+        if cpus:
+            _pin(cpus)
         # Children are left here only when the caller failed: an interrupt
         # in its own stripe, or a child that did not report.
         if children:

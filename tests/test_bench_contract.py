@@ -1,9 +1,9 @@
 """The benchmark's tracer wraps sentinel module attributes by name
 (perfbench/tracing.py). These tests fail when a wrapped name is renamed,
 deleted or no longer called on the traced path. The last ones check that
-tools/bench.py fails on a wrong run and flags a spread wider than its bound,
-and that tools/pairs.py alternates its pairs, applies the gain rule and
-fails on a wrong run."""
+tools/bench.py fails on a wrong run, flags a spread wider than its bound and
+names the source it measured, and that tools/pairs.py alternates its pairs,
+applies the gain rule, fails on a wrong run and writes its report."""
 
 import importlib
 import importlib.util
@@ -140,6 +140,31 @@ def test_bench_records_an_unknown_commit_for_a_tree_without_git(bench, tmp_path,
     assert json.loads((tmp_path / "BENCH_copy.json").read_text())["commit"] == "unknown"
 
 
+def test_bench_records_a_digest_of_the_measured_source(bench, tmp_path):
+    # The digest covers src/sentinel/**/*.py by path and content, committed
+    # or not, and nothing else.
+    checkout = tmp_path / "copy"
+    (checkout / "src" / "sentinel" / "sub" / "__pycache__").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_bytes((PERFBENCH.parent / "BENCHMARK.json").read_bytes())
+    (checkout / "src" / "sentinel" / "a.py").write_text("A = 1\n")
+    (checkout / "src" / "sentinel" / "sub" / "b.py").write_text("B = 2\n")
+
+    def digest():
+        assert bench.main(["copy", "--checkout", str(checkout)]) == 0
+        return json.loads((tmp_path / "BENCH_copy.json").read_text())["src_digest"]
+
+    first = digest()
+    assert len(first) == 64 and first == bench.src_digest(checkout)
+    (checkout / "src" / "sentinel" / "sub" / "__pycache__" / "b.cpython-311.pyc").write_bytes(b"x")
+    (checkout / "src" / "sentinel" / "notes.txt").write_text("not source\n")
+    assert digest() == first
+    (checkout / "src" / "sentinel" / "sub" / "b.py").write_text("B = 3\n")
+    assert digest() != first
+    (checkout / "src" / "sentinel" / "sub" / "b.py").write_text("B = 2\n")
+    (checkout / "src" / "sentinel" / "sub" / "b.py").rename(checkout / "src" / "sentinel" / "b.py")
+    assert digest() != first
+
+
 @pytest.fixture
 def pairs(monkeypatch):
     # tools/pairs.py with run_once faked: runs[(side, seed)] gives step_us_p50
@@ -224,3 +249,28 @@ def test_pairs_take_no_pair_count_or_run_length(pairs, tmp_path, capsys):
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert pairs.calls == []
+
+
+def test_pairs_write_their_report_with_out(pairs, tmp_path, capsys):
+    for i, seed in enumerate(pairs.SEEDS):
+        pairs.runs[("parent", seed)] = 15.0 + 0.1 * (i % 3)
+        pairs.runs[("change", seed)] = 14.0 if i else 15.5
+    args = pair_dirs(tmp_path)
+    (tmp_path / "change" / "src" / "sentinel").mkdir(parents=True)
+    (tmp_path / "change" / "src" / "sentinel" / "a.py").write_text("A = 1\n")
+    out = tmp_path / "PAIRS_test.json"
+    assert pairs.main(args + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [pair["seed"] for pair in report["pairs"]] == list(pairs.SEEDS)
+    assert report["pairs"][0] == {"seed": 5, "first": "parent", "parent": 15.0, "change": 15.5, "winner": "parent"}
+    assert report["pairs"][1]["first"] == "change"
+    assert report["parent"]["median"] == 15.1
+    assert report["change"]["median"] == 14.0
+    assert report["parent"]["quartiles"] == pytest.approx([15.0, 15.175])
+    assert report["wins"] == {"parent": 1, "change": 9, "ties": 0}
+    assert report["verdict"] == "holds"
+    assert (report["workload"], report["metric"], report["better"]) == ("episodes-2ea", "step_us_p50", "lower")
+    for side in ("parent", "change"):
+        assert report[side]["src_digest"] == pairs.src_digest(tmp_path / side)
+    assert report["parent"]["src_digest"] != report["change"]["src_digest"]
+    assert str(out) in capsys.readouterr().out

@@ -235,6 +235,43 @@ def test_a_float_or_bool_in_an_int_field_is_refused_by_name(field):
     assert err.value.violations == ["NotAnInteger"]
 
 
+NUMBER_KEYS = INT_FIELDS + FLOAT_KEYS
+
+
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_a_value_that_is_not_a_number_is_refused_by_name(key):
+    # Built in Python, a numeric field can hold a str: SimConfig(total_drones="6")
+    # raised TypeError while it derived its geometry, before validate could
+    # name the field. Building now never raises, and validate refuses it.
+    base = default_config()
+    for value in ("6", "120", None):
+        if key in ("center_x", "center_y"):
+            cx, cy = base.center
+            override = {"center": (value, cy) if key == "center_x" else (cx, value)}
+        else:
+            override = {key: value}
+        cfg = apply_overrides(base, **override)
+        with pytest.raises(ConfigError) as err:
+            validate(cfg)
+        assert err.value.violations == ["NotANumber"], value
+        assert str(err.value) == f"NotANumber: {key}={value!r} is not a number"
+    with pytest.raises(ConfigError) as err:
+        run_batch(cfg, 1, 1)
+    assert err.value.violations == ["NotANumber"]
+
+
+def test_a_failsafe_that_is_not_a_bool_is_refused_by_name():
+    # failsafe_enabled="no" was accepted, and the episode read it as true.
+    base = default_config()
+    for value in ("no", "", 2, 0, 1.0, None):
+        with pytest.raises(ConfigError) as err:
+            validate(apply_overrides(base, failsafe_enabled=value))
+        assert err.value.violations == ["NotABool"], value
+        assert str(err.value) == f"NotABool: failsafe_enabled={value!r} is not a bool"
+    for value in (True, False):
+        assert validate(apply_overrides(base, failsafe_enabled=value)).failsafe_enabled is value
+
+
 @pytest.mark.parametrize(
     "overrides, derived, also",
     [
@@ -367,8 +404,14 @@ def test_the_circles_are_inside_only_clear_of_every_wall(overrides, inside):
 def test_building_a_config_never_raises():
     # Configs are built before they are validated, so anything goes in:
     # a quotient or sum that cannot be taken reads nan, and a map or circle
-    # that is not finite leaves the circles not inside.
+    # that is not finite, or not a number, leaves the circles not inside.
     for field in ("total_drones", "map_size", "drone_speed", "patrol_radius", "ea_orbit_radius", "center"):
+        for value in ("6", None):
+            override = (value, 60.0) if field == "center" else value
+            cfg = apply_overrides(default_config(), **{field: override})
+            assert all(isinstance(v, float) for v in _derived(cfg)[:4]), (field, value)
+            if field in ("map_size", "center") or field.endswith("radius"):
+                assert cfg.circles_inside is False, (field, value)
         for value in (0, -1, -1.5, math.nan, math.inf, -math.inf, 10**400):
             override = (value, 60.0) if field == "center" else value
             cfg = apply_overrides(default_config(), **{field: override})
@@ -553,13 +596,17 @@ FLOATS = st.one_of(
 )
 
 
+# Values of no numeric type, which a config built in Python may hold too.
+STRANGE = st.sampled_from(["6", "no", "", None])
+
+
 def _extremes(kind):
     if kind is bool:
-        return st.booleans()
+        return st.one_of(st.booleans(), st.sampled_from([0, 2, 1.0]), STRANGE)
     if kind is int:
-        return INTS
+        return st.one_of(INTS, STRANGE)
     if kind is float:
-        return FLOATS
+        return st.one_of(FLOATS, STRANGE)
     return st.tuples(FLOATS, FLOATS)  # center
 
 

@@ -257,6 +257,19 @@ def test_striped_batches_match_serial_output(monkeypatch, runs, threads):
         assert_no_child_left()
 
 
+HAS_AFFINITY = hasattr(os, "sched_getaffinity")
+needs_affinity = pytest.mark.skipif(not HAS_AFFINITY, reason="no CPU affinity mask on this platform")
+
+
+@pytest.fixture(autouse=True)
+def callers_mask_is_kept():
+    # A striped batch pins its caller while it plays stripe 0; every test
+    # here, error and interrupt included, must leave the mask it found.
+    mask = os.sched_getaffinity(0) if HAS_AFFINITY else None
+    yield
+    assert (os.sched_getaffinity(0) if HAS_AFFINITY else None) == mask
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -378,6 +391,78 @@ def test_worker_count_parsing(monkeypatch):
     monkeypatch.setenv("SENTINEL_THREADS", "-3")
     with pytest.raises(ValueError, match="SENTINEL_THREADS"):
         _worker_count(30)
+
+
+def test_zero_threads_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # Under taskset -c 0 on a 2-CPU machine, 0 means 1 worker, not 2.
+    monkeypatch.setenv("SENTINEL_THREADS", "0")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for mask in ({0}, {3}, {0, 2, 5}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: set(mask), raising=False)
+        assert _worker_count(30) == len(mask)
+    assert _worker_count(2) == 2
+    # Without an affinity mask (macOS), the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count(30) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(30) == 1
+
+
+def mask_of_each_run(cfg, run_index, seed):
+    """An episode that also returns the CPUs its process may run on."""
+    return experiment._episode_record(cfg, run_index, seed), sorted(os.sched_getaffinity(0))
+
+
+@needs_affinity
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_each_stripe_is_pinned_to_one_of_the_callers_cpus(monkeypatch, threads):
+    # Stripe k runs on cpus[k % len(cpus)] of the caller's mask, whatever
+    # the number of CPUs, and the caller gets its mask back.
+    cfg = apply_overrides(default_config(), time_limit_steps=20)
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    serial = run_batch(cfg, 9, 5)
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    monkeypatch.setenv("SENTINEL_THREADS", str(threads))
+    runs = run_batch(cfg, 9, 5, mask_of_each_run)
+    assert [record for record, _ in runs] == serial
+    for run, (_, pinned) in enumerate(runs, start=1):
+        assert pinned == [cpus[(run - 1) % threads % len(cpus)]], run
+    assert os.sched_getaffinity(0) == mask
+    assert_no_child_left()
+
+
+@needs_affinity
+def test_a_serial_batch_is_not_pinned(monkeypatch):
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    mask = sorted(os.sched_getaffinity(0))
+    runs = run_batch(apply_overrides(default_config(), time_limit_steps=20), 3, 5, mask_of_each_run)
+    assert [pinned for _, pinned in runs] == [mask] * 3
+
+
+def refused(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@needs_affinity
+@pytest.mark.parametrize("setaffinity", [refused, None], ids=["refused", "missing"])
+def test_a_batch_that_cannot_pin_plays_unpinned(monkeypatch, setaffinity):
+    # Pinning is a hint: a refused mask, or a platform without
+    # sched_setaffinity, plays the same records unpinned.
+    cfg = apply_overrides(default_config(), time_limit_steps=20)
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    serial = run_batch(cfg, 7, 5)
+    mask = sorted(os.sched_getaffinity(0))
+    if setaffinity is None:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    monkeypatch.setenv("SENTINEL_THREADS", "3")
+    runs = run_batch(cfg, 7, 5, mask_of_each_run)
+    assert [record for record, _ in runs] == serial
+    assert [pinned for _, pinned in runs] == [mask] * 7
+    assert sorted(os.sched_getaffinity(0)) == mask
+    assert_no_child_left()
 
 
 # --- record format ----------------------------------------------------------------

@@ -14,10 +14,12 @@ slow spell of the host and should be retaken, not cited. Exits 1, after
 writing the file, naming every workload and seed whose run was not correct
 or had failed operations. To compare two commits, run it on a checkout of
 each. The file's ``commit`` is ``git describe`` of the checkout, or
-``unknown`` for a tree without git.
+``unknown`` for a tree without git, and its ``src_digest`` names the source
+that was measured, whether or not it was committed (see ``src_digest``).
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -38,6 +40,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def commit_of(checkout: Path) -> str:
+    """``git describe`` of checkout, or ``unknown`` for a tree without git."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):  # no git, or a tree without its .git
+        return "unknown"
+
+
+def src_digest(checkout: Path) -> str:
+    """SHA-256 over the files src/sentinel/**/*.py of checkout, in sorted
+    order of their paths: each path relative to checkout, a NUL, the file's
+    size in bytes, a NUL and its bytes."""
+    digest = hashlib.sha256()
+    paths = sorted(p.relative_to(checkout).as_posix() for p in (checkout / "src" / "sentinel").glob("**/*.py"))
+    for rel in paths:
+        data = (checkout / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label")
@@ -48,12 +72,6 @@ def main(argv=None) -> int:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True, check=True
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):  # no git, or a tree without its .git
-        commit = "unknown"
 
     results = {w: {} for w in workloads}
     for seed in SEEDS:
@@ -74,7 +92,8 @@ def main(argv=None) -> int:
         }
     out = {
         "label": args.label,
-        "commit": commit,
+        "commit": commit_of(checkout),
+        "src_digest": src_digest(checkout),
         "seeds": list(SEEDS),
         "run_seconds": spec["run_seconds"],
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},

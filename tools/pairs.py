@@ -1,6 +1,6 @@
 """Compare one metric of two checkouts over alternating pairs of runs.
 
-    python3 tools/pairs.py PARENT CHANGE --workload W --metric M
+    python3 tools/pairs.py PARENT CHANGE --workload W --metric M [--out FILE]
 
 Runs ``perfbench/run.py --trace 0`` (through tools/bench.py's ``run_once``)
 of the checkouts PARENT and CHANGE on one workload, ten pairs: one per seed
@@ -10,8 +10,11 @@ side's median and quartiles, the pairs each side won (ties count for
 neither), and whether the gain rule holds: the change wins at least 9 of the
 10 pairs, and its median beats the parent's by more than the parent's
 interquartile range. The metric's direction comes from the parent's
-BENCHMARK.json. Exits 1 after the report, naming each run that was not
-correct or had failed operations.
+BENCHMARK.json. With ``--out``, also writes the report as JSON to FILE
+(by convention ``PAIRS_<LABEL>.json``): every pair, each side's median,
+quartiles, ``commit`` and ``src_digest`` as tools/bench.py records them,
+the wins and the verdict. Exits 1 after the report, naming each run that
+was not correct or had failed operations.
 """
 
 import argparse
@@ -20,7 +23,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from bench import run_once
+from bench import commit_of, run_once, src_digest
 
 SEEDS = (5, 6, 7, 8, 9, 10, 11, 12, 13, 4070)
 NEED = 9  # pairs of the ten the change must win
@@ -32,6 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--metric", required=True)
+    parser.add_argument("--out", type=Path, help="also write the report as JSON to this file")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -49,6 +53,7 @@ def main(argv=None) -> int:
     values = {"parent": [], "change": []}
     wins = {"parent": 0, "change": 0}
     wrong = []
+    pairs = []
     for i, seed in enumerate(SEEDS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
@@ -62,10 +67,11 @@ def main(argv=None) -> int:
         winner = "change" if gap < 0 else "parent" if gap > 0 else "tie"
         if winner != "tie":
             wins[winner] += 1
+        pairs.append({"seed": seed, "first": order[0], **pair, "winner": winner})
         print(f"seed {seed} ({order[0]} first): parent {pair['parent']:g}, change {pair['change']:g}, {winner}")
 
-    p_low, p_med, p_high = statistics.quantiles(values["parent"], n=4, method="inclusive")
-    c_low, c_med, c_high = statistics.quantiles(values["change"], n=4, method="inclusive")
+    quartiles = {side: statistics.quantiles(values[side], n=4, method="inclusive") for side in values}
+    (p_low, p_med, p_high), (c_low, c_med, c_high) = quartiles["parent"], quartiles["change"]
     iqr = p_high - p_low
     print(f"parent: median {p_med:g}, quartiles {p_low:g} .. {p_high:g} (IQR {iqr:g})")
     print(f"change: median {c_med:g}, quartiles {c_low:g} .. {c_high:g}")
@@ -77,6 +83,33 @@ def main(argv=None) -> int:
         f"gain rule {verdict}: change won {wins['change']} of {len(SEEDS)} (needs {NEED}), "
         f"median gain {gain:g} against parent IQR {iqr:g}"
     )
+    if args.out:
+        sides = {
+            side: {
+                "median": quartiles[side][1],
+                "quartiles": [quartiles[side][0], quartiles[side][2]],
+                "commit": commit_of(checkouts[side]),
+                "src_digest": src_digest(checkouts[side]),
+            }
+            for side in checkouts
+        }
+        report = {
+            "workload": args.workload,
+            "metric": args.metric,
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "run_seconds": seconds,
+            "pairs": pairs,
+            **sides,
+            "parent_iqr": iqr,
+            "wins": {**wins, "ties": len(SEEDS) - sum(wins.values())},
+            "needs": NEED,
+            "median_gain": gain,
+            "verdict": verdict,
+            "wrong": wrong,
+        }
+        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        print(args.out)
     for line in wrong:
         print(f"pairs: wrong run, {line}", file=sys.stderr)
     return 1 if wrong else 0
