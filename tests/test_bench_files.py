@@ -1,6 +1,8 @@
 """The checked-in benchmark files: every BENCH_*.json (tools/bench.py) and
 PAIRS_*.json (tools/pairs.py) at the top of the repository parses and
-reports finite medians. No timing is taken here."""
+reports finite medians, every BENCH file has its other half, and a PAIRS
+file measured the same source as the BENCH files of its label. No timing
+is taken here."""
 
 import json
 import math
@@ -47,5 +49,20 @@ def test_a_pairs_file_reports_finite_medians(path):
     assert data["verdict"] in ("holds", "does not hold")
 
 
-def test_the_benchmark_files_are_there():
-    assert BENCH_FILES
+def test_every_bench_file_has_its_other_half():
+    names = {path.name for path in BENCH_FILES}
+    assert names
+    for name in names:
+        label, half = name.removesuffix(".json").rsplit("-", 1)
+        assert half in ("before", "after"), name
+        assert f"{label}-{'after' if half == 'before' else 'before'}.json" in names, name
+
+
+@pytest.mark.parametrize("path", PAIRS_FILES, ids=[p.name for p in PAIRS_FILES])
+def test_a_pairs_file_measured_the_source_of_its_bench_files(path):
+    # PAIRS_<label>.json against BENCH_<label>-before.json and -after.json.
+    data = json.loads(path.read_text(encoding="utf-8"))
+    label = path.name.removeprefix("PAIRS_").removesuffix(".json")
+    for side, half in (("parent", "before"), ("change", "after")):
+        bench = json.loads((ROOT / f"BENCH_{label}-{half}.json").read_text(encoding="utf-8"))
+        assert bench["src_digest"] == data[side]["src_digest"], side

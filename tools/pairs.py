@@ -50,7 +50,6 @@ def main(argv=None) -> int:
 
     direction = f"{metric['unit']}, {metric['better']} is better"
     print(f"{args.workload} {args.metric} ({direction}), {len(SEEDS)} pairs of {seconds:g} s")
-    values = {"parent": [], "change": []}
     wins = {"parent": 0, "change": 0}
     wrong = []
     pairs = []
@@ -60,7 +59,6 @@ def main(argv=None) -> int:
         for side in order:
             result = run_once(checkouts[side], args.workload, seed, seconds)
             pair[side] = result["metrics"][args.metric]["value"]
-            values[side].append(pair[side])
             if not result["correct"] or result["failed"]:
                 wrong.append(f"{side} seed {seed}: correct={result['correct']}, failed={result['failed']}")
         gap = sign * (pair["change"] - pair["parent"])
@@ -70,7 +68,8 @@ def main(argv=None) -> int:
         pairs.append({"seed": seed, "first": order[0], **pair, "winner": winner})
         print(f"seed {seed} ({order[0]} first): parent {pair['parent']:g}, change {pair['change']:g}, {winner}")
 
-    quartiles = {side: statistics.quantiles(values[side], n=4, method="inclusive") for side in values}
+    values = {side: [pair[side] for pair in pairs] for side in checkouts}
+    quartiles = {side: statistics.quantiles(values[side], n=4, method="inclusive") for side in checkouts}
     (p_low, p_med, p_high), (c_low, c_med, c_high) = quartiles["parent"], quartiles["change"]
     iqr = p_high - p_low
     print(f"parent: median {p_med:g}, quartiles {p_low:g} .. {p_high:g} (IQR {iqr:g})")
