@@ -240,12 +240,17 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
     pipe; one worker forks nothing. A child that exits without reporting
     raises ChildProcessError.
 
-    Left to the scheduler, a child runs on its parent's CPU, so each process
-    of the batch pins itself to one of the caller's CPUs, stripe k to
-    cpus[k % len(cpus)], and the caller gets its own mask back on every
-    exit. A platform without sched_setaffinity plays unpinned."""
+    On a 2-vCPU VM, the scheduler was seen to keep a forked child on its
+    parent's CPU, and pinning only the child was no faster. So when
+    the batch has a stripe for every CPU of the caller's mask, each process
+    pins itself to one of them, stripe k to cpus[k % len(cpus)], and the
+    caller gets its own mask back on every exit. A batch with fewer stripes
+    than CPUs, or a platform without sched_setaffinity, is left to the
+    scheduler."""
     children = {}  # pid -> (read end of its pipe, stripe), until reaped
     cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
+    if len(cpus) > workers:
+        cpus = []
     try:
         for k in range(1, workers):
             import pickle  # here, so that a serial batch never loads it
@@ -286,8 +291,6 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
             stripes.append(pickle.loads(data))
         return stripes
     finally:
-        if cpus:
-            _pin(cpus)
         # Children are left here only when the caller failed: an interrupt
         # in its own stripe, or a child that did not report.
         if children:
@@ -300,6 +303,8 @@ def _run_stripes(episode, cfg: SimConfig, runs: range, base_seed: int, workers: 
                 except ProcessLookupError:
                     pass
                 os.waitpid(pid, 0)
+        if cpus:
+            _pin(cpus)
 
 
 def run_batch(cfg: SimConfig, num_runs: int, base_seed: int, episode=_episode_record) -> list[RunRecord]:

@@ -604,9 +604,9 @@ def _extremes(kind):
     if kind is bool:
         return st.one_of(st.booleans(), st.sampled_from([0, 2, 1.0]), STRANGE)
     if kind is int:
-        return st.one_of(INTS, STRANGE)
+        return INTS
     if kind is float:
-        return st.one_of(FLOATS, STRANGE)
+        return FLOATS
     return st.tuples(FLOATS, FLOATS)  # center
 
 
@@ -633,3 +633,19 @@ def test_validate_returns_the_config_or_raises_config_error_in_bounded_time(fiel
     except ConfigError:
         pass
     assert time.perf_counter() - start < 2.0
+
+
+NUMBER_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type in (int, float)]
+
+
+@PROPERTY_SETTINGS
+@given(EVERY_FIELD, st.sampled_from(NUMBER_FIELDS), STRANGE)
+def test_a_value_that_is_not_a_number_is_refused_among_the_extremes(fields, name, value):
+    # One numeric field holds no number, whatever the others hold: building
+    # never raises, and validate refuses that field alone by name, since
+    # every other check would compare it.
+    cfg = SimConfig(**{**fields, name: value})
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert err.value.violations == ["NotANumber"]
+    assert str(err.value) == f"NotANumber: {name}={value!r} is not a number"

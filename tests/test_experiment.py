@@ -416,9 +416,10 @@ def mask_of_each_run(cfg, run_index, seed):
 @needs_affinity
 @pytest.mark.parametrize("threads", [2, 3, 4])
 def test_each_stripe_is_pinned_to_one_of_the_callers_cpus(monkeypatch, threads):
-    # Stripe k runs on cpus[k % len(cpus)] of the caller's mask, whatever
-    # the number of CPUs; callers_mask_is_kept checks that the caller gets
-    # its mask back.
+    # With a stripe for every CPU of the caller's mask, stripe k runs on
+    # cpus[k % len(cpus)], whatever the number of CPUs; with fewer stripes
+    # than CPUs, nothing is pinned. callers_mask_is_kept checks that the
+    # caller gets its mask back.
     cfg = apply_overrides(default_config(), time_limit_steps=20)
     monkeypatch.delenv("SENTINEL_THREADS", raising=False)
     serial = run_batch(cfg, 9, 5)
@@ -427,7 +428,26 @@ def test_each_stripe_is_pinned_to_one_of_the_callers_cpus(monkeypatch, threads):
     runs = run_batch(cfg, 9, 5, mask_of_each_run)
     assert [record for record, _ in runs] == serial
     for run, (_, pinned) in enumerate(runs, start=1):
-        assert pinned == [cpus[(run - 1) % threads % len(cpus)]], run
+        assert pinned == (cpus if threads < len(cpus) else [cpus[(run - 1) % threads % len(cpus)]]), run
+    assert_no_child_left()
+
+
+def must_not_pin(pid, cpus):
+    raise AssertionError("a stripe was pinned")
+
+
+@needs_affinity
+def test_a_batch_with_fewer_stripes_than_cpus_is_left_to_the_scheduler(monkeypatch):
+    # Batches run side by side on a larger machine would otherwise all pin
+    # to its first CPUs. A child that tried to pin here would exit without
+    # reporting, which raises ChildProcessError.
+    cfg = apply_overrides(default_config(), time_limit_steps=20)
+    monkeypatch.delenv("SENTINEL_THREADS", raising=False)
+    serial = run_batch(cfg, 7, 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_setaffinity", must_not_pin)
+    monkeypatch.setenv("SENTINEL_THREADS", "3")
+    assert run_batch(cfg, 7, 5) == serial
     assert_no_child_left()
 
 
