@@ -139,9 +139,9 @@ class SimConfig:
         # Plain attributes, not fields: fields(), ==, hash and repr see only
         # the knobs, replace() runs this again and a pickle carries them.
         # Configs are built before they are validated, so this never
-        # raises: what cannot be computed, from a zero, a huge int or a
-        # value that is not a number, reads nan, not inside, or no sector
-        # centres.
+        # raises: what cannot be computed, from a zero, a huge int, a value
+        # that is not a number or a center that is not a pair, reads nan,
+        # not inside, or no sector centres.
         set_attr = object.__setattr__
         set_attr(self, "half_sector", _quotient(math.pi, self.total_drones))
         set_attr(self, "patrol_step", _quotient(self.drone_speed, self.patrol_radius))
@@ -151,7 +151,7 @@ class SimConfig:
             margin = 1e-9 * m
             radii = (abs(self.patrol_radius), abs(self.ea_orbit_radius))
             inside = all(margin < c - r and c + r < m - margin for r in radii for c in (cx, cy))
-        except (ArithmeticError, TypeError):
+        except (ArithmeticError, TypeError, ValueError):
             inside = False
         set_attr(self, "circles_inside", inside)
         try:
@@ -172,9 +172,11 @@ def default_config() -> SimConfig:
 
 def validate(cfg: SimConfig) -> SimConfig:
     """Return ``cfg`` unchanged, or raise ConfigError naming every violation."""
-    # A numeric field holding something that is not a number, or a
-    # float-typed one holding an int too large for a float, would make the
-    # checks below raise or overflow, so each is refused on its own.
+    # A center that is not a pair, a numeric field holding something that is
+    # not a number, or a float-typed one holding an int too large for a float
+    # would make the checks below raise or overflow, so each is refused on its own.
+    if not isinstance(cfg.center, (tuple, list)) or len(cfg.center) != 2:
+        raise ConfigError([("CenterNotAPair", f"center is a {type(cfg.center).__name__}, not an (x, y) pair")])
     cx, cy = cfg.center
     values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     values.update(center_x=cx, center_y=cy)

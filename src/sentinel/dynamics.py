@@ -6,15 +6,15 @@ interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
 its entity moves to. Each step skips work that cannot change a byte, and
 each skip is argued where it is made: the clamp and the threat scan in
-step()'s drone loop, quiet steps at its interception skip, and the opening
-that every episode shares at blind_moves.
+step()'s drone loop, quiet steps at its interception skip, and blind
+stretches, the opening every episode shares included, at blind_steps.
 """
 
 import math
 import random
 
 from . import enforcement
-from .config import ON_CIRCLE_EPS, SimConfig
+from .config import ON_CIRCLE_EPS, TAU, SimConfig
 from .world import (
     MALICIOUS,
     Drone,
@@ -135,39 +135,122 @@ def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
     return (0.0, m - along)
 
 
+def _sight_bound(cfg: SimConfig) -> float:
+    """How far from the centre drones and agents on their circles may see."""
+    if cfg.num_eas:
+        return max(cfg.scan_reach, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
+    return cfg.scan_reach
+
+
 def blind_moves(cfg: SimConfig) -> int:
-    """The length of cfg's blind window: how many moves an enemy makes from
-    the boundary while it stays farther from the centre than cfg.scan_reach
-    and, with agents, than ea_orbit_radius + ea_monitor_radius.
-
-    No enemy can be seen before the first spawn (cfg.first_spawn), since
-    none exists, nor in this window after it: with cfg.circles_inside every
-    drone and agent keeps within its circle, so no scan finds an enemy, no
-    agent logs its entry point, none is intercepted and none breaches. Until
-    the window ends, step() draws from the rng only to spawn, logs only
-    spawns, and moves drones and agents as with no enemy, whatever the
-    roles. That opening is a function of the config alone: experiment plays
-    it once per config, and run_episode catches up each episode's enemies.
-    So the window is 0 unless cfg.circles_inside.
-
-    Spawns land on the boundary, no nearer the centre than its nearest
-    edge. A move closes at most enemy_speed and its rounding, which
-    validate's speed floor keeps below 1/256 of it; the divisor allows
-    1/64. Once the window is non-empty, that leaves at least 0.0115 times
-    the slack, at least 12 ulp(map_size) at the speed floor, for the
-    rounding of circle points and distances: a circle point lies at most 1
-    ulp beyond its circle (20,000 points at maps from 1e-300 to 1e300).
+    """The length of cfg's blind window, 0 unless cfg.circles_inside: how
+    many moves an enemy makes from the boundary, no nearer the centre than
+    its nearest edge, while it stays out of sight (_sight_bound). Every step
+    from the first spawn through the window is blind (blind_steps), so every
+    episode reaches the same drones and agents there: experiment's opening.
     """
     if not cfg.circles_inside:
         return 0
     (cx, cy), m = cfg.center, cfg.map_size
-    bound = cfg.scan_reach
-    if cfg.num_eas:
-        bound = max(bound, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
-    slack = min(cx, cy, m - cx, m - cy) - bound
+    slack = min(cx, cy, m - cx, m - cy) - _sight_bound(cfg)
     if not slack > 0.0:  # also a nan or -inf bound
         return 0
     return math.floor(slack / (cfg.enemy_speed * (1.0 + 1.0 / 64.0)))
+
+
+def _next_spawn(s: int, cfg: SimConfig) -> int:
+    """The first spawn step after step s."""
+    first, period = cfg.first_spawn, cfg.enemy_spawn_period
+    return first if s < first else s + period - (s - first) % period
+
+
+def blind_steps(world: WorldState, cfg: SimConfig) -> int:
+    """How many of the next steps are blind, for play_blind to play at once.
+
+    With cfg.circles_inside, every drone on the arc point it was sent to,
+    every agent idle (no suspicion, no pursuit) on its orbit point and every
+    enemy farther from the centre than _sight_bound, drones and agents lie
+    on their circles up to rounding: no scan finds an enemy (triangle
+    inequality), no agent logs an entry point or changes a count, none
+    breaches, and with step()'s interception-skip margin none is
+    intercepted. Such a step draws from the rng only to spawn, logs only
+    spawns, and sweeps each drone and orbits each agent, whatever the roles.
+
+    The count is capped by the time limit, by each live enemy's moves
+    beyond the bound, and, for an enemy spawned in the stretch, by
+    blind_moves. Both enemy caps floor a slack over enemy_speed * (1 +
+    1/64): a move closes at most enemy_speed and its rounding, which
+    validate's speed floor keeps below 1/256 of it. For a count of at least
+    1 that leaves at least 0.0115 times the slack, at least 12 ulp(map_size)
+    at the speed floor, for the rounding of circle points and distances: a
+    circle point lies at most 1 ulp beyond its circle (20,000 points at maps
+    from 1e-300 to 1e300).
+    """
+    # An enemy in sight is the likeliest refusal, so it is looked for first.
+    s, center = world.step, cfg.center
+    k, bound, move = cfg.time_limit_steps - s, _sight_bound(cfg), cfg.enemy_speed * (1.0 + 1.0 / 64.0)
+    for e in world.enemies:
+        slack = distance(e.position, center) - bound
+        if not slack >= move:  # also a nan or -inf bound
+            return 0
+        k = min(k, math.floor(slack / move))
+    margin = cfg.detection_radius - cfg.intercept_radius - cfg.drone_speed - cfg.enemy_speed
+    if k < 1 or s < 1 or not cfg.circles_inside or margin <= ON_CIRCLE_EPS + 1e-9 * cfg.map_size:
+        return 0
+    for d in world.drones:
+        if d.arc is None or d.arc[0] != d.position:
+            return 0
+    for ea in world.eas:
+        if ea.suspicion or ea.pursue_target is not None or ea.arc is None or ea.arc[0] != ea.position:
+            return 0
+    return min(k, _next_spawn(s, cfg) - 1 - s + blind_moves(cfg))
+
+
+def catch_up(world: WorldState, cfg: SimConfig, rng: random.Random, end: int) -> None:
+    """Spawn and move the enemies of the blind steps world.step + 1 to end,
+    as step() would, and set world.step to end: spawns drawn in order leave
+    the rng and the events as step() would, and as an enemy's move reads
+    only its own position, each makes all its moves in one go."""
+    start, period = world.step, cfg.enemy_spawn_period
+    for s in range(_next_spawn(start, cfg), end + 1, period):
+        world.step = s
+        spawn_enemies(world, cfg, rng)
+    world.step = end
+    for e in world.enemies:
+        for _ in range(end - max(start, e.spawned_at - 1)):
+            e.position = enemy_policy(e, cfg)
+
+
+def play_blind(world: WorldState, cfg: SimConfig, rng: random.Random, k: int) -> None:
+    """Advance the world k blind steps (blind_steps) as k calls of step()
+    would: each drone carries its offset and direction through k sweeps
+    (_sweep), each agent its angle through k orbit steps (ea_policy)."""
+    half, stride, sectors = cfg.half_sector, cfg.patrol_step, cfg.sector_centers
+    (cx, cy), radius = cfg.center, cfg.patrol_radius
+    for d in world.drones:
+        offset, direction = d.arc[1], d.patrol_dir
+        for _ in range(k):
+            last = offset
+            if direction > 0:
+                offset += stride
+            else:
+                offset -= stride
+            if offset > half or offset < -half:
+                offset, direction = _fold_into_sector(offset, half, direction)
+        a, b = sectors[d.id] + last, sectors[d.id] + offset
+        d.prev_position = (cx + radius * math.cos(a), cy + radius * math.sin(a)) if k > 1 else d.position
+        d.position = (cx + radius * math.cos(b), cy + radius * math.sin(b))
+        d.arc, d.patrol_dir, d.threat = (d.position, offset), direction, None
+    orbit, stride = cfg.ea_orbit_radius, cfg.orbit_step
+    for ea in world.eas:
+        angle = ea.arc[1]
+        for _ in range(k):
+            angle = math.fmod(angle + stride, TAU)
+        ea.position = (cx + orbit * math.cos(angle), cy + orbit * math.sin(angle))
+        ea.arc = (ea.position, angle)
+    catch_up(world, cfg, rng, world.step + k)
+    if world.step >= cfg.time_limit_steps:
+        world.outcome = "success"
 
 
 def spawn_enemies(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .config import SimConfig, apply_overrides, validate
-from .dynamics import blind_moves, enemy_policy, spawn_enemies, step
+from .dynamics import blind_moves, blind_steps, catch_up, play_blind, step
 from .world import REFORMED, WorldState, initial_world
 
 _MASK64 = (1 << 64) - 1
@@ -143,25 +143,19 @@ def run_episode(cfg: SimConfig, run_index: int, seed: int) -> tuple[RunRecord, W
     validate, this function does not.
 
     The episode draws its roles in initial_world, which builds its drones
-    and agents from cfg's opening, and catches up the enemies it spawned in
-    the opening before it steps on. step() draws from the rng only to spawn
-    and, in the opening, logs only spawns, so the spawns drawn in order
-    leave the rng and the events as step() would. An enemy's move reads only
-    its own position, so each makes all its moves in one go, as many as
-    step() would have made.
+    and agents from cfg's opening, catches up the enemies it spawned in the
+    opening, then plays each blind stretch (dynamics.blind_steps) in one call.
     """
     rng = random.Random(seed)
     world = initial_world(cfg, rng, opening(cfg))
-    end = world.step
-    for s in range(cfg.first_spawn, end + 1, cfg.enemy_spawn_period):
-        world.step = s
-        spawn_enemies(world, cfg, rng)
-    world.step = end
-    for e in world.enemies:
-        for _ in range(end + 1 - e.spawned_at):
-            e.position = enemy_policy(e, cfg)
+    end, world.step = world.step, 0
+    catch_up(world, cfg, rng, end)
     while world.outcome is None:
-        step(world, cfg, rng)
+        k = blind_steps(world, cfg)
+        if k:
+            play_blind(world, cfg, rng, k)
+        else:
+            step(world, cfg, rng)
     record = RunRecord(
         run=run_index,
         ea=cfg.num_eas,

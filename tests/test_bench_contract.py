@@ -37,6 +37,8 @@ def test_traced_episode_counts_every_layer_and_restores_the_modules(tracing, mon
     with tracing.Tracer() as tracer:
         tracing.install_counts(tracer, MODULES)
         tracing.install_spans(tracer, MODULES, "deep")
+        # Blind stretches advance the world without step(); k is the 4th argument.
+        tracer.count(experiment, "play_blind", "stretches", steps=lambda args, _: args[3])
         [record] = experiment.run_batch(cfg, 1, 7)
 
     assert record.steps == 60
@@ -50,7 +52,8 @@ def test_traced_episode_counts_every_layer_and_restores_the_modules(tracing, mon
         "enforcement.observe.observations",
     ):
         assert tracer.counts[name] > 0, name
-    assert tracer.counts["dynamics.step"] == 60
+    assert tracer.counts["dynamics.step"] + tracer.counts["stretches.steps"] == 60
+    assert tracer.counts["stretches"] >= 1
     for name in (
         "experiment.run_episode",
         "dynamics.step",

@@ -420,6 +420,20 @@ def test_building_a_config_never_raises():
                 assert cfg.circles_inside is False, (field, value)
 
 
+@pytest.mark.parametrize("center", [(1.0, 2.0, 3.0), (1.0,), None])
+def test_a_center_that_is_not_a_pair_builds_and_is_refused_on_its_own(center):
+    # Unpacking such a center raised ValueError while the geometry was
+    # derived, and validate raised TypeError on None. Building now reads it
+    # as not inside, and validate refuses it alone, with the other rules
+    # broken too.
+    cfg = apply_overrides(default_config(), center=center)
+    assert cfg.circles_inside is False
+    with pytest.raises(ConfigError) as err:
+        validate(apply_overrides(cfg, total_drones=0, fps="10"))
+    assert err.value.violations == ["CenterNotAPair"]
+    assert str(err.value) == f"CenterNotAPair: center is a {type(center).__name__}, not an (x, y) pair"
+
+
 def test_apply_overrides_returns_a_changed_copy():
     base = default_config()
     changed = apply_overrides(base, num_eas=2)

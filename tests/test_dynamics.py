@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from sentinel import dynamics, enforcement
+from sentinel import dynamics, enforcement, experiment
 from sentinel.config import (
     ON_CIRCLE_EPS,
     SPEED_FLOOR_ULPS,
@@ -49,7 +49,7 @@ from sentinel.world import (
 )
 
 from test_acceptance import random_valid_config
-from test_shortcuts import CLAMP, QUIET, SCAN, forced_off, unforced
+from test_shortcuts import CLAMP, QUIET, SCAN, STRETCH, forced_off, unforced
 
 
 def bare_world(*drones, enemies=(), step_index=0):
@@ -1017,6 +1017,154 @@ def test_every_point_is_a_plain_tuple_of_two_floats(num_eas):
             for p in points:
                 assert type(p) is tuple and len(p) == 2, (world.step, p)
                 assert type(p[0]) is float and type(p[1]) is float, (world.step, p)
+
+
+# --- blind stretches ---------------------------------------------------------------
+
+
+def _blind_world(cfg, at=100, enemies=()):
+    # One step from the start puts every drone and agent on the point it was
+    # sent to; the world is then moved to step `at`, holding `enemies`.
+    world = initial_world(cfg, random.Random(1))
+    step(world, cfg, random.Random(0))
+    world.step, world.enemies, world.next_enemy_id = at, list(enemies), len(enemies)
+    return world
+
+
+def _stepped_and_played(world, cfg, k):
+    # The world after k calls of step() and after play_blind(k), from copies.
+    stepped, played = copy.deepcopy(world), copy.deepcopy(world)
+    rng = random.Random(5)
+    for _ in range(k):
+        step(stepped, cfg, rng)
+    dynamics.play_blind(played, cfg, random.Random(5), k)
+    return stepped, played
+
+
+BLIND = dict(num_eas=2, first_spawn_step=5000)
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_an_enemy_whose_slack_covers_k_moves_allows_k_blind_steps(k):
+    cfg = validate(apply_overrides(default_config(), **BLIND))
+    move = cfg.enemy_speed * (1 + 1 / 64)
+    for slack in (k + 0.01, k + 0.5, k + 0.99):
+        (cx, cy), gap = cfg.center, _sight_bound(cfg) + slack * move
+        world = _blind_world(cfg, enemies=[Enemy(0, (cx + gap * 0.6, cy - gap * 0.8), 90)])
+        assert dynamics.blind_steps(world, cfg) == k, slack
+        stepped, played = _stepped_and_played(world, cfg, k)
+        assert stepped == played
+        assert [d.threat for d in stepped.drones] == [None] * 6
+    world.enemies[0].position = (cx + _sight_bound(cfg) + 0.99 * move, cy)
+    assert dynamics.blind_steps(world, cfg) == 0
+
+
+def test_an_enemy_spawned_in_a_stretch_makes_at_most_blind_moves_moves():
+    cfg = validate(apply_overrides(default_config(), num_eas=2, first_spawn_step=103, enemy_spawn_period=4))
+    world = _blind_world(cfg)
+    window = dynamics.blind_moves(cfg)
+    assert window == 19
+    k = dynamics.blind_steps(world, cfg)
+    assert k == 2 + window
+    stepped, played = _stepped_and_played(world, cfg, k)
+    assert stepped == played
+    assert [(e.kind, e.step) for e in played.events] == [("spawn", s) for s in range(103, 100 + k + 1, 4)]
+
+
+def test_a_stretch_that_reaches_the_time_limit_ends_the_episode_with_success():
+    cfg = validate(apply_overrides(default_config(), **BLIND))
+    world = _blind_world(cfg, at=cfg.time_limit_steps - 30)
+    assert dynamics.blind_steps(world, cfg) == 30
+    stepped, played = _stepped_and_played(world, cfg, 30)
+    assert (played.step, played.outcome) == (cfg.time_limit_steps, "success")
+    assert stepped == played
+
+
+def _suspicious(world):
+    world.eas[1].suspicion[3] = 1
+
+
+def _pursuing(world):
+    world.eas[0].pursue_target, world.eas[0].pursue_since = 2, world.step
+
+
+def _off_the_arc(world):
+    x, y = world.drones[4].position
+    world.drones[4].position = (x, y + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "overrides, change",
+    [
+        ({}, _suspicious),
+        ({}, _pursuing),
+        ({}, _off_the_arc),
+        # Detection barely past the kill range: step() cannot skip interception.
+        (dict(detection_radius=2.5), None),
+        # The patrol circle crosses the west wall.
+        (dict(center=(20.0, 60.0)), None),
+    ],
+)
+def test_no_step_is_blind_with_an_agent_at_work_a_drone_off_its_arc_or_no_margin(overrides, change):
+    base = validate(apply_overrides(default_config(), **BLIND))
+    assert dynamics.blind_steps(_blind_world(base), base) == base.time_limit_steps - 100
+    cfg = validate(apply_overrides(base, **overrides))
+    world = _blind_world(cfg)
+    if change is not None:
+        change(world)
+    assert dynamics.blind_steps(world, cfg) == 0
+
+
+def test_blind_stretches_play_the_same_episodes_as_steps_one_by_one():
+    # Forced off by a blind_steps that finds no blind step, every step goes
+    # through step(); the stretches take fewer calls.
+    calls = forced_off(STRETCH)
+    assert unforced().calls["step"] < calls["step"], calls
+
+
+_MARGIN = ON_CIRCLE_EPS + 1e-9 * 120.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from([(60.0, 60.0), (40.0, 75.0), (85.0, 50.0), (20.0, 60.0)]),
+    st.sampled_from([1, 2, 15, 30]),
+    st.integers(0, 40),
+    st.sampled_from([0.1, 0.3, 1.0, 2.5]),
+    st.integers(1, 600),
+    st.sampled_from([None, None, None, -1e-12, 0.0, 1e-9]),
+    st.booleans(),
+    st.integers(1, 1000),
+)
+# The defaults at 2 agents, cut at step 60 inside run 1's stretch of steps 49 to 69.
+@example(2, 1, (60.0, 60.0), 15, 15, 1.0, 60, None, False, 1)
+def test_blind_stretches_play_drawn_configs_as_steps_one_by_one(
+    num_eas, num_malicious, center, period, first, enemy_speed, limit, at_margin, failsafe, run
+):
+    # Centred and off-centre maps, one with a circle across a wall, spawns
+    # up to every step, slow enemies for long stretches, time limits that
+    # may end inside one, and detection radii at step()'s interception-skip
+    # margin: the same records, events and final worlds with stretches and
+    # with every step through step().
+    fields = dict(
+        num_eas=num_eas,
+        num_malicious=num_malicious,
+        center=center,
+        enemy_spawn_period=period,
+        first_spawn_step=first,
+        enemy_speed=enemy_speed,
+        time_limit_steps=limit,
+        failsafe_enabled=failsafe,
+    )
+    if at_margin is not None:
+        fields["detection_radius"] = 2.0 + 3.6 + enemy_speed + _MARGIN + at_margin
+    cfg = validate(apply_overrides(default_config(), **fields))
+    played = run_episode(cfg, run, mix_seed(9, run))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiment, "blind_steps", lambda world, cfg: 0)
+        assert run_episode(cfg, run, mix_seed(9, run)) == played, cfg
 
 
 # --- every accepted config runs ----------------------------------------------

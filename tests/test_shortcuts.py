@@ -20,19 +20,25 @@ from test_acceptance import random_valid_config
 # Each shortcut, keyed by where its argument is stated, with the lever that
 # switches it off: (module, attribute, value) patched for the episode, or with
 # None for module an attribute of its config. The clamp-skip and scan-skip
-# levers also empty the blind window (dynamics.blind_moves). With no enemy
-# alive the scan skip still fires under its lever: a scan finds none.
+# levers also empty the blind window (dynamics.blind_moves) and every blind
+# stretch with an enemy alive (dynamics.blind_steps). With no enemy alive
+# the scan skip still fires under its lever: a scan finds none.
 SHORTCUTS = {
     "quiet steps (dynamics.step, enforcement.run_enforcement_phase)": (dynamics, "threat_seen", lambda world: True),
     "clamp skip (dynamics.step)": (None, "circles_inside", False),
     "scan skip (dynamics.step)": (None, "scan_reach", math.inf),
     "opening (experiment.run_episode)": (experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0))),
+    "blind stretches (dynamics.blind_steps)": (experiment, "blind_steps", lambda world, cfg: 0),
 }
-QUIET, CLAMP, SCAN, OPENING = SHORTCUTS
+QUIET, CLAMP, SCAN, OPENING, STRETCH = SHORTCUTS
 
-# The calls that quiet steps and the scan skip save, counted in the unforced
-# play and with that shortcut forced off.
-SAVED = {QUIET: [(dynamics, "resolve_interceptions"), (enforcement, "observe")], SCAN: [(dynamics, "nearest_enemy")]}
+# The calls that quiet steps, the scan skip and blind stretches save, counted
+# in the unforced play and with that shortcut forced off.
+SAVED = {
+    QUIET: [(dynamics, "resolve_interceptions"), (enforcement, "observe")],
+    SCAN: [(dynamics, "nearest_enemy")],
+    STRETCH: [(experiment, "step")],
+}
 
 # Configs whose opening has an edge, with the step it ends on: off-centre
 # maps, whose drones are clamped in it; a first spawn at enemy_spawn_period
@@ -119,7 +125,7 @@ def unforced():
     rows = table()
     calls, openings, clamped, played = collections.Counter(), [], [], []
     with pytest.MonkeyPatch.context() as m:
-        _count(m, calls, [*SAVED[QUIET], *SAVED[SCAN]])
+        _count(m, calls, [f for saved in SAVED.values() for f in saved])
 
         def clamp(p, cfg, real=dynamics.clamp_to_map):
             q = real(p, cfg)
