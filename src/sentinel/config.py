@@ -107,6 +107,19 @@ class SimConfig:
     scan_reach:          patrol_radius + detection_radius plus a rounding
                          margin: a drone on its patrol circle sees no enemy
                          farther than this from the center
+    sight_bound:         scan_reach, or with agents the farther of it and
+                         ea_orbit_radius + ea_monitor_radius: no drone or
+                         agent on its circle sees an enemy beyond it
+    enemy_move:          enemy_speed * (1 + 1/64), the most an enemy move
+                         closes on the center, its rounding included
+    blind_window:        floor((nearest edge - sight_bound) / enemy_move),
+                         or 0 unless circles_inside and that edge lies
+                         beyond sight_bound: the moves an enemy makes from
+                         the boundary unseen (dynamics.blind_steps)
+    intercept_skip:      detection_radius - intercept_radius - drone_speed
+                         - enemy_speed exceeds ON_CIRCLE_EPS plus a rounding
+                         margin, so a step in which no drone saw a threat
+                         intercepts none (dynamics.step)
     first_spawn:         the first spawn step: first_spawn_step, or
                          enemy_spawn_period if that is 0, as steps count from 1
     sector_centers:      TAU * i / total_drones for each drone id i, the
@@ -141,7 +154,7 @@ class SimConfig:
         # Configs are built before they are validated, so this never
         # raises: what cannot be computed, from a zero, a huge int, a value
         # that is not a number or a center that is not a pair, reads nan,
-        # not inside, or no sector centres.
+        # False, 0 or no sector centres.
         set_attr = object.__setattr__
         set_attr(self, "half_sector", _quotient(math.pi, self.total_drones))
         set_attr(self, "patrol_step", _quotient(self.drone_speed, self.patrol_radius))
@@ -159,6 +172,28 @@ class SimConfig:
         except (ArithmeticError, TypeError):
             reach = math.nan
         set_attr(self, "scan_reach", reach)
+        try:
+            sight = max(reach, self.ea_orbit_radius + self.ea_monitor_radius) if self.num_eas else reach
+        except (ArithmeticError, TypeError):
+            sight = math.nan
+        set_attr(self, "sight_bound", sight)
+        try:
+            move = self.enemy_speed * (1.0 + 1.0 / 64.0)
+        except (ArithmeticError, TypeError):
+            move = math.nan
+        set_attr(self, "enemy_move", move)
+        try:
+            slack = min(cx, cy, m - cx, m - cy) - sight if inside else 0.0
+            window = math.floor(slack / move) if slack > 0.0 else 0  # a nan slack compares false
+        except (ArithmeticError, TypeError, ValueError):
+            window = 0
+        set_attr(self, "blind_window", window)
+        try:
+            margin = self.detection_radius - self.intercept_radius - self.drone_speed - self.enemy_speed
+            quiet = margin > ON_CIRCLE_EPS + 1e-9 * self.map_size
+        except (ArithmeticError, TypeError):
+            quiet = False
+        set_attr(self, "intercept_skip", quiet)
         set_attr(self, "first_spawn", self.first_spawn_step or self.enemy_spawn_period)
         n = self.total_drones
         ok = isinstance(n, int) and 1 <= n <= MAX_TOTAL_DRONES

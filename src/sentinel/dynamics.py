@@ -5,9 +5,10 @@ functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
 its entity moves to. Each step skips work that cannot change a byte, and
-each skip is argued where it is made: the clamp and the threat scan in
-step()'s drone loop, quiet steps at its interception skip, and blind
-stretches, the opening every episode shares included, at blind_steps.
+each skip is argued where it is made: the clamp, the threat scan and the
+inline play of a drone on its arc point in step()'s drone loop, quiet steps
+at its interception skip, and blind stretches, the opening every episode
+shares included, at blind_steps.
 """
 
 import math
@@ -135,29 +136,6 @@ def _perimeter_point(u: float, cfg: SimConfig) -> Point2:
     return (0.0, m - along)
 
 
-def _sight_bound(cfg: SimConfig) -> float:
-    """How far from the centre drones and agents on their circles may see."""
-    if cfg.num_eas:
-        return max(cfg.scan_reach, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
-    return cfg.scan_reach
-
-
-def blind_moves(cfg: SimConfig) -> int:
-    """The length of cfg's blind window, 0 unless cfg.circles_inside: how
-    many moves an enemy makes from the boundary, no nearer the centre than
-    its nearest edge, while it stays out of sight (_sight_bound). Every step
-    from the first spawn through the window is blind (blind_steps), so every
-    episode reaches the same drones and agents there: experiment's opening.
-    """
-    if not cfg.circles_inside:
-        return 0
-    (cx, cy), m = cfg.center, cfg.map_size
-    slack = min(cx, cy, m - cx, m - cy) - _sight_bound(cfg)
-    if not slack > 0.0:  # also a nan or -inf bound
-        return 0
-    return math.floor(slack / (cfg.enemy_speed * (1.0 + 1.0 / 64.0)))
-
-
 def _next_spawn(s: int, cfg: SimConfig) -> int:
     """The first spawn step after step s."""
     first, period = cfg.first_spawn, cfg.enemy_spawn_period
@@ -169,16 +147,20 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
 
     With cfg.circles_inside, every drone on the arc point it was sent to,
     every agent idle (no suspicion, no pursuit) on its orbit point and every
-    enemy farther from the centre than _sight_bound, drones and agents lie
-    on their circles up to rounding: no scan finds an enemy (triangle
+    enemy farther from the centre than cfg.sight_bound, drones and agents
+    lie on their circles up to rounding: no scan finds an enemy (triangle
     inequality), no agent logs an entry point or changes a count, none
-    breaches, and with step()'s interception-skip margin none is
-    intercepted. Such a step draws from the rng only to spawn, logs only
+    breaches, and with cfg.intercept_skip, step()'s interception skip, none
+    is intercepted. Such a step draws from the rng only to spawn, logs only
     spawns, and sweeps each drone and orbits each agent, whatever the roles.
 
     The count is capped by the time limit, by each live enemy's moves
     beyond the bound, and, for an enemy spawned in the stretch, by
-    blind_moves. Both enemy caps floor a slack over enemy_speed * (1 +
+    cfg.blind_window, the moves an enemy makes from the boundary, no nearer
+    the centre than its nearest edge, before it can come within the bound.
+    Every step from the first spawn through that window is blind, so every
+    episode reaches the same drones and agents there: experiment's opening.
+    Both enemy caps floor a slack over cfg.enemy_move, enemy_speed * (1 +
     1/64): a move closes at most enemy_speed and its rounding, which
     validate's speed floor keeps below 1/256 of it. For a count of at least
     1 that leaves at least 0.0115 times the slack, at least 12 ulp(map_size)
@@ -187,15 +169,14 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     from 1e-300 to 1e300).
     """
     # An enemy in sight is the likeliest refusal, so it is looked for first.
-    s, center = world.step, cfg.center
-    k, bound, move = cfg.time_limit_steps - s, _sight_bound(cfg), cfg.enemy_speed * (1.0 + 1.0 / 64.0)
+    s, center, bound, move = world.step, cfg.center, cfg.sight_bound, cfg.enemy_move
+    k = cfg.time_limit_steps - s
     for e in world.enemies:
         slack = distance(e.position, center) - bound
         if not slack >= move:  # also a nan or -inf bound
             return 0
         k = min(k, math.floor(slack / move))
-    margin = cfg.detection_radius - cfg.intercept_radius - cfg.drone_speed - cfg.enemy_speed
-    if k < 1 or s < 1 or not cfg.circles_inside or margin <= ON_CIRCLE_EPS + 1e-9 * cfg.map_size:
+    if k < 1 or s < 1 or not cfg.circles_inside or not cfg.intercept_skip:
         return 0
     for d in world.drones:
         if d.arc is None or d.arc[0] != d.position:
@@ -203,7 +184,7 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     for ea in world.eas:
         if ea.suspicion or ea.pursue_target is not None or ea.arc is None or ea.arc[0] != ea.position:
             return 0
-    return min(k, _next_spawn(s, cfg) - 1 - s + blind_moves(cfg))
+    return min(k, _next_spawn(s, cfg) - 1 - s + cfg.blind_window)
 
 
 def catch_up(world: WorldState, cfg: SimConfig, rng: random.Random, end: int) -> None:
@@ -315,21 +296,32 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    The scan skip: a drone standing on the arc point it was sent to is
     #    on its patrol circle up to rounding, so while every enemy is farther
     #    than cfg.scan_reach from the centre its scan would find none
-    #    (triangle inequality): it records no threat and patrols, as either
-    #    policy would. A nan reach compares false, so it never skips.
-    reach, center = cfg.scan_reach, cfg.center
-    for e in world.enemies:
+    #    (triangle inequality): it records no threat and sweeps on. A nan
+    #    reach compares false, so it never skips.
+    reach, center, enemies = cfg.scan_reach, cfg.center, world.enemies
+    for e in enemies:
         if not distance(e.position, center) > reach:
             far = False
             break
     else:
         far = True
-    inside = cfg.circles_inside
+    inside, detection = cfg.circles_inside, cfg.detection_radius
     for d in world.drones:
         arc = d.arc
-        if far and arc is not None and arc[0] == d.position:
-            d.threat = None
-            target = _sweep(d, arc[1], cfg)
+        # On its arc: a drone standing on the arc point it was sent to is
+        # played here, bit for bit as its policy would play it. Either policy
+        # scans once and stores what it saw as d.threat; a compliant drone
+        # that saw a threat takes compliant_policy's move_toward step to it,
+        # and every other drone sweeps on from its arc point, as
+        # _sector_patrol_move does for a drone standing there. So the
+        # policies play only drones off their arc: at step 1, after a
+        # pursuit, and on maps where the clamp moves a drone.
+        if arc is not None and arc[0] == d.position:
+            seen = d.threat = None if far else nearest_enemy(d.position, enemies, detection)
+            if seen is None or d.role is MALICIOUS:
+                target = _sweep(d, arc[1], cfg)
+            else:
+                target = move_toward(d.position, seen.position, cfg.drone_speed)
         elif d.role is MALICIOUS:
             target = malicious_policy(d, world, cfg)
         else:
@@ -359,12 +351,8 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    a drone beyond a wall. So after the first step, with no threat seen
     #    and the slack above that tolerance plus a rounding margin, no enemy
     #    is within intercept_radius of any drone.
-    if (
-        threat
-        or cfg.detection_radius - cfg.intercept_radius - cfg.drone_speed - cfg.enemy_speed
-        <= ON_CIRCLE_EPS + 1e-9 * cfg.map_size
-        or world.step == 1
-    ):
+    #    cfg.intercept_skip is that slack test; blind_steps reads it too.
+    if threat or not cfg.intercept_skip or world.step == 1:
         resolve_interceptions(world, cfg)
 
     # 6) termination: breach beats the time limit when both hold

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .config import SimConfig, apply_overrides, validate
-from .dynamics import blind_moves, blind_steps, catch_up, play_blind, step
+from .dynamics import blind_steps, catch_up, play_blind, step
 from .world import REFORMED, WorldState, initial_world
 
 _MASK64 = (1 << 64) - 1
@@ -117,7 +117,7 @@ _opening_cache: list[tuple[SimConfig, WorldState] | None] = [None]
 def opening(cfg: SimConfig) -> WorldState:
     """The drones and agents every episode of cfg has at the end of its
     opening: the steps before the first spawn and then cfg's blind window,
-    or up to the time limit if that comes first (dynamics.blind_moves says
+    or up to the time limit if that comes first (dynamics.blind_steps says
     why every episode has them).
 
     Played from initial_world through step() once per config object, on a
@@ -128,7 +128,7 @@ def opening(cfg: SimConfig) -> WorldState:
     cached = _opening_cache[0]
     if cached is not None and cached[0] is cfg:
         return cached[1]
-    end = min(cfg.first_spawn - 1 + blind_moves(cfg), cfg.time_limit_steps)
+    end = min(cfg.first_spawn - 1 + cfg.blind_window, cfg.time_limit_steps)
     held = apply_overrides(cfg, first_spawn_step=end + 1)
     world = initial_world(held, random.Random(0))
     while world.step < end:

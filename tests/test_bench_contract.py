@@ -3,11 +3,15 @@
 deleted or no longer called on the traced path. The last ones check that
 tools/bench.py fails on a wrong run, flags a spread wider than its bound and
 names the source it measured, and that tools/pairs.py alternates its pairs,
-applies the gain rule, fails on a wrong run and writes its report."""
+applies the gain rule, fails on a wrong run, writes its report and plays a
+git revision from an unpacked copy."""
 
 import importlib
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -277,3 +281,44 @@ def test_pairs_write_their_report_with_out(pairs, tmp_path, capsys):
         assert report[side]["src_digest"] == pairs.src_digest(tmp_path / side)
     assert report["parent"]["src_digest"] != report["change"]["src_digest"]
     assert str(out) in capsys.readouterr().out
+
+
+def test_pairs_play_a_git_revision_from_one_unpacked_copy_and_remove_it(pairs, tmp_path, monkeypatch, capsys):
+    # A repository of one commit whose working tree has moved on since: the
+    # parent side, given as HEAD, plays the committed source from one
+    # temporary copy, which is gone afterwards, and the report names the
+    # revision beside its commit and digest.
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    repo = tmp_path / "repo"
+    (repo / "src" / "sentinel").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    (repo / "src" / "sentinel" / "a.py").write_text("A = 1\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + args, cwd=repo, check=True)
+    (repo / "src" / "sentinel" / "a.py").write_text("A = 2\n")
+    monkeypatch.setattr(sys.modules["bench"], "REPO", repo)
+    copies = []
+
+    def run_once(checkout, workload, seed, seconds):
+        if checkout != repo:
+            copies.append(checkout)
+            assert (checkout / "src" / "sentinel" / "a.py").read_text() == "A = 1\n"
+        metrics = {"step_us_p50": {"value": 15.0 if checkout == repo else 16.0}}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    out = tmp_path / "PAIRS_rev.json"
+    args = ["HEAD", str(repo), "--workload", "episodes-2ea", "--metric", "step_us_p50", "--out", str(out)]
+    assert pairs.main(args) == 0
+    assert len(copies) == 10 and len(set(copies)) == 1 and not copies[0].exists()
+    report = json.loads(out.read_text())
+    head = subprocess.run(["git", "describe", "--always", "HEAD"], cwd=repo, capture_output=True, text=True)
+    assert report["parent"]["revision"] == "HEAD" and report["parent"]["commit"] == head.stdout.strip()
+    assert report["parent"]["src_digest"] == sys.modules["bench"].digest([("src/sentinel/a.py", b"A = 1\n")])
+    assert report["change"]["revision"] is None
+    assert report["change"]["src_digest"] == pairs.src_digest(repo)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["no-such-revision"] + args[1:])
+    assert "no-such-revision is neither a directory nor a git revision" in str(exc.value.code)

@@ -24,6 +24,7 @@ from sentinel.config import (
 )
 from sentinel.experiment import run_batch
 from test_acceptance import random_valid_config
+from test_dynamics import _sight_bound
 
 
 def test_defaults_validate():
@@ -332,7 +333,19 @@ def test_center_must_lie_inside_the_map():
 
 # --- derived geometry ----------------------------------------------------------
 
-DERIVED = ("half_sector", "patrol_step", "orbit_step", "scan_reach", "circles_inside", "sector_centers", "first_spawn")
+DERIVED = (
+    "half_sector",
+    "patrol_step",
+    "orbit_step",
+    "scan_reach",
+    "circles_inside",
+    "sector_centers",
+    "first_spawn",
+    "sight_bound",
+    "enemy_move",
+    "blind_window",
+    "intercept_skip",
+)
 
 
 def _reach(patrol_radius, detection_radius, map_size=120.0):
@@ -350,7 +363,10 @@ def _derived(cfg):
 
 def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     cfg = default_config()
-    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True, _centers(6), 15)
+    # With no agent the sight bound is the scan reach; the nearest edge lies
+    # 60 - 40 away, 19 moves of 1 + 1/64; 10 - 2 - 3.6 - 1 > 1.2e-7.
+    stretch = (_reach(30.0, 10.0), 1.015625, 19, True)
+    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True, _centers(6), 15, *stretch)
     assert not set(DERIVED) & {f.name for f in dataclasses.fields(cfg)}
     assert not any(f"{name}=" in repr(cfg) for name in DERIVED)  # first_spawn_step= is a field
     # == and hash read the fields alone.
@@ -361,7 +377,13 @@ def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     moved = apply_overrides(
         skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0), detection_radius=12.0, first_spawn_step=0
     )
-    assert _derived(moved) == (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False, _centers(4), 15)
+    stretch = (_reach(30.0, 12.0), 1.015625, 0, True)  # no window: the circles reach the west wall
+    geometry = (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False, _centers(4), 15)
+    assert _derived(moved) == (*geometry, *stretch)
+    # With agents the orbit plus the monitor radius, 15 + 40, counts too, and
+    # an interception margin of about 0 leaves no interception skip.
+    agents = apply_overrides(cfg, num_eas=2, ea_monitor_radius=40.0, intercept_radius=5.4)
+    assert (agents.sight_bound, agents.blind_window, agents.intercept_skip) == (55.0, 4, False)
     # With first_spawn_step 0 the first spawn comes one period after step 0.
     assert apply_overrides(moved, enemy_spawn_period=7).first_spawn == 7
     assert dataclasses.replace(skewed).circles_inside is True
@@ -382,7 +404,8 @@ def test_read_config_derives_the_geometry_of_the_file(tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text("center_x = 20\ntotal_drones = 3\npatrol_radius = 25\n")
     cfg = read_config(path)
-    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False, _centers(3), 15)
+    stretch = (_reach(25.0, 10.0), 1.015625, 0, True)
+    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False, _centers(3), 15, *stretch)
 
 
 @pytest.mark.parametrize(
@@ -418,6 +441,69 @@ def test_building_a_config_never_raises():
             assert all(isinstance(v, float) for v in _derived(cfg)[:4]), (field, value)
             if field in ("map_size", "center") or (field.endswith("radius") and not -1e300 < value < 1e300):
                 assert cfg.circles_inside is False, (field, value)
+
+
+# Each field the stretch constants read: a map with the centre anywhere on
+# it, circles and sights up to a half, a sixth or a twentieth of its width
+# and speeds up to a tenth of that, then up to three fields given a value
+# that validate refuses.
+_RADII = ("detection_radius", "intercept_radius", "patrol_radius", "ea_orbit_radius", "ea_monitor_radius")
+_REFUSED = st.sampled_from([math.nan, 0, 0.0, -1.0, math.inf, -math.inf, 10**400, "6", None])
+
+
+@st.composite
+def _stretch_fields(draw):
+    m = draw(st.floats(1e-3, 1e6))
+    part = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    fields = {"num_eas": draw(st.integers(0, 3)), "map_size": m, "center": (draw(part) * m, draw(part) * m)}
+    reach = m / draw(st.sampled_from([2.0, 6.0, 20.0]))
+    fields.update({name: draw(part) * reach for name in _RADII})
+    fields.update({name: draw(part) * reach / 10.0 for name in ("drone_speed", "enemy_speed")})
+    refused = st.one_of(_REFUSED, st.tuples(_REFUSED, st.just(1.0)), st.sampled_from([True, 10**400]))
+    for name, value in draw(st.lists(st.tuples(st.sampled_from(sorted(fields)), refused), max_size=3)):
+        fields[name] = value
+    return fields
+
+
+def _reference(compute, fallback):
+    # compute(), or fallback where it raises, as a value that cannot be
+    # computed reads.
+    try:
+        return compute()
+    except (ArithmeticError, TypeError, ValueError):
+        return fallback
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)  # nan reads nan
+
+
+@settings(max_examples=300)
+@given(_stretch_fields())
+def test_the_stretch_constants_equal_the_dynamics_references_for_any_fields(fields):
+    # Built from anything, validate's refusals included, a config never
+    # raises, and each stretch constant is the value the dynamics tests
+    # compute as their reference (_sight_bound, the blind-window formula),
+    # or where that cannot be computed nan, 0 or False.
+    cfg = SimConfig(**fields)
+    sight = _reference(lambda: _sight_bound(cfg), math.nan)
+    move = _reference(lambda: cfg.enemy_speed * (1 + 1 / 64), math.nan)
+
+    def window():
+        (cx, cy), m = cfg.center, cfg.map_size
+        nearest = min(cx, cy, m - cx, m - cy)
+        if not cfg.circles_inside or nearest <= _sight_bound(cfg):
+            return 0
+        return math.floor((nearest - _sight_bound(cfg)) / (cfg.enemy_speed * (1 + 1 / 64)))
+
+    def skip():
+        margin = cfg.detection_radius - cfg.intercept_radius - cfg.drone_speed - cfg.enemy_speed
+        return margin > 1e-9 + 1e-9 * cfg.map_size  # ON_CIRCLE_EPS and a rounding margin
+
+    assert _same(cfg.sight_bound, sight), (cfg, sight)
+    assert _same(cfg.enemy_move, move), (cfg, move)
+    assert cfg.blind_window == _reference(window, 0), cfg
+    assert cfg.intercept_skip is _reference(skip, False), cfg
 
 
 @pytest.mark.parametrize("center", [(1.0, 2.0, 3.0), (1.0,), None])

@@ -49,7 +49,7 @@ from sentinel.world import (
 )
 
 from test_acceptance import random_valid_config
-from test_shortcuts import CLAMP, QUIET, SCAN, STRETCH, forced_off, unforced
+from test_shortcuts import ALIVE, CLAMP, QUIET, SCAN, SHORTCUTS, STRETCH, forced, forced_off, unforced
 
 
 def bare_world(*drones, enemies=(), step_index=0):
@@ -676,7 +676,7 @@ def test_no_enemy_comes_within_sight_during_the_blind_window(exponent, edge, mov
         other = min(max(near + along * (m - 2.0 * near), near), m - near)
         center = [(near, other), (other, near), (m - near, other), (other, m - near)][edge]
     cfg = validate(apply_overrides(base, center=center))
-    window = dynamics.blind_moves(cfg)
+    window = cfg.blind_window
     nearest, point = _nearest_boundary_point(cfg)
     if not cfg.circles_inside or nearest <= _sight_bound(cfg):
         assert window == 0, cfg
@@ -725,7 +725,7 @@ def test_the_blind_window_is_empty_unless_both_circles_are_inside_and_the_neares
     except ConfigError:
         reject()
     nearest = _nearest_boundary_point(cfg)[0]
-    window = dynamics.blind_moves(cfg)
+    window = cfg.blind_window
     if not cfg.circles_inside or nearest <= _sight_bound(cfg):
         assert window == 0, cfg
     else:
@@ -733,16 +733,95 @@ def test_the_blind_window_is_empty_unless_both_circles_are_inside_and_the_neares
 
 
 def test_skipping_the_clamp_inside_the_circles_plays_the_same_episodes():
-    # Forced off, every target goes through clamp_to_map.
+    # Forced off, every target goes through clamp_to_map, and no move is
+    # blind: each opening ends before the first spawn.
     assert {cfg.circles_inside for cfg, _, _ in unforced().table} == {True, False}
     forced_off(CLAMP)
+    for cfg, _, _ in unforced().table:
+        opening = experiment.opening(forced(cfg, **SHORTCUTS[CLAMP][1]))
+        assert opening.step == min(cfg.first_spawn - 1, cfg.time_limit_steps), cfg
 
 
 def test_skipping_the_scan_while_every_enemy_is_out_of_reach_plays_the_same_episodes():
     # Forced off by an infinite reach, every drone scans every step; the
-    # skip takes fewer scans.
+    # skip takes fewer scans. Nor is any enemy out of sight, so no blind
+    # stretch has an enemy alive in it, as the unforced ones do.
     calls = forced_off(SCAN)
     assert unforced().calls["nearest_enemy"] < calls["nearest_enemy"], calls
+    assert calls[ALIVE] == 0 < unforced().calls[ALIVE], calls
+
+
+def _due_east_at(p, gap):
+    # The point due east of p whose distance from p is gap, exactly.
+    x = p[0] + gap
+    for _ in range(8):
+        d = distance(p, (x, p[1]))
+        if d == gap:
+            return (x, p[1])
+        x = math.nextafter(x, -math.inf if d > gap else math.inf)
+    raise AssertionError((p, gap))
+
+
+ON_ARC_ROLES = [COMPLIANT, MALICIOUS, REFORMED, COMPLIANT, MALICIOUS, COMPLIANT]
+
+
+def _on_arc_enemies(world, cfg, case, near):
+    # The enemies of each case, relative to drone `near`.
+    p = world.drones[near].position
+    if case == "at detection_radius":
+        return [Enemy(0, _due_east_at(p, cfg.detection_radius), 0)]
+    if case == "just beyond detection_radius":
+        x, y = _due_east_at(p, cfg.detection_radius)
+        enemy = Enemy(0, (math.nextafter(x, math.inf), y), 0)
+        assert distance(p, enemy.position) > cfg.detection_radius
+        return [enemy]
+    if case == "beyond scan_reach":
+        (cx, cy), r = cfg.center, cfg.scan_reach + 1e-6
+        enemies = [Enemy(i, (cx + r * math.cos(a), cy + r * math.sin(a)), 0) for i, a in enumerate(cfg.sector_centers)]
+        assert all(distance(e.position, cfg.center) > cfg.scan_reach for e in enemies)
+        return enemies
+    return []
+
+
+ON_ARC_CASES = ["at detection_radius", "just beyond detection_radius", "no enemy", "beyond scan_reach"]
+
+
+@pytest.mark.parametrize("near", [0, 1, 2])
+@pytest.mark.parametrize("case", ON_ARC_CASES)
+def test_a_drone_on_its_arc_point_moves_as_its_policy_moves_it(monkeypatch, case, near):
+    # Hand-built worlds at 0 agents: every drone on the arc point it was
+    # sent to, compliant, malicious and reformed, with an enemy exactly at
+    # detection_radius from drone `near` (a compliant, a malicious or a
+    # reformed one), just beyond it, none, or one beyond scan_reach at each
+    # drone's bearing. step() plays each drone as its policy plays it on a
+    # copy of the world before the step, and scans once per drone, or not
+    # at all while every enemy is out of reach.
+    cfg = validate(apply_overrides(default_config(), first_spawn_step=5000))
+    world = initial_world(cfg, random.Random(1))
+    step(world, cfg, random.Random(0))
+    for d, role in zip(world.drones, ON_ARC_ROLES):
+        d.role = role
+        assert d.arc[0] == d.position
+    world.enemies = _on_arc_enemies(world, cfg, case, near)
+    world.next_enemy_id = len(world.enemies)
+    expected = copy.deepcopy(world)
+    for d in expected.drones:
+        policy = malicious_policy if d.role is MALICIOUS else compliant_policy
+        d.prev_position, d.position = d.position, policy(d, expected, cfg)
+    scans = []
+    monkeypatch.setattr(dynamics, "nearest_enemy", lambda *args: scans.append(args[0]) or nearest_enemy(*args))
+    step(world, cfg, random.Random(0))
+    far = case in ("no enemy", "beyond scan_reach")
+    assert scans == ([] if far else [d.prev_position for d in world.drones])
+
+    def moved(d):
+        return d.position, d.prev_position, d.threat and d.threat.id, d.arc, d.patrol_dir
+
+    assert [moved(d) for d in world.drones] == [moved(d) for d in expected.drones]
+    seen = [d.id for d in world.drones if d.threat is not None]
+    assert seen == ([near] if case == "at detection_radius" else [])
+    chased = [d.id for d in world.drones if d.arc[0] != d.position]
+    assert chased == ([near] if case == "at detection_radius" and ON_ARC_ROLES[near] is not MALICIOUS else [])
 
 
 def test_a_nan_scan_reach_skips_no_scan():
@@ -1062,7 +1141,7 @@ def test_an_enemy_whose_slack_covers_k_moves_allows_k_blind_steps(k):
 def test_an_enemy_spawned_in_a_stretch_makes_at_most_blind_moves_moves():
     cfg = validate(apply_overrides(default_config(), num_eas=2, first_spawn_step=103, enemy_spawn_period=4))
     world = _blind_world(cfg)
-    window = dynamics.blind_moves(cfg)
+    window = cfg.blind_window
     assert window == 19
     k = dynamics.blind_steps(world, cfg)
     assert k == 2 + window

@@ -164,7 +164,7 @@ def test_the_opening_ends_with_the_blind_window_or_at_the_time_limit(limit, firs
         dynamics.spawn_enemies(probe, cfg, rng)
     first_spawn = probe.step
     assert first_spawn == (first or period)
-    assert dynamics.blind_moves(cfg) == 19
+    assert cfg.blind_window == 19
     start = experiment.opening(cfg)
     assert start.enemies == [] and start.events == [] and start.next_enemy_id == 0
     assert start.step == min(first_spawn - 1 + 19, limit)

@@ -3,7 +3,7 @@ library and itself only, its modules import each other without a cycle,
 and the CLI starts without modules that only some commands need. Also two
 source rules: no code tests identity against a literal, and no module
 imports a name it never reads; and tools/loc.py, which counts source lines
-by kind."""
+by kind, and the package's budget of code lines."""
 
 import ast
 import os
@@ -201,3 +201,16 @@ def test_the_line_kinds_of_each_source_file_sum_to_its_line_count(monkeypatch, t
     sample = tmp_path / "sample.py"
     sample.write_text('"""Doc\n\nstring."""\n\n# note\nx = """not\n\ndoc"""  # trailing\n')
     assert count_lines(sample) == {"code": 2, "docstring": 2, "comment": 1, "blank": 3}
+
+
+# The most lines of code, as tools/loc.py counts them, that src/sentinel may
+# hold. A change that needs more raises it and says why in CHANGES.md.
+CODE_LINE_BUDGET = 1207
+
+
+def test_the_package_stays_within_its_code_line_budget(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "tools"))
+    from loc import count_lines
+
+    code = sum(count_lines(path)["code"] for path in sorted(PACKAGE_DIR.glob("*.py")))
+    assert code <= CODE_LINE_BUDGET, f"{code} lines of code in src/sentinel, over the budget of {CODE_LINE_BUDGET}"

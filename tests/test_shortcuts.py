@@ -19,21 +19,26 @@ from test_acceptance import random_valid_config
 
 # Each shortcut, keyed by where its argument is stated, with the lever that
 # switches it off: (module, attribute, value) patched for the episode, or with
-# None for module an attribute of its config. The clamp-skip and scan-skip
-# levers also empty the blind window (dynamics.blind_moves) and every blind
-# stretch with an enemy alive (dynamics.blind_steps). With no enemy alive
-# the scan skip still fires under its lever: a scan finds none.
+# None for module attributes of its config. A config lever sets, beside its
+# own attribute, each value that SimConfig.__post_init__ derives from it,
+# which it would not otherwise reach: the clamp-skip and scan-skip levers
+# empty the blind window (cfg.blind_window), and the scan-skip lever puts the
+# sight bound (cfg.sight_bound) out of reach, so that no blind stretch has an
+# enemy alive (dynamics.blind_steps). With no enemy alive the scan skip
+# still fires under its lever: a scan finds none.
 SHORTCUTS = {
     "quiet steps (dynamics.step, enforcement.run_enforcement_phase)": (dynamics, "threat_seen", lambda world: True),
-    "clamp skip (dynamics.step)": (None, "circles_inside", False),
-    "scan skip (dynamics.step)": (None, "scan_reach", math.inf),
+    "clamp skip (dynamics.step)": (None, dict(circles_inside=False, blind_window=0)),
+    "scan skip (dynamics.step)": (None, dict(scan_reach=math.inf, sight_bound=math.inf, blind_window=0)),
     "opening (experiment.run_episode)": (experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0))),
     "blind stretches (dynamics.blind_steps)": (experiment, "blind_steps", lambda world, cfg: 0),
 }
 QUIET, CLAMP, SCAN, OPENING, STRETCH = SHORTCUTS
 
 # The calls that quiet steps, the scan skip and blind stretches save, counted
-# in the unforced play and with that shortcut forced off.
+# in the unforced play and with that shortcut forced off. Beside them every
+# play counts, as ALIVE, the blind stretches with an enemy alive in them.
+ALIVE = "stretches with an enemy alive"
 SAVED = {
     QUIET: [(dynamics, "resolve_interceptions"), (enforcement, "observe")],
     SCAN: [(dynamics, "nearest_enemy")],
@@ -103,13 +108,28 @@ def _count(m, calls, functions):
         m.setattr(module, name, counted)
 
 
-def _play(cfg, run, **attrs):
-    # Each play gets a config object of its own, so it builds its own
-    # opening and every count covers the same steps.
+def _count_stretches(m, calls):
+    # An enemy is alive in a stretch that starts with one or reaches a spawn.
+    def counted(world, cfg, real=experiment.blind_steps):
+        k = real(world, cfg)
+        calls[ALIVE] += k > 0 and (world.enemies != [] or world.step + k >= dynamics._next_spawn(world.step, cfg))
+        return k
+
+    m.setattr(experiment, "blind_steps", counted)
+
+
+def forced(cfg, **attrs):
+    """A config object of its own, with these attributes set."""
     cfg = copy.copy(cfg)
     for name, value in attrs.items():
         object.__setattr__(cfg, name, value)
-    return run_episode(cfg, run, mix_seed(1, run))
+    return cfg
+
+
+def _play(cfg, run, **attrs):
+    # Each play gets a config object of its own, so it builds its own
+    # opening and every count covers the same steps.
+    return run_episode(forced(cfg, **attrs), run, mix_seed(1, run))
 
 
 Unforced = collections.namedtuple("Unforced", "table openings clamped played calls")
@@ -126,6 +146,7 @@ def unforced():
     calls, openings, clamped, played = collections.Counter(), [], [], []
     with pytest.MonkeyPatch.context() as m:
         _count(m, calls, [f for saved in SAVED.values() for f in saved])
+        _count_stretches(m, calls)
 
         def clamp(p, cfg, real=dynamics.clamp_to_map):
             q = real(p, cfg)
@@ -143,18 +164,19 @@ def unforced():
 
 def forced_off(*shortcuts):
     """Plays the table with these shortcuts switched off, asserts that every
-    play equals the unforced one, and returns the calls that they save,
-    counted in the forced plays."""
+    play equals the unforced one, and returns the calls that they save and
+    the ALIVE stretches, counted in the forced plays."""
     base = unforced()
     calls = collections.Counter()
     with pytest.MonkeyPatch.context() as m:
         _count(m, calls, [f for shortcut in shortcuts for f in SAVED.get(shortcut, ())])
+        _count_stretches(m, calls)
         attrs = {}
-        for module, name, value in (SHORTCUTS[shortcut] for shortcut in shortcuts):
+        for module, *lever in (SHORTCUTS[shortcut] for shortcut in shortcuts):
             if module is None:
-                attrs[name] = value
+                attrs.update(lever[0])
             else:
-                m.setattr(module, name, value)
+                m.setattr(module, *lever)
         for (cfg, runs, _), played in zip(base.table, base.played):
             for run in runs:
                 assert _play(cfg, run, **attrs) == played[run], (shortcuts, cfg, run)

@@ -1,9 +1,11 @@
 """Benchmark every workload on a fixed seed set and write the medians.
 
-    python3 tools/bench.py LABEL [--checkout DIR]
+    python3 tools/bench.py LABEL [--checkout DIR_OR_REV]
 
 Runs ``perfbench/run.py --trace 0`` of the checkout DIR (default: the one
-this script is in) for every workload in its BENCHMARK.json, on seeds 2, 3,
+this script is in), or of a git revision REV of this script's repository
+unpacked with ``git archive`` into a temporary directory that is removed
+afterwards, for every workload in its BENCHMARK.json, on seeds 2, 3,
 4 and the held-out 4070, one run at a time, each for the benchmark's
 ``run_seconds``. Writes ``BENCH_<LABEL>.json`` to the current directory:
 per workload, the median of each end-to-end metric over the seeds, every
@@ -12,21 +14,27 @@ end-to-end metric's spread over the seeds, (max - min) / median, and flags
 one wider than its BENCHMARK.json bound: such a file was likely taken in a
 slow spell of the host and should be retaken, not cited. Exits 1, after
 writing the file, naming every workload and seed whose run was not correct
-or had failed operations. To compare two commits, run it on a checkout of
-each. The file's ``commit`` is ``git describe`` of the checkout, or
-``unknown`` for a tree without git, and its ``src_digest`` names the source
-that was measured, whether or not it was committed (see ``src_digest``).
+or had failed operations. To compare two commits, run it on each. The
+file's ``commit`` is ``git describe`` of the checkout or the revision, or
+``unknown`` for a tree without git, its ``revision`` the revision as given
+(null for a directory), and its ``src_digest`` names the source that was
+measured, whether or not it was committed (see ``digest``).
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 SEEDS = (2, 3, 4, 4070)
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,35 +48,61 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def commit_of(checkout: Path) -> str:
-    """``git describe`` of checkout, or ``unknown`` for a tree without git."""
+def commit_of(checkout: Path, revision: str | None = None) -> str:
+    """``git describe`` of checkout, or of revision in REPO, or ``unknown``
+    for a tree without git."""
+    where, what = (REPO, [revision]) if revision else (checkout, ["--dirty"])
     try:
         return subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True, check=True
+            ["git", "describe", "--always", *what], cwd=where, capture_output=True, text=True, check=True
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):  # no git, or a tree without its .git
         return "unknown"
 
 
+def digest(files) -> str:
+    """SHA-256 over (path, bytes) pairs, in sorted order of their paths: each
+    path, a NUL, the size of its bytes, a NUL and the bytes."""
+    sha = hashlib.sha256()
+    for path, data in sorted(files):
+        sha.update(f"{path}\0{len(data)}\0".encode() + data)
+    return sha.hexdigest()
+
+
 def src_digest(checkout: Path) -> str:
-    """SHA-256 over the files src/sentinel/**/*.py of checkout, in sorted
-    order of their paths: each path relative to checkout, a NUL, the file's
-    size in bytes, a NUL and its bytes."""
-    digest = hashlib.sha256()
-    paths = sorted(p.relative_to(checkout).as_posix() for p in (checkout / "src" / "sentinel").glob("**/*.py"))
-    for rel in paths:
-        data = (checkout / rel).read_bytes()
-        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
-    return digest.hexdigest()
+    """The digest of the files src/sentinel/**/*.py of checkout, each path
+    relative to checkout."""
+    paths = (checkout / "src" / "sentinel").glob("**/*.py")
+    return digest((p.relative_to(checkout).as_posix(), p.read_bytes()) for p in paths)
+
+
+@contextlib.contextmanager
+def checkout_of(where: str):
+    """(directory, revision) for a checkout given as a directory, with
+    revision None, or as a git revision of REPO, unpacked with git archive
+    into a temporary directory that is removed on exit."""
+    if Path(where).is_dir():
+        yield Path(where).resolve(), None
+        return
+    archive = subprocess.run(["git", "archive", where], cwd=REPO, capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(f"bench: {where} is neither a directory nor a git revision\n{archive.stderr.decode()}")
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp), where
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label")
-    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--checkout", default=str(REPO), help="a directory or a git revision")
     args = parser.parse_args(argv)
+    with checkout_of(args.checkout) as (checkout, revision):
+        return _bench(args.label, checkout, revision)
 
-    checkout = args.checkout.resolve()
+
+def _bench(label: str, checkout: Path, revision: str | None) -> int:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
@@ -91,15 +125,16 @@ def main(argv=None) -> int:
             "failed": sum(r["failed"] for r in by_seed.values()),
         }
     out = {
-        "label": args.label,
-        "commit": commit_of(checkout),
+        "label": label,
+        "commit": commit_of(checkout, revision),
+        "revision": revision,
         "src_digest": src_digest(checkout),
         "seeds": list(SEEDS),
         "run_seconds": spec["run_seconds"],
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "workloads": summary,
     }
-    dest = Path(f"BENCH_{args.label}.json")
+    dest = Path(f"BENCH_{label}.json")
     dest.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     for workload, entry in summary.items():
         for metric in spec["end_to_end"]:

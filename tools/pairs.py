@@ -10,20 +10,23 @@ side's median and quartiles, the pairs each side won (ties count for
 neither), and whether the gain rule holds: the change wins at least 9 of the
 10 pairs, and its median beats the parent's by more than the parent's
 interquartile range. The metric's direction comes from the parent's
-BENCHMARK.json. With ``--out``, also writes the report as JSON to FILE
-(by convention ``PAIRS_<LABEL>.json``): every pair, each side's median,
-quartiles, ``commit`` and ``src_digest`` as tools/bench.py records them,
-the wins and the verdict. Exits 1 after the report, naming each run that
-was not correct or had failed operations.
+BENCHMARK.json. PARENT and CHANGE are each a directory or a git revision,
+which is unpacked once for all its runs as ``tools/bench.py --checkout``
+unpacks it. With ``--out``, also writes the report as JSON to FILE (by
+convention ``PAIRS_<LABEL>.json``): every pair, each side's median,
+quartiles, ``commit``, ``revision`` and ``src_digest`` as tools/bench.py
+records them, the wins and the verdict. Exits 1 after the report, naming
+each run that was not correct or had failed operations.
 """
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
 from pathlib import Path
 
-from bench import commit_of, run_once, src_digest
+from bench import checkout_of, commit_of, run_once, src_digest
 
 SEEDS = (5, 6, 7, 8, 9, 10, 11, 12, 13, 4070)
 NEED = 9  # pairs of the ten the change must win
@@ -31,14 +34,20 @@ NEED = 9  # pairs of the ten the change must win
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", help="a directory or a git revision")
+    parser.add_argument("change", help="a directory or a git revision")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--metric", required=True)
     parser.add_argument("--out", type=Path, help="also write the report as JSON to this file")
     args = parser.parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        sides = {side: stack.enter_context(checkout_of(getattr(args, side))) for side in ("parent", "change")}
+        return _pairs(parser, args, sides)
 
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+def _pairs(parser, args, sides) -> int:
+    # sides maps parent and change to (directory, revision or None).
+    checkouts = {side: path for side, (path, _) in sides.items()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         parser.error(f"unknown workload {args.workload!r}")
@@ -87,10 +96,11 @@ def main(argv=None) -> int:
             side: {
                 "median": quartiles[side][1],
                 "quartiles": [quartiles[side][0], quartiles[side][2]],
-                "commit": commit_of(checkouts[side]),
-                "src_digest": src_digest(checkouts[side]),
+                "commit": commit_of(path, revision),
+                "revision": revision,
+                "src_digest": src_digest(path),
             }
-            for side in checkouts
+            for side, (path, revision) in sides.items()
         }
         report = {
             "workload": args.workload,
