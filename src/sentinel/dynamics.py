@@ -7,8 +7,9 @@ the step index the call advances the world to. A policy returns the position
 its entity moves to. Each step skips work that cannot change a byte, and
 each skip is argued where it is made: the clamp, the threat scan and the
 inline play of a drone on its arc point in step()'s drone loop, quiet steps
-at its interception skip, and blind stretches, the opening every episode
-shares included, at blind_steps.
+at its interception skip, and blind stretches at blind_steps: among them
+a drone's return to its arc, the step in which an enemy crosses into sight
+and the opening every episode shares.
 """
 
 import math
@@ -145,46 +146,73 @@ def _next_spawn(s: int, cfg: SimConfig) -> int:
 def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     """How many of the next steps are blind, for play_blind to play at once.
 
-    With cfg.circles_inside, every drone on the arc point it was sent to,
-    every agent idle (no suspicion, no pursuit) on its orbit point and every
-    enemy farther from the centre than cfg.sight_bound, drones and agents
-    lie on their circles up to rounding: no scan finds an enemy (triangle
-    inequality), no agent logs an entry point or changes a count, none
-    breaches, and with cfg.intercept_skip, step()'s interception skip, none
-    is intercepted. Such a step draws from the rng only to spawn, logs only
-    spawns, and sweeps each drone and orbits each agent, whatever the roles.
+    A step is blind when no drone sees an enemy, no agent sees a fresh spawn
+    and no enemy breaches. With every agent idle (no suspicion, no pursuit)
+    on its orbit point, no agent then logs an entry point or changes a
+    count, and with cfg.intercept_skip, step()'s interception skip, none is
+    intercepted. Such a step draws from the rng only to spawn, logs only
+    spawns, moves each drone as _sector_patrol_move does and orbits each
+    agent, whatever the roles.
 
-    The count is capped by the time limit, by each live enemy's moves
-    beyond the bound, and, for an enemy spawned in the stretch, by
-    cfg.blind_window, the moves an enemy makes from the boundary, no nearer
-    the centre than its nearest edge, before it can come within the bound.
+    With cfg.circles_inside, no drone or agent sees an enemy that lies, when
+    the drones scan, farther from the centre than a bound. For drones and
+    agents on their circles that bound is cfg.sight_bound (triangle
+    inequality), up to rounding. A drone off its arc, at a distance r from
+    the centre, widens it to r - patrol_radius + cfg.scan_reach: seeing
+    nothing, it heads for a point of its circle, so by convexity it stays
+    within max(r, patrol_radius) of the centre, up to a few ulps a step, and
+    on the map, as step() argues for every move.
+
+    So the count is capped by the time limit, by each live enemy and, for an
+    enemy spawned in the stretch, by cfg.blind_window. Drones scan before
+    enemies move, so an enemy beyond the bound is unseen in the step whose
+    move takes it across: a slack d - bound > 0 allows ceil(slack /
+    cfg.enemy_move) steps. No such move breaches: it ends farther than
+    patrol_radius + detection_radius - enemy_speed from the centre, where
+    cfg.intercept_skip makes detection_radius > enemy_speed and validate
+    makes center_radius < patrol_radius. cfg.blind_window counts the moves
+    an enemy makes from the boundary, no nearer the centre than its nearest
+    edge, before it can come within sight_bound; a widened bound shortens it
+    by ceil(widening / enemy_move), as floor(a - b) >= floor(a) - ceil(b).
     Every step from the first spawn through that window is blind, so every
     episode reaches the same drones and agents there: experiment's opening.
-    Both enemy caps floor a slack over cfg.enemy_move, enemy_speed * (1 +
-    1/64): a move closes at most enemy_speed and its rounding, which
-    validate's speed floor keeps below 1/256 of it. For a count of at least
-    1 that leaves at least 0.0115 times the slack, at least 12 ulp(map_size)
-    at the speed floor, for the rounding of circle points and distances: a
-    circle point lies at most 1 ulp beyond its circle (20,000 points at maps
-    from 1e-300 to 1e300).
+
+    cfg.enemy_move is enemy_speed * (1 + 1/64): a move closes at most
+    enemy_speed and its rounding, which validate's speed floor keeps below
+    1/256 of it. So at the j-th step of a stretch an enemy still lies at
+    least (j - 1) * 3/256 * enemy_speed beyond the bound, 12 ulp(map_size) a
+    move at the speed floor, above the rounding of circle points, distances
+    and a returning drone's moves: a circle point lies at most 1 ulp beyond
+    its circle (20,000 points at maps from 1e-300 to 1e300). At the first
+    step no enemy has moved: a drone on its arc skips its scan by step()'s
+    own test against the same scan_reach, whose margin covers the scan of a
+    drone off its arc.
     """
     # An enemy in sight is the likeliest refusal, so it is looked for first.
-    s, center, bound, move = world.step, cfg.center, cfg.sight_bound, cfg.enemy_move
-    k = cfg.time_limit_steps - s
+    s, center, bound = world.step, cfg.center, cfg.sight_bound
+    near = math.inf
     for e in world.enemies:
-        slack = distance(e.position, center) - bound
-        if not slack >= move:  # also a nan or -inf bound
+        gap = distance(e.position, center)
+        if not gap > bound:  # also a nan bound
             return 0
-        k = min(k, math.floor(slack / move))
-    if k < 1 or s < 1 or not cfg.circles_inside or not cfg.intercept_skip:
+        if gap < near:
+            near = gap
+    if s < 1 or not cfg.circles_inside or not cfg.intercept_skip:
         return 0
-    for d in world.drones:
-        if d.arc is None or d.arc[0] != d.position:
-            return 0
     for ea in world.eas:
         if ea.suspicion or ea.pursue_target is not None or ea.arc is None or ea.arc[0] != ea.position:
             return 0
-    return min(k, _next_spawn(s, cfg) - 1 - s + cfg.blind_window)
+    wide = bound
+    for d in world.drones:
+        if d.arc is None or d.arc[0] != d.position:
+            wide = max(wide, distance(d.position, center) - cfg.patrol_radius + cfg.scan_reach)
+    move, window = cfg.enemy_move, cfg.blind_window
+    if wide > bound:
+        window = max(window - math.ceil((wide - bound) / move), 0)
+    k = min(cfg.time_limit_steps - s, _next_spawn(s, cfg) - 1 - s + window)
+    if world.enemies:
+        k = min(k, math.ceil((near - wide) / move))
+    return max(k, 0)
 
 
 def catch_up(world: WorldState, cfg: SimConfig, rng: random.Random, end: int) -> None:
@@ -204,13 +232,21 @@ def catch_up(world: WorldState, cfg: SimConfig, rng: random.Random, end: int) ->
 
 def play_blind(world: WorldState, cfg: SimConfig, rng: random.Random, k: int) -> None:
     """Advance the world k blind steps (blind_steps) as k calls of step()
-    would: each drone carries its offset and direction through k sweeps
-    (_sweep), each agent its angle through k orbit steps (ea_policy)."""
+    would: a drone off its arc steps through _sector_patrol_move until it
+    stands on its arc point, and from there carries its offset and direction
+    through the sweeps left (_sweep); each agent carries its angle through k
+    orbit steps (ea_policy)."""
     half, stride, sectors = cfg.half_sector, cfg.patrol_step, cfg.sector_centers
     (cx, cy), radius = cfg.center, cfg.patrol_radius
     for d in world.drones:
+        d.threat, left = None, k
+        while left and (d.arc is None or d.arc[0] != d.position):
+            d.prev_position, d.position = d.position, _sector_patrol_move(d, cfg)
+            left -= 1
+        if not left:
+            continue
         offset, direction = d.arc[1], d.patrol_dir
-        for _ in range(k):
+        for _ in range(left):
             last = offset
             if direction > 0:
                 offset += stride
@@ -219,9 +255,9 @@ def play_blind(world: WorldState, cfg: SimConfig, rng: random.Random, k: int) ->
             if offset > half or offset < -half:
                 offset, direction = _fold_into_sector(offset, half, direction)
         a, b = sectors[d.id] + last, sectors[d.id] + offset
-        d.prev_position = (cx + radius * math.cos(a), cy + radius * math.sin(a)) if k > 1 else d.position
+        d.prev_position = (cx + radius * math.cos(a), cy + radius * math.sin(a)) if left > 1 else d.position
         d.position = (cx + radius * math.cos(b), cy + radius * math.sin(b))
-        d.arc, d.patrol_dir, d.threat = (d.position, offset), direction, None
+        d.arc, d.patrol_dir = (d.position, offset), direction
     orbit, stride = cfg.ea_orbit_radius, cfg.orbit_step
     for ea in world.eas:
         angle = ea.arc[1]

@@ -1123,19 +1123,105 @@ def _stepped_and_played(world, cfg, k):
 BLIND = dict(num_eas=2, first_spawn_step=5000)
 
 
+def _check_stretch(world, cfg, k):
+    # blind_steps counts k steps, and play_blind(k) plays them as k calls of
+    # step(), in which no drone sees a threat; returns the world played.
+    assert dynamics.blind_steps(world, cfg) == k
+    stepped, played = _stepped_and_played(world, cfg, k)
+    assert stepped == played
+    assert [d.threat for d in stepped.drones] == [None] * cfg.total_drones
+    return played
+
+
 @pytest.mark.parametrize("k", [1, 7])
 def test_an_enemy_whose_slack_covers_k_moves_allows_k_blind_steps(k):
+    # k blind steps, and as drones scan before enemies move, the step whose
+    # move takes the enemy across the bound too: a slack of k moves and a
+    # bit allows k + 1 steps, one of exactly k moves k.
     cfg = validate(apply_overrides(default_config(), **BLIND))
     move = cfg.enemy_speed * (1 + 1 / 64)
+    (cx, cy), bound = cfg.center, _sight_bound(cfg)
     for slack in (k + 0.01, k + 0.5, k + 0.99):
-        (cx, cy), gap = cfg.center, _sight_bound(cfg) + slack * move
-        world = _blind_world(cfg, enemies=[Enemy(0, (cx + gap * 0.6, cy - gap * 0.8), 90)])
-        assert dynamics.blind_steps(world, cfg) == k, slack
-        stepped, played = _stepped_and_played(world, cfg, k)
-        assert stepped == played
-        assert [d.threat for d in stepped.drones] == [None] * 6
-    world.enemies[0].position = (cx + _sight_bound(cfg) + 0.99 * move, cy)
+        gap = bound + slack * move
+        _check_stretch(_blind_world(cfg, enemies=[Enemy(0, (cx + gap * 0.6, cy - gap * 0.8), 90)]), cfg, k + 1)
+    world = _blind_world(cfg, enemies=[Enemy(0, (cx + (bound + k * move), cy), 90)])
+    assert distance(world.enemies[0].position, cfg.center) - bound == k * move
+    _check_stretch(world, cfg, k)
+
+
+def test_an_enemy_on_the_bound_allows_no_blind_step_and_one_a_few_ulps_beyond_it_one():
+    cfg = validate(apply_overrides(default_config(), **BLIND))
+    (cx, cy), bound = cfg.center, _sight_bound(cfg)
+    world = _blind_world(cfg, enemies=[Enemy(0, (cx + bound, cy), 90)])
+    assert distance(world.enemies[0].position, cfg.center) == bound
     assert dynamics.blind_steps(world, cfg) == 0
+    world.enemies[0].position = (cx + bound - 0.5, cy)
+    assert dynamics.blind_steps(world, cfg) == 0
+    x = cx + bound
+    for _ in range(3):
+        x = math.nextafter(x, math.inf)
+    world.enemies[0].position = (x, cy)
+    assert 0.0 < distance((x, cy), cfg.center) - bound < 1e-13
+    _check_stretch(world, cfg, 1)
+
+
+def _on_bearing(cfg, p, r):
+    # The point r from the centre in the direction of p.
+    (cx, cy), (x, y), was = cfg.center, p, distance(p, cfg.center)
+    return (cx + (x - cx) * r / was, cy + (y - cy) * r / was)
+
+
+def _displaced(world, cfg, r):
+    # Drone 4 moved along its bearing to r from the centre, as a pursuit may
+    # leave it: off its arc.
+    d = world.drones[4]
+    d.position = _on_bearing(cfg, d.position, r)
+    return d
+
+
+@pytest.mark.parametrize(
+    "r, at, slack, k, back",
+    [
+        # A hair off its arc, with no enemy: the stretch runs to the time limit.
+        (30.0 + 1e-6, 100, None, 1100, True),
+        # From inside its circle, which widens nothing.
+        (20.0, 100, 7.5, 8, True),
+        # From 10 outside it, which widens the bound by 10.
+        (40.0, 100, 5.5, 6, True),
+        # From 20 outside: the stretch ends with the drone still on its way.
+        (50.0, 100, 2.5, 3, False),
+        # The time limit ends the stretch, and the episode, during a return.
+        (45.0, 1198, None, 2, False),
+    ],
+)
+def test_a_drone_on_its_way_back_to_its_arc_is_played_in_the_stretch(r, at, slack, k, back):
+    # An enemy on the drone's bearing, `slack` moves beyond the bound the
+    # drone widens to.
+    cfg = validate(apply_overrides(default_config(), **BLIND))
+    world = _blind_world(cfg, at=at)
+    d = _displaced(world, cfg, r)
+    if slack is not None:
+        bound = max(_sight_bound(cfg), distance(d.position, cfg.center) - cfg.patrol_radius + cfg.scan_reach)
+        world.enemies = [Enemy(0, _on_bearing(cfg, d.position, bound + slack * cfg.enemy_move), at - 10)]
+    played = _check_stretch(world, cfg, k)
+    assert (played.drones[4].arc is not None and played.drones[4].arc[0] == played.drones[4].position) == back
+    assert played.outcome == ("success" if at + k == cfg.time_limit_steps else None)
+
+
+def test_the_crossing_step_of_an_enemy_at_the_intercept_skip_limit_ends_far_from_a_breach():
+    # The fastest enemy for which step() still skips interception, and a
+    # zone just inside the patrol circle: the move across the bound ends
+    # beyond patrol_radius + detection_radius - enemy_speed.
+    fast = 10.0 - 2.0 - 3.6 - 2 * _MARGIN
+    cfg = validate(apply_overrides(default_config(), center_radius=29.999, enemy_speed=fast, **BLIND))
+    assert cfg.intercept_skip and not apply_overrides(cfg, enemy_speed=fast + 2 * _MARGIN).intercept_skip
+    (cx, cy), bound = cfg.center, _sight_bound(cfg)
+    for slack, k in [(0.5, 1), (3.5, 4)]:
+        world = _blind_world(cfg, enemies=[Enemy(0, (cx, cy - (bound + slack * cfg.enemy_move)), 90)])
+        played = _check_stretch(world, cfg, k)
+        assert played.outcome is None
+        gap = distance(played.enemies[0].position, cfg.center)
+        assert cfg.patrol_radius + cfg.detection_radius - fast < gap < bound
 
 
 def test_an_enemy_spawned_in_a_stretch_makes_at_most_blind_moves_moves():
@@ -1150,6 +1236,18 @@ def test_an_enemy_spawned_in_a_stretch_makes_at_most_blind_moves_moves():
     assert [(e.kind, e.step) for e in played.events] == [("spawn", s) for s in range(103, 100 + k + 1, 4)]
 
 
+@pytest.mark.parametrize("r, moves, k", [(35.0, 5, 16), (50.0, 20, 2)])
+def test_a_returning_drone_shortens_the_window_of_an_enemy_spawned_in_the_stretch(r, moves, k):
+    # A drone r from the centre widens the bound by r - patrol_radius: the
+    # window of 19 moves loses that many moves, rounded up, down to none.
+    cfg = validate(apply_overrides(default_config(), num_eas=2, first_spawn_step=103, enemy_spawn_period=4))
+    world = _blind_world(cfg)
+    d = _displaced(world, cfg, r)
+    assert math.ceil((distance(d.position, cfg.center) - cfg.patrol_radius) / cfg.enemy_move) == moves
+    played = _check_stretch(world, cfg, k)
+    assert [(e.kind, e.step) for e in played.events] == [("spawn", s) for s in range(103, 100 + k + 1, 4)]
+
+
 def test_a_stretch_that_reaches_the_time_limit_ends_the_episode_with_success():
     cfg = validate(apply_overrides(default_config(), **BLIND))
     world = _blind_world(cfg, at=cfg.time_limit_steps - 30)
@@ -1159,17 +1257,20 @@ def test_a_stretch_that_reaches_the_time_limit_ends_the_episode_with_success():
     assert stepped == played
 
 
-def _suspicious(world):
+def _suspicious(world, cfg):
     world.eas[1].suspicion[3] = 1
 
 
-def _pursuing(world):
+def _pursuing(world, cfg):
     world.eas[0].pursue_target, world.eas[0].pursue_since = 2, world.step
 
 
-def _off_the_arc(world):
-    x, y = world.drones[4].position
-    world.drones[4].position = (x, y + 1e-6)
+def _off_the_arc(world, cfg):
+    # Five outside its circle, drone 4 sees 5 farther than the sight bound:
+    # an enemy 3 beyond that bound, on its bearing, is 8 from it. (A drone
+    # off its arc with no enemy in its reach is played in the stretch.)
+    d = _displaced(world, cfg, cfg.patrol_radius + 5.0)
+    world.enemies = [Enemy(0, _on_bearing(cfg, d.position, _sight_bound(cfg) + 3.0), 90)]
 
 
 @pytest.mark.parametrize(
@@ -1190,7 +1291,7 @@ def test_no_step_is_blind_with_an_agent_at_work_a_drone_off_its_arc_or_no_margin
     cfg = validate(apply_overrides(base, **overrides))
     world = _blind_world(cfg)
     if change is not None:
-        change(world)
+        change(world, cfg)
     assert dynamics.blind_steps(world, cfg) == 0
 
 
@@ -1204,41 +1305,50 @@ def test_blind_stretches_play_the_same_episodes_as_steps_one_by_one():
 _MARGIN = ON_CIRCLE_EPS + 1e-9 * 120.0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
     st.integers(0, 2),
     st.integers(0, 2),
     st.sampled_from([(60.0, 60.0), (40.0, 75.0), (85.0, 50.0), (20.0, 60.0)]),
     st.sampled_from([1, 2, 15, 30]),
     st.integers(0, 40),
-    st.sampled_from([0.1, 0.3, 1.0, 2.5]),
+    st.sampled_from([1.5, 3.6, 6.0]),
+    st.sampled_from([10.0, 15.0, 20.0]),
+    st.sampled_from([0.1, 0.3, 1.0, 2.5, None]),
     st.integers(1, 600),
     st.sampled_from([None, None, None, -1e-12, 0.0, 1e-9]),
     st.booleans(),
     st.integers(1, 1000),
 )
-# The defaults at 2 agents, cut at step 60 inside run 1's stretch of steps 49 to 69.
-@example(2, 1, (60.0, 60.0), 15, 15, 1.0, 60, None, False, 1)
+# The defaults at 2 agents, cut at step 60 inside run 1's stretch of steps 46 to 64,
+# which starts with drone 2 on its way back to its arc.
+@example(2, 1, (60.0, 60.0), 15, 15, 3.6, 10.0, 1.0, 60, None, False, 1)
 def test_blind_stretches_play_drawn_configs_as_steps_one_by_one(
-    num_eas, num_malicious, center, period, first, enemy_speed, limit, at_margin, failsafe, run
+    num_eas, num_malicious, center, period, first, drone_speed, detection, enemy_speed, limit, at_margin, failsafe, run
 ):
     # Centred and off-centre maps, one with a circle across a wall, spawns
-    # up to every step, slow enemies for long stretches, time limits that
-    # may end inside one, and detection radii at step()'s interception-skip
-    # margin: the same records, events and final worlds with stretches and
-    # with every step through step().
+    # up to every step, slow and fast drones that chase up to 20 past their
+    # circle, slow enemies for long stretches and enemies as fast as
+    # step()'s interception skip allows (None), time limits that may end
+    # inside a stretch, and detection radii at that skip's margin: the same
+    # records, events and final worlds with stretches and with every step
+    # through step().
+    if enemy_speed is None:
+        enemy_speed = detection - 2.0 - drone_speed - 2 * _MARGIN
     fields = dict(
         num_eas=num_eas,
         num_malicious=num_malicious,
         center=center,
         enemy_spawn_period=period,
         first_spawn_step=first,
+        drone_speed=drone_speed,
+        detection_radius=detection,
         enemy_speed=enemy_speed,
         time_limit_steps=limit,
         failsafe_enabled=failsafe,
     )
     if at_margin is not None:
-        fields["detection_radius"] = 2.0 + 3.6 + enemy_speed + _MARGIN + at_margin
+        fields["detection_radius"] = 2.0 + drone_speed + enemy_speed + _MARGIN + at_margin
     cfg = validate(apply_overrides(default_config(), **fields))
     played = run_episode(cfg, run, mix_seed(9, run))
     with pytest.MonkeyPatch.context() as m:

@@ -13,7 +13,7 @@ import pytest
 from sentinel import dynamics, enforcement, experiment
 from sentinel.config import apply_overrides, default_config, validate
 from sentinel.experiment import mix_seed, run_episode
-from sentinel.world import initial_world
+from sentinel.world import distance, initial_world
 
 from test_acceptance import random_valid_config
 
@@ -37,8 +37,13 @@ QUIET, CLAMP, SCAN, OPENING, STRETCH = SHORTCUTS
 
 # The calls that quiet steps, the scan skip and blind stretches save, counted
 # in the unforced play and with that shortcut forced off. Beside them every
-# play counts, as ALIVE, the blind stretches with an enemy alive in them.
+# play counts, as ALIVE, the blind stretches with an enemy alive in them, as
+# RETURNING those that start with a drone off its arc, and as CROSSING those
+# whose last step begins with an enemy less than one enemy_move beyond the
+# sight bound: the step whose move may take it across.
 ALIVE = "stretches with an enemy alive"
+RETURNING = "stretches that start with a drone off its arc"
+CROSSING = "stretches that end with a crossing step"
 SAVED = {
     QUIET: [(dynamics, "resolve_interceptions"), (enforcement, "observe")],
     SCAN: [(dynamics, "nearest_enemy")],
@@ -108,11 +113,24 @@ def _count(m, calls, functions):
         m.setattr(module, name, counted)
 
 
+def _crossing(world, cfg, k):
+    for e in world.enemies:
+        e = copy.copy(e)
+        for _ in range(k - 1):
+            e.position = dynamics.enemy_policy(e, cfg)
+        if distance(e.position, cfg.center) - cfg.sight_bound < cfg.enemy_move:
+            return True
+    return False
+
+
 def _count_stretches(m, calls):
     # An enemy is alive in a stretch that starts with one or reaches a spawn.
     def counted(world, cfg, real=experiment.blind_steps):
         k = real(world, cfg)
-        calls[ALIVE] += k > 0 and (world.enemies != [] or world.step + k >= dynamics._next_spawn(world.step, cfg))
+        if k > 0:
+            calls[ALIVE] += world.enemies != [] or world.step + k >= dynamics._next_spawn(world.step, cfg)
+            calls[RETURNING] += any(d.arc is None or d.arc[0] != d.position for d in world.drones)
+            calls[CROSSING] += _crossing(world, cfg, k)
         return k
 
     m.setattr(experiment, "blind_steps", counted)
@@ -186,3 +204,10 @@ def forced_off(*shortcuts):
 def test_every_shortcut_forced_off_plays_the_same_episodes():
     assert len(unforced().table) == 55
     forced_off(*SHORTCUTS)
+
+
+def test_the_table_plays_stretches_that_start_off_the_arc_and_stretches_that_end_with_a_crossing_step():
+    # Both widen what blind_steps counts as blind, and the plays above show
+    # them equal to the plays with every shortcut off.
+    calls = unforced().calls
+    assert calls[RETURNING] > 0 and calls[CROSSING] > 0, calls

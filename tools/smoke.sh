@@ -55,13 +55,15 @@ done
 # before the first spawn, for one that ends inside the window
 # after it, and for a first spawn at enemy_spawn_period. Later blind
 # stretches are played in one call each: at step 45, runs 2 and 3 end
-# inside one. The replays of run 2 check the worlds that the forked
-# child played.
+# inside one, and at step 50, runs 1 and 4 end inside one that starts
+# with a drone on its way back to its arc (from steps 45 and 46). The
+# replays of runs 2 and 4 check the worlds that the forked child played.
 printf 'time_limit_steps = 10\n' > "$tmp/short.cfg"
 printf 'time_limit_steps = 25\n' > "$tmp/window.cfg"
 printf 'first_spawn_step = 0\n' > "$tmp/spawn0.cfg"
 printf 'time_limit_steps = 45\n' > "$tmp/stretch.cfg"
-for c in short window spawn0 stretch; do
+printf 'time_limit_steps = 50\n' > "$tmp/return.cfg"
+for c in short window spawn0 stretch return; do
   SENTINEL_THREADS=1 sentinel simulate --eas 1 --runs 4 --seed 1 --config "$tmp/$c.cfg" --out "$tmp/$c-serial.csv"
   SENTINEL_THREADS=2 sentinel simulate --eas 1 --runs 4 --seed 1 --config "$tmp/$c.cfg" --frames "$tmp/$c-frames" --out "$tmp/$c-striped.csv"
   cmp "$tmp/$c-serial.csv" "$tmp/$c-striped.csv"
@@ -70,6 +72,8 @@ for c in window spawn0 stretch; do
   sentinel render --eas 1 --seed 1 --run 2 --config "$tmp/$c.cfg" --out "$tmp/$c.ppm"
   cmp "$tmp/$c-frames/run_2.ppm" "$tmp/$c.ppm"
 done
+sentinel render --eas 1 --seed 1 --run 4 --config "$tmp/return.cfg" --out "$tmp/return.ppm"
+cmp "$tmp/return-frames/run_4.ppm" "$tmp/return.ppm"
 # The CLI validates the config once, after the flags apply: 7
 # malicious of 6 drones is refused, exit 1, before a run is played.
 printf 'num_malicious = 7\n' > "$tmp/bad.cfg"
