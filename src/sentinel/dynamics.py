@@ -5,11 +5,11 @@ functions of (config, seed): spawn, drone motion, enforcement, enemy motion,
 interception, termination checks. All sub-steps of a call are stamped with
 the step index the call advances the world to. A policy returns the position
 its entity moves to. Each step skips work that cannot change a byte, and
-each skip is argued where it is made: the clamp, the threat scan and the
-inline play of a drone on its arc point in step()'s drone loop, quiet steps
-at its interception skip, and blind stretches at blind_steps: among them
-a drone's return to its arc, the step in which an enemy crosses into sight
-and the opening every episode shares.
+each skip is argued where it is made: the clamp and the inline play of a
+drone on its arc point in step()'s drone loop, quiet steps at its
+interception skip, and blind stretches at blind_steps: among them a drone's
+return to its arc, the step in which an enemy crosses into sight and the
+opening every episode shares. Each drone scans once in every step() call.
 """
 
 import math
@@ -184,9 +184,12 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     move at the speed floor, above the rounding of circle points, distances
     and a returning drone's moves: a circle point lies at most 1 ulp beyond
     its circle (20,000 points at maps from 1e-300 to 1e300). At the first
-    step no enemy has moved: a drone on its arc skips its scan by step()'s
-    own test against the same scan_reach, whose margin covers the scan of a
-    drone off its arc.
+    step no enemy has moved, and each lies beyond the bound. A drone at a
+    distance r from the centre then lies farther than detection_radius from
+    each enemy by the triangle inequality, as the bound is at least r +
+    detection_radius: scan_reach for a drone on its circle, whose margin
+    covers the rounding of its circle point and of the scan, and the
+    widened bound for a drone off its arc.
     """
     # An enemy in sight is the likeliest refusal, so it is looked for first.
     s, center, bound = world.step, cfg.center, cfg.sight_bound
@@ -329,19 +332,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     #    mover's own position, a circle point, or a move_toward between two
     #    points on the map, which stays on it. Agents skip the clamp alike in
     #    enforcement.
-    #    The scan skip: a drone standing on the arc point it was sent to is
-    #    on its patrol circle up to rounding, so while every enemy is farther
-    #    than cfg.scan_reach from the centre its scan would find none
-    #    (triangle inequality): it records no threat and sweeps on. A nan
-    #    reach compares false, so it never skips.
-    reach, center, enemies = cfg.scan_reach, cfg.center, world.enemies
-    for e in enemies:
-        if not distance(e.position, center) > reach:
-            far = False
-            break
-    else:
-        far = True
-    inside, detection = cfg.circles_inside, cfg.detection_radius
+    inside, detection, enemies = cfg.circles_inside, cfg.detection_radius, world.enemies
     for d in world.drones:
         arc = d.arc
         # On its arc: a drone standing on the arc point it was sent to is
@@ -353,7 +344,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
         # policies play only drones off their arc: at step 1, after a
         # pursuit, and on maps where the clamp moves a drone.
         if arc is not None and arc[0] == d.position:
-            seen = d.threat = None if far else nearest_enemy(d.position, enemies, detection)
+            seen = d.threat = nearest_enemy(d.position, enemies, detection)
             if seen is None or d.role is MALICIOUS:
                 target = _sweep(d, arc[1], cfg)
             else:
@@ -381,7 +372,7 @@ def step(world: WorldState, cfg: SimConfig, rng: random.Random) -> None:
     # 5) interception, skipped when it cannot catch anything. A drone that
     #    saw no threat had every enemy farther than detection_radius from
     #    where it stood; it then moved at most drone_speed (ON_CIRCLE_EPS more
-    #    if it counted as on its arc while that far off it) and each enemy at
+    #    if it counted as on its arc while that much off it) and each enemy at
     #    most enemy_speed. A clamp only shortens a move that starts on the
     #    map, as every move does after the first step: initial_world may place
     #    a drone beyond a wall. So after the first step, with no threat seen

@@ -80,9 +80,9 @@ class Drone:
     the nearest enemy within detection range of that position when the
     drone chose the move, or None. Every policy makes that scan, so a drone
     that ignores the threat can be judged against what it saw; an enemy
-    exactly detection_radius away is still a threat. Where step() skips the
-    scan, it stores None, what the scan would find. Both are None until the
-    first step.
+    exactly detection_radius away is still a threat. A blind stretch
+    (dynamics.play_blind) stores None without scanning, as no scan in it
+    would find a threat. Both are None until the first step.
 
     arc is the point of its arc the drone was last sent to and that point's
     sector offset; while it stands there, the patrol carries the offset.

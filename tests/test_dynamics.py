@@ -49,7 +49,7 @@ from sentinel.world import (
 )
 
 from test_acceptance import random_valid_config
-from test_shortcuts import ALIVE, CLAMP, QUIET, SCAN, SHORTCUTS, STRETCH, forced, forced_off, unforced
+from test_shortcuts import CLAMP, QUIET, SHORTCUTS, STRETCH, forced, forced_off, play, unforced
 
 
 def bare_world(*drones, enemies=(), step_index=0):
@@ -742,15 +742,6 @@ def test_skipping_the_clamp_inside_the_circles_plays_the_same_episodes():
         assert opening.step == min(cfg.first_spawn - 1, cfg.time_limit_steps), cfg
 
 
-def test_skipping_the_scan_while_every_enemy_is_out_of_reach_plays_the_same_episodes():
-    # Forced off by an infinite reach, every drone scans every step; the
-    # skip takes fewer scans. Nor is any enemy out of sight, so no blind
-    # stretch has an enemy alive in it, as the unforced ones do.
-    calls = forced_off(SCAN)
-    assert unforced().calls["nearest_enemy"] < calls["nearest_enemy"], calls
-    assert calls[ALIVE] == 0 < unforced().calls[ALIVE], calls
-
-
 def _due_east_at(p, gap):
     # The point due east of p whose distance from p is gap, exactly.
     x = p[0] + gap
@@ -794,8 +785,7 @@ def test_a_drone_on_its_arc_point_moves_as_its_policy_moves_it(monkeypatch, case
     # detection_radius from drone `near` (a compliant, a malicious or a
     # reformed one), just beyond it, none, or one beyond scan_reach at each
     # drone's bearing. step() plays each drone as its policy plays it on a
-    # copy of the world before the step, and scans once per drone, or not
-    # at all while every enemy is out of reach.
+    # copy of the world before the step, and scans once per drone.
     cfg = validate(apply_overrides(default_config(), first_spawn_step=5000))
     world = initial_world(cfg, random.Random(1))
     step(world, cfg, random.Random(0))
@@ -811,8 +801,7 @@ def test_a_drone_on_its_arc_point_moves_as_its_policy_moves_it(monkeypatch, case
     scans = []
     monkeypatch.setattr(dynamics, "nearest_enemy", lambda *args: scans.append(args[0]) or nearest_enemy(*args))
     step(world, cfg, random.Random(0))
-    far = case in ("no enemy", "beyond scan_reach")
-    assert scans == ([] if far else [d.prev_position for d in world.drones])
+    assert scans == [d.prev_position for d in world.drones]
 
     def moved(d):
         return d.position, d.prev_position, d.threat and d.threat.id, d.arc, d.patrol_dir
@@ -822,21 +811,6 @@ def test_a_drone_on_its_arc_point_moves_as_its_policy_moves_it(monkeypatch, case
     assert seen == ([near] if case == "at detection_radius" else [])
     chased = [d.id for d in world.drones if d.arc[0] != d.position]
     assert chased == ([near] if case == "at detection_radius" and ON_ARC_ROLES[near] is not MALICIOUS else [])
-
-
-def test_a_nan_scan_reach_skips_no_scan():
-    # No gap compares above nan, so no enemy counts as out of reach.
-    cfg = dataclasses.replace(default_config())
-    object.__setattr__(cfg, "scan_reach", math.nan)
-    rng = random.Random(2)
-    world = initial_world(cfg, rng)
-    step(world, cfg, rng)
-    d = world.drones[0]
-    assert d.arc[0] == d.position
-    enemy = Enemy(0, (d.position[0] + 5.0, d.position[1]), 0)
-    world.enemies.append(enemy)
-    step(world, cfg, rng)
-    assert d.threat is enemy
 
 
 @settings(max_examples=300)
@@ -1332,7 +1306,7 @@ def test_blind_stretches_play_drawn_configs_as_steps_one_by_one(
     # step()'s interception skip allows (None), time limits that may end
     # inside a stretch, and detection radii at that skip's margin: the same
     # records, events and final worlds with stretches and with every step
-    # through step().
+    # through step(), and with every shortcut of the table switched off.
     if enemy_speed is None:
         enemy_speed = detection - 2.0 - drone_speed - 2 * _MARGIN
     fields = dict(
@@ -1350,10 +1324,9 @@ def test_blind_stretches_play_drawn_configs_as_steps_one_by_one(
     if at_margin is not None:
         fields["detection_radius"] = 2.0 + drone_speed + enemy_speed + _MARGIN + at_margin
     cfg = validate(apply_overrides(default_config(), **fields))
-    played = run_episode(cfg, run, mix_seed(9, run))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(experiment, "blind_steps", lambda world, cfg: 0)
-        assert run_episode(cfg, run, mix_seed(9, run)) == played, cfg
+    played = play(cfg, run, mix_seed(9, run))
+    for shortcuts in [(STRETCH,), tuple(SHORTCUTS)]:
+        assert play(cfg, run, mix_seed(9, run), *shortcuts) == played, (shortcuts, cfg)
 
 
 # --- every accepted config runs ----------------------------------------------

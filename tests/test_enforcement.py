@@ -210,26 +210,12 @@ def test_each_drone_scans_once_per_step_and_observers_reuse_the_scan(monkeypatch
     count_calls(dynamics, "dynamics")
     count_calls(enforcement, "enforcement")
 
-    # A drone scans unless it stands on the arc point it was sent to while
-    # every enemy is farther than cfg.scan_reach from the centre; counted
-    # from the world as the drones see it, right after the spawn.
-    scans = 0
-    spawn = dynamics.spawn_enemies
-
-    def spawn_then_count(world, cfg, rng):
-        nonlocal scans
-        spawn(world, cfg, rng)
-        far = all(math.dist(e.position, cfg.center) > cfg.scan_reach for e in world.enemies)
-        scans += sum(not (far and d.arc is not None and d.arc[0] == d.position) for d in world.drones)
-
-    monkeypatch.setattr(dynamics, "spawn_enemies", spawn_then_count)
     rng = random.Random(7)
     world = initial_world(cfg, rng)
     while world.outcome is None:
         step(world, cfg, rng)
     assert world.step == 60
-    assert calls == {"dynamics": scans, "enforcement": 0}
-    assert scans < 60 * cfg.total_drones
+    assert calls == {"dynamics": 60 * cfg.total_drones, "enforcement": 0}
 
 
 def test_fresh_spawns_inside_monitor_radius_log_entry_points():

@@ -5,7 +5,6 @@ Each lever alone is tested with its module's tests, through forced_off."""
 import collections
 import copy
 import functools
-import math
 import random
 
 import pytest
@@ -21,22 +20,18 @@ from test_acceptance import random_valid_config
 # switches it off: (module, attribute, value) patched for the episode, or with
 # None for module attributes of its config. A config lever sets, beside its
 # own attribute, each value that SimConfig.__post_init__ derives from it,
-# which it would not otherwise reach: the clamp-skip and scan-skip levers
-# empty the blind window (cfg.blind_window), and the scan-skip lever puts the
-# sight bound (cfg.sight_bound) out of reach, so that no blind stretch has an
-# enemy alive (dynamics.blind_steps). With no enemy alive the scan skip
-# still fires under its lever: a scan finds none.
+# which it would not otherwise reach: the clamp-skip lever empties the blind
+# window (cfg.blind_window).
 SHORTCUTS = {
     "quiet steps (dynamics.step, enforcement.run_enforcement_phase)": (dynamics, "threat_seen", lambda world: True),
     "clamp skip (dynamics.step)": (None, dict(circles_inside=False, blind_window=0)),
-    "scan skip (dynamics.step)": (None, dict(scan_reach=math.inf, sight_bound=math.inf, blind_window=0)),
     "opening (experiment.run_episode)": (experiment, "opening", lambda cfg: initial_world(cfg, random.Random(0))),
     "blind stretches (dynamics.blind_steps)": (experiment, "blind_steps", lambda world, cfg: 0),
 }
-QUIET, CLAMP, SCAN, OPENING, STRETCH = SHORTCUTS
+QUIET, CLAMP, OPENING, STRETCH = SHORTCUTS
 
-# The calls that quiet steps, the scan skip and blind stretches save, counted
-# in the unforced play and with that shortcut forced off. Beside them every
+# The calls that quiet steps and blind stretches save, counted in the
+# unforced play and with that shortcut forced off. Beside them the unforced
 # play counts, as ALIVE, the blind stretches with an enemy alive in them, as
 # RETURNING those that start with a drone off its arc, and as CROSSING those
 # whose last step begins with an enemy less than one enemy_move beyond the
@@ -46,7 +41,6 @@ RETURNING = "stretches that start with a drone off its arc"
 CROSSING = "stretches that end with a crossing step"
 SAVED = {
     QUIET: [(dynamics, "resolve_interceptions"), (enforcement, "observe")],
-    SCAN: [(dynamics, "nearest_enemy")],
     STRETCH: [(experiment, "step")],
 }
 
@@ -144,10 +138,18 @@ def forced(cfg, **attrs):
     return cfg
 
 
-def _play(cfg, run, **attrs):
-    # Each play gets a config object of its own, so it builds its own
-    # opening and every count covers the same steps.
-    return run_episode(forced(cfg, **attrs), run, mix_seed(1, run))
+def play(cfg, run, seed, *shortcuts):
+    """The (record, final world) of one episode of cfg, played with these
+    shortcuts switched off. Each play gets a config object of its own, so it
+    builds its own opening and every count covers the same steps."""
+    attrs = {}
+    with pytest.MonkeyPatch.context() as m:
+        for module, *lever in (SHORTCUTS[shortcut] for shortcut in shortcuts):
+            if module is None:
+                attrs.update(lever[0])
+            else:
+                m.setattr(module, *lever)
+        return run_episode(forced(cfg, **attrs), run, seed)
 
 
 Unforced = collections.namedtuple("Unforced", "table openings clamped played calls")
@@ -176,28 +178,21 @@ def unforced():
             clamps = calls["clamp_to_map"]
             openings.append(experiment.opening(cfg).step)
             clamped.append(calls["clamp_to_map"] > clamps)
-            played.append({run: _play(cfg, run) for run in runs})
+            played.append({run: play(cfg, run, mix_seed(1, run)) for run in runs})
     return Unforced(rows, openings, clamped, played, calls)
 
 
 def forced_off(*shortcuts):
     """Plays the table with these shortcuts switched off, asserts that every
-    play equals the unforced one, and returns the calls that they save and
-    the ALIVE stretches, counted in the forced plays."""
+    play equals the unforced one, and returns the calls that they save,
+    counted in the forced plays."""
     base = unforced()
     calls = collections.Counter()
     with pytest.MonkeyPatch.context() as m:
         _count(m, calls, [f for shortcut in shortcuts for f in SAVED.get(shortcut, ())])
-        _count_stretches(m, calls)
-        attrs = {}
-        for module, *lever in (SHORTCUTS[shortcut] for shortcut in shortcuts):
-            if module is None:
-                attrs.update(lever[0])
-            else:
-                m.setattr(module, *lever)
         for (cfg, runs, _), played in zip(base.table, base.played):
             for run in runs:
-                assert _play(cfg, run, **attrs) == played[run], (shortcuts, cfg, run)
+                assert play(cfg, run, mix_seed(1, run), *shortcuts) == played[run], (shortcuts, cfg, run)
     return calls
 
 
@@ -208,6 +203,7 @@ def test_every_shortcut_forced_off_plays_the_same_episodes():
 
 def test_the_table_plays_stretches_that_start_off_the_arc_and_stretches_that_end_with_a_crossing_step():
     # Both widen what blind_steps counts as blind, and the plays above show
-    # them equal to the plays with every shortcut off.
+    # them equal to the plays with every shortcut off, as they do stretches
+    # with an enemy alive.
     calls = unforced().calls
-    assert calls[RETURNING] > 0 and calls[CROSSING] > 0, calls
+    assert calls[ALIVE] > 0 and calls[RETURNING] > 0 and calls[CROSSING] > 0, calls
