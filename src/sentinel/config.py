@@ -104,12 +104,11 @@ class SimConfig:
                          agents' orbit
     circles_inside:      both circles, widened by a rounding margin, lie
                          strictly inside the map
-    scan_reach:          patrol_radius + detection_radius plus a rounding
-                         margin: a drone on its patrol circle sees no enemy
-                         farther than this from the center
-    sight_bound:         scan_reach, or with agents the farther of it and
-                         ea_orbit_radius + ea_monitor_radius: no drone or
-                         agent on its circle sees an enemy beyond it
+    sight_bound:         patrol_radius + detection_radius plus a rounding
+                         margin (ON_CIRCLE_EPS + 1e-9 * map_size), or with
+                         agents the larger of that and ea_orbit_radius +
+                         ea_monitor_radius: no drone or agent on its circle
+                         sees an enemy farther than this from the center
     enemy_move:          enemy_speed * (1 + 1/64), the most an enemy move
                          closes on the center, its rounding included
     blind_window:        floor((nearest edge - sight_bound) / enemy_move),
@@ -169,10 +168,6 @@ class SimConfig:
         set_attr(self, "circles_inside", inside)
         try:
             reach = self.patrol_radius + self.detection_radius + ON_CIRCLE_EPS + 1e-9 * self.map_size
-        except (ArithmeticError, TypeError):
-            reach = math.nan
-        set_attr(self, "scan_reach", reach)
-        try:
             sight = max(reach, self.ea_orbit_radius + self.ea_monitor_radius) if self.num_eas else reach
         except (ArithmeticError, TypeError):
             sight = math.nan

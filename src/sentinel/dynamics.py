@@ -155,13 +155,23 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     agent, whatever the roles.
 
     With cfg.circles_inside, no drone or agent sees an enemy that lies, when
-    the drones scan, farther from the centre than a bound. For drones and
+    the drones scan, farther from the centre than one bound. For drones and
     agents on their circles that bound is cfg.sight_bound (triangle
-    inequality), up to rounding. A drone off its arc, at a distance r from
-    the centre, widens it to r - patrol_radius + cfg.scan_reach: seeing
-    nothing, it heads for a point of its circle, so by convexity it stays
-    within max(r, patrol_radius) of the centre, up to a few ulps a step, and
-    on the map, as step() argues for every move.
+    inequality), up to rounding. A drone off its arc point, at a distance r
+    from the centre, widens it by r - patrol_radius if that is positive:
+    seeing nothing, it heads for a point of its circle, so by convexity it
+    stays within max(r, patrol_radius) of the centre, up to a few ulps a
+    step, and on the map, as step() argues for every move. Widening
+    sight_bound rather than the drones' own reach is sound, as sight_bound
+    is never below that reach: patrol_radius + detection_radius and its
+    margin.
+
+    A stretch may start at step 0, where initial_world's drones stand on
+    their circles with no arc point yet and are played as returning drones.
+    Its agents have no orbit point yet, so at step 0 a world with agents has
+    no stretch. step() resolves interceptions at step 1 only for a drone
+    that initial_world placed beyond a wall, which cfg.circles_inside rules
+    out.
 
     So the count is capped by the time limit, by each live enemy and, for an
     enemy spawned in the stretch, by cfg.blind_window. Drones scan before
@@ -184,12 +194,12 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     move at the speed floor, above the rounding of circle points, distances
     and a returning drone's moves: a circle point lies at most 1 ulp beyond
     its circle (20,000 points at maps from 1e-300 to 1e300). At the first
-    step no enemy has moved, and each lies beyond the bound. A drone at a
+    step of a stretch no enemy has moved, and each lies beyond the bound. A drone at a
     distance r from the centre then lies farther than detection_radius from
     each enemy by the triangle inequality, as the bound is at least r +
-    detection_radius: scan_reach for a drone on its circle, whose margin
+    detection_radius: sight_bound for a drone on its circle, whose margin
     covers the rounding of its circle point and of the scan, and the
-    widened bound for a drone off its arc.
+    widened bound for a drone off its arc point.
     """
     # An enemy in sight is the likeliest refusal, so it is looked for first.
     s, center, bound = world.step, cfg.center, cfg.sight_bound
@@ -200,7 +210,7 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
             return 0
         if gap < near:
             near = gap
-    if s < 1 or not cfg.circles_inside or not cfg.intercept_skip:
+    if not cfg.circles_inside or not cfg.intercept_skip:
         return 0
     for ea in world.eas:
         if ea.suspicion or ea.pursue_target is not None or ea.arc is None or ea.arc[0] != ea.position:
@@ -208,10 +218,11 @@ def blind_steps(world: WorldState, cfg: SimConfig) -> int:
     wide = bound
     for d in world.drones:
         if d.arc is None or d.arc[0] != d.position:
-            wide = max(wide, distance(d.position, center) - cfg.patrol_radius + cfg.scan_reach)
-    move, window = cfg.enemy_move, cfg.blind_window
-    if wide > bound:
-        window = max(window - math.ceil((wide - bound) / move), 0)
+            wide = max(wide, distance(d.position, center) - cfg.patrol_radius + bound)
+    # A window lies beyond a finite bound only: an infinite one, a sum of
+    # radii that overflows, has none, and inf - inf would read nan.
+    move = cfg.enemy_move
+    window = max(cfg.blind_window - math.ceil((wide - bound) / move), 0) if cfg.blind_window else 0
     k = min(cfg.time_limit_steps - s, _next_spawn(s, cfg) - 1 - s + window)
     if world.enemies:
         k = min(k, math.ceil((near - wide) / move))

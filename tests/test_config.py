@@ -337,7 +337,6 @@ DERIVED = (
     "half_sector",
     "patrol_step",
     "orbit_step",
-    "scan_reach",
     "circles_inside",
     "sector_centers",
     "first_spawn",
@@ -357,17 +356,23 @@ def _centers(n):
     return tuple(TAU * i / n for i in range(n))
 
 
-def _derived(cfg):
-    return tuple(getattr(cfg, name) for name in DERIVED)
+def _derived(cfg, names=DERIVED):
+    return tuple(getattr(cfg, name) for name in names)
+
+
+# The derived attributes that are floats, nan where they cannot be computed.
+DERIVED_FLOATS = ("half_sector", "patrol_step", "orbit_step", "sight_bound", "enemy_move")
 
 
 def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
     cfg = default_config()
-    # With no agent the sight bound is the scan reach; the nearest edge lies
-    # 60 - 40 away, 19 moves of 1 + 1/64; 10 - 2 - 3.6 - 1 > 1.2e-7.
+    # With no agent the sight bound is the drones' reach; the nearest edge
+    # lies 60 - 40 away, 19 moves of 1 + 1/64; 10 - 2 - 3.6 - 1 > 1.2e-7.
     stretch = (_reach(30.0, 10.0), 1.015625, 19, True)
-    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, _reach(30.0, 10.0), True, _centers(6), 15, *stretch)
+    assert _derived(cfg) == (math.pi / 6, 3.6 / 30.0, 3.6 / 15.0, True, _centers(6), 15, *stretch)
     assert not set(DERIVED) & {f.name for f in dataclasses.fields(cfg)}
+    # They are every attribute a config holds beyond its fields.
+    assert set(vars(cfg)) == set(DERIVED) | {f.name for f in dataclasses.fields(cfg)}
     assert not any(f"{name}=" in repr(cfg) for name in DERIVED)  # first_spawn_step= is a field
     # == and hash read the fields alone.
     skewed = dataclasses.replace(cfg)
@@ -378,7 +383,7 @@ def test_derived_geometry_is_computed_once_per_config_outside_the_fields():
         skewed, total_drones=4, drone_speed=2.0, center=(20.0, 60.0), detection_radius=12.0, first_spawn_step=0
     )
     stretch = (_reach(30.0, 12.0), 1.015625, 0, True)  # no window: the circles reach the west wall
-    geometry = (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, _reach(30.0, 12.0), False, _centers(4), 15)
+    geometry = (math.pi / 4, 2.0 / 30.0, 2.0 / 15.0, False, _centers(4), 15)
     assert _derived(moved) == (*geometry, *stretch)
     # With agents the orbit plus the monitor radius, 15 + 40, counts too, and
     # an interception margin of about 0 leaves no interception skip.
@@ -405,7 +410,7 @@ def test_read_config_derives_the_geometry_of_the_file(tmp_path):
     path.write_text("center_x = 20\ntotal_drones = 3\npatrol_radius = 25\n")
     cfg = read_config(path)
     stretch = (_reach(25.0, 10.0), 1.015625, 0, True)
-    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, _reach(25.0, 10.0), False, _centers(3), 15, *stretch)
+    assert _derived(cfg) == (math.pi / 3, 3.6 / 25.0, 3.6 / 15.0, False, _centers(3), 15, *stretch)
 
 
 @pytest.mark.parametrize(
@@ -432,13 +437,13 @@ def test_building_a_config_never_raises():
         for value in ("6", None):
             override = (value, 60.0) if field == "center" else value
             cfg = apply_overrides(default_config(), **{field: override})
-            assert all(isinstance(v, float) for v in _derived(cfg)[:4]), (field, value)
+            assert all(isinstance(v, float) for v in _derived(cfg, DERIVED_FLOATS)), (field, value)
             if field in ("map_size", "center") or field.endswith("radius"):
                 assert cfg.circles_inside is False, (field, value)
         for value in (0, -1, -1.5, math.nan, math.inf, -math.inf, 10**400):
             override = (value, 60.0) if field == "center" else value
             cfg = apply_overrides(default_config(), **{field: override})
-            assert all(isinstance(v, float) for v in _derived(cfg)[:4]), (field, value)
+            assert all(isinstance(v, float) for v in _derived(cfg, DERIVED_FLOATS)), (field, value)
             if field in ("map_size", "center") or (field.endswith("radius") and not -1e300 < value < 1e300):
                 assert cfg.circles_inside is False, (field, value)
 

@@ -634,12 +634,18 @@ def test_an_enemy_moves_as_move_toward_the_centre_and_stays_on_the_map(map_size,
         p = q
 
 
+def _scan_reach(cfg):
+    # How far from the centre a drone on its circle may see an enemy, with
+    # the rounding margin, summed in the order __post_init__ sums it.
+    return cfg.patrol_radius + cfg.detection_radius + ON_CIRCLE_EPS + 1e-9 * cfg.map_size
+
+
 def _sight_bound(cfg):
-    # How far from the centre a drone on its circle may see an enemy, and
-    # with agents how far an agent on its orbit may log one's entry point.
+    # The scan reach, and with agents how far an agent on its orbit may log
+    # an enemy's entry point, if farther.
     if cfg.num_eas:
-        return max(cfg.scan_reach, cfg.ea_orbit_radius + cfg.ea_monitor_radius)
-    return cfg.scan_reach
+        return max(_scan_reach(cfg), cfg.ea_orbit_radius + cfg.ea_monitor_radius)
+    return _scan_reach(cfg)
 
 
 def _nearest_boundary_point(cfg):
@@ -684,7 +690,7 @@ def test_no_enemy_comes_within_sight_during_the_blind_window(exponent, edge, mov
     enemy = Enemy(0, point, 1)
     for _ in range(window):
         enemy.position = enemy_policy(enemy, cfg)
-    assert distance(enemy.position, cfg.center) > cfg.scan_reach, (window, cfg)
+    assert distance(enemy.position, cfg.center) > _scan_reach(cfg), (window, cfg)
     # Nor can a drone or an agent see it from its circle point nearest the
     # enemy, built as _sweep and ea_policy build theirs.
     (x, y), (cx, cy) = enemy.position, cfg.center
@@ -766,15 +772,15 @@ def _on_arc_enemies(world, cfg, case, near):
         enemy = Enemy(0, (math.nextafter(x, math.inf), y), 0)
         assert distance(p, enemy.position) > cfg.detection_radius
         return [enemy]
-    if case == "beyond scan_reach":
-        (cx, cy), r = cfg.center, cfg.scan_reach + 1e-6
+    if case == "beyond sight_bound":
+        (cx, cy), r = cfg.center, cfg.sight_bound + 1e-6
         enemies = [Enemy(i, (cx + r * math.cos(a), cy + r * math.sin(a)), 0) for i, a in enumerate(cfg.sector_centers)]
-        assert all(distance(e.position, cfg.center) > cfg.scan_reach for e in enemies)
+        assert all(distance(e.position, cfg.center) > cfg.sight_bound for e in enemies)
         return enemies
     return []
 
 
-ON_ARC_CASES = ["at detection_radius", "just beyond detection_radius", "no enemy", "beyond scan_reach"]
+ON_ARC_CASES = ["at detection_radius", "just beyond detection_radius", "no enemy", "beyond sight_bound"]
 
 
 @pytest.mark.parametrize("near", [0, 1, 2])
@@ -783,7 +789,7 @@ def test_a_drone_on_its_arc_point_moves_as_its_policy_moves_it(monkeypatch, case
     # Hand-built worlds at 0 agents: every drone on the arc point it was
     # sent to, compliant, malicious and reformed, with an enemy exactly at
     # detection_radius from drone `near` (a compliant, a malicious or a
-    # reformed one), just beyond it, none, or one beyond scan_reach at each
+    # reformed one), just beyond it, none, or one beyond sight_bound at each
     # drone's bearing. step() plays each drone as its policy plays it on a
     # copy of the world before the step, and scans once per drone.
     cfg = validate(apply_overrides(default_config(), first_spawn_step=5000))
@@ -825,10 +831,11 @@ def test_a_drone_on_its_arc_point_moves_as_its_policy_moves_it(monkeypatch, case
     st.one_of(st.just(0.0), st.floats(min_value=-1e-3, max_value=1e-3)),
     st.integers(0, 2**20),
 )
-def test_the_scan_reach_never_hides_a_threat(map_size, at, patrol, detection, drone_id, offset, way, turn, past):
+def test_the_sight_bound_never_hides_a_threat(map_size, at, patrol, detection, drone_id, offset, way, turn, past):
     # A drone on an arc point, built as the patrol builds it, and an enemy
-    # just past cfg.scan_reach from the centre, at about the drone's bearing:
-    # the drone's scan finds nothing, at any map scale.
+    # just past cfg.sight_bound from the centre, at about the drone's
+    # bearing: the drone's scan finds nothing, at any map scale. With no
+    # agent the bound is the drones' reach, the least it can be.
     fields = {name: getattr(default_config(), name) * (map_size / 120.0) for name in FLOAT_FIELDS}
     fields.update(
         map_size=map_size,
@@ -844,7 +851,8 @@ def test_the_scan_reach_never_hides_a_threat(map_size, at, patrol, detection, dr
     drone = Drone(id=drone_id, position=sent, role=COMPLIANT, patrol_dir=way, arc=(sent, offset * cfg.half_sector))
     x, y = pos = dynamics._sector_patrol_move(drone, cfg)
     assert drone.arc[0] == pos
-    (cx, cy), reach = cfg.center, cfg.scan_reach
+    assert cfg.sight_bound == _scan_reach(cfg)
+    (cx, cy), reach = cfg.center, cfg.sight_bound
     bearing = math.atan2(y - cy, x - cx) + turn
     for k in range(past, past + 1000):
         rho = reach + k * math.ulp(reach)
@@ -1175,7 +1183,7 @@ def test_a_drone_on_its_way_back_to_its_arc_is_played_in_the_stretch(r, at, slac
     world = _blind_world(cfg, at=at)
     d = _displaced(world, cfg, r)
     if slack is not None:
-        bound = max(_sight_bound(cfg), distance(d.position, cfg.center) - cfg.patrol_radius + cfg.scan_reach)
+        bound = _sight_bound(cfg) + max(0.0, distance(d.position, cfg.center) - cfg.patrol_radius)
         world.enemies = [Enemy(0, _on_bearing(cfg, d.position, bound + slack * cfg.enemy_move), at - 10)]
     played = _check_stretch(world, cfg, k)
     assert (played.drones[4].arc is not None and played.drones[4].arc[0] == played.drones[4].position) == back
@@ -1220,6 +1228,46 @@ def test_a_returning_drone_shortens_the_window_of_an_enemy_spawned_in_the_stretc
     assert math.ceil((distance(d.position, cfg.center) - cfg.patrol_radius) / cfg.enemy_move) == moves
     played = _check_stretch(world, cfg, k)
     assert [(e.kind, e.step) for e in played.events] == [("spawn", s) for s in range(103, 100 + k + 1, 4)]
+
+
+@pytest.mark.parametrize("first", [15, 1])
+@pytest.mark.parametrize("num_eas", [0, 1, 2])
+def test_a_stretch_from_step_0_runs_through_the_opening_without_agents(num_eas, first):
+    # initial_world's drones stand on their circles with no arc point yet
+    # and are played as returning drones; its agents have no orbit point
+    # yet, so with agents step 0 starts no stretch. With the circles inside
+    # no drone starts beyond a wall, the one case for which step() resolves
+    # interceptions at step 1, which a spawn at step 1 puts in the stretch.
+    cfg = validate(apply_overrides(default_config(), num_eas=num_eas, first_spawn_step=first))
+    world = initial_world(cfg, random.Random(1))
+    assert cfg.circles_inside and [d.arc for d in world.drones] == [None] * cfg.total_drones
+    if num_eas:
+        assert dynamics.blind_steps(world, cfg) == 0
+        return
+    opening = experiment.opening(cfg)
+    assert opening.step == first - 1 + cfg.blind_window == first + 18
+    played = _check_stretch(world, cfg, opening.step)
+
+    def placed(d):
+        return d.position, d.prev_position, d.arc, d.patrol_dir
+
+    assert [placed(d) for d in played.drones] == [placed(d) for d in opening.drones]
+    assert [(e.kind, e.step) for e in played.events] == [("spawn", s) for s in range(first, opening.step + 1, 15)]
+
+
+def test_an_infinite_sight_bound_has_no_window_to_shorten():
+    # Radii whose sum overflows: validate accepts them, sight_bound reads
+    # inf and no window lies beyond it. The steps before the first spawn
+    # are still blind, and a drone off its arc point (all of them at step
+    # 0) takes nothing from the empty window.
+    m = 4e307
+    floor = SPEED_FLOOR_ULPS * math.ulp(m)
+    fields = dict(map_size=m, center=(m / 2, m / 2), patrol_radius=m / 4, ea_orbit_radius=m / 8)
+    fields.update(detection_radius=1.7e308, drone_speed=2 * floor, enemy_speed=floor, time_limit_steps=40)
+    cfg = validate(apply_overrides(default_config(), **fields))
+    assert (cfg.sight_bound, cfg.circles_inside, cfg.intercept_skip, cfg.blind_window) == (math.inf, True, True, 0)
+    _check_stretch(initial_world(cfg, random.Random(1)), cfg, cfg.first_spawn - 1)
+    assert play(cfg, 1, mix_seed(9, 1)) == play(cfg, 1, mix_seed(9, 1), *SHORTCUTS)
 
 
 def test_a_stretch_that_reaches_the_time_limit_ends_the_episode_with_success():

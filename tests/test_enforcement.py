@@ -1,6 +1,7 @@
 """Enforcement agents: observation, suspicion, pursuit, reformation, failsafe."""
 
 import copy
+import dataclasses
 import math
 import random
 
@@ -300,6 +301,58 @@ def test_one_clean_observation_resets_the_count():
     update_suspicion(ea, observe(ea, world, cfg), world, cfg)
     assert 2 not in ea.suspicion
     assert ea.pursue_target is None
+
+
+def feinting_steps(cfg, pattern):
+    """Play the watched steps of a malicious drone 5 from an agent, beside a
+    threat 4 farther on, one per entry of pattern: "violate" stands still,
+    "feint" steps straight at the threat, inside the pursuit cone, and
+    "quiet" stands still with the threat out of its sight. Yields the agent
+    after each step."""
+    ea = ea_at(0, 60.0, 60.0)
+    world = make_world(drones=[drone_at(2, 65.0, 60.0, role=MALICIOUS)], eas=[ea], step_index=0)
+    for kind in pattern:
+        world.drones[0].position = (65.0, 60.0)
+        world.enemies = [Enemy(0, (69.0 if kind != "quiet" else 80.0, 60.0), 0)]
+        move_after_scan(world, cfg, {2: (1.0, 0.0) if kind == "feint" else (0.0, 0.0)})
+        assert (world.drones[0].threat is not None) == (kind != "quiet")
+        world.step += 1
+        update_suspicion(ea, observe(ea, world, cfg), world, cfg)
+        yield ea, world
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 5])
+def test_a_drone_that_feints_pursuit_once_in_every_p_watched_steps_is_accused_only_for_p_above_the_threshold(
+    threshold,
+):
+    # The blind spot of the rule that one clean verdict deletes the count: a
+    # malicious drone that violates p - 1 times and then moves inside the
+    # cone, over and over, never reaches the threshold for p <= threshold.
+    # For p > threshold it is accused at its threshold-th violation.
+    cfg = apply_overrides(default_config(), suspicion_threshold=threshold)
+    for p in range(1, threshold + 4):
+        pattern = (["violate"] * (p - 1) + ["feint"]) * (4 * threshold)
+        for i, (ea, world) in enumerate(feinting_steps(cfg, pattern), start=1):
+            raised = [(e.step, e.data["count"]) for e in world.events if e.kind == "suspicion_raised"]
+            if p > threshold and i >= threshold:
+                assert raised == [(threshold, threshold)], (p, i)
+                assert ea.pursue_target == 2
+                continue
+            assert (raised, ea.pursue_target) == ([], None), (p, i)
+            assert ea.suspicion == ({2: i % p} if i % p else {}), (p, i)
+
+
+def test_a_watched_step_in_which_the_suspect_saw_no_threat_deletes_its_count():
+    # A drone that violates threshold - 1 times, then stands still with no
+    # threat in sight while the agent watches, starts from none: the quiet
+    # step resets the count as a feint does, and the drone is never accused.
+    cfg = default_config()
+    t = cfg.suspicion_threshold
+    pattern = (["violate"] * (t - 1) + ["quiet"]) * 5
+    counts = [dict(ea.suspicion) for ea, _ in feinting_steps(cfg, pattern)]
+    assert counts == ([{2: i} for i in range(1, t)] + [{}]) * 5
+    *_, (ea, world) = feinting_steps(cfg, pattern)
+    assert ea.pursue_target is None and world.events == []
 
 
 def test_unobserved_drones_keep_their_suspicion():
@@ -605,6 +658,58 @@ def test_no_accepted_config_accuses_a_drone_that_was_not_malicious(cfg, seed):
         for e in logged:
             if e.kind == "suspicion_raised":
                 assert roles[e.data["drone"]] is MALICIOUS, e
+
+
+def _judged(world, cfg, roles):
+    """What observe, update_suspicion and ea_policy make of world, run for
+    every agent in id order, on copies of its drones given these roles and
+    of its agents, the threats and enemies shared: each agent's verdicts,
+    suspicion map, pursuit, target and orbit point, and the events logged."""
+    drones = [dataclasses.replace(d, role=role) for d, role in zip(world.drones, roles)]
+    eas = [dataclasses.replace(ea, suspicion=dict(ea.suspicion)) for ea in world.eas]
+    scene = WorldState(step=world.step, drones=drones, enemies=world.enemies, eas=eas)
+    judged = []
+    for ea in eas:
+        verdicts = observe(ea, scene, cfg)
+        update_suspicion(ea, verdicts, scene, cfg)
+        target = ea_policy(ea, scene, cfg)
+        judged.append((verdicts, ea.suspicion, ea.pursue_target, ea.pursue_since, target, ea.arc))
+    return judged, scene.events
+
+
+def test_agents_judge_behaviour_not_roles(monkeypatch):
+    # At every enforcement phase of 16 default two-agent runs and of 16 runs
+    # of criterion-6 configs with agents, the drones' roles shuffled among
+    # them, positions, prev_position and threats kept: the same verdicts,
+    # suspicion maps, pursuits, moves and events. Only attempt_reformation
+    # reads a role.
+    cases = [(apply_overrides(default_config(), num_eas=2), mix_seed(1, i)) for i in range(1, 17)]
+    rng = random.Random(20261021)
+    while len(cases) < 32:
+        cfg = random_valid_config(rng)
+        if cfg.num_eas and cfg.num_malicious:
+            cases.append((cfg, rng.randint(0, 2**32)))
+    real = enforcement.run_enforcement_phase
+    phases = {"shuffled": 0, "violations": 0, "accusations": 0}
+
+    def checked(world, cfg, threat):
+        roles = [d.role for d in world.drones]
+        shuffled = roles[:]
+        rng.shuffle(shuffled)
+        judged, events = _judged(world, cfg, roles)
+        assert _judged(world, cfg, shuffled) == (judged, events), (cfg, world.step, roles, shuffled)
+        phases["shuffled"] += shuffled != roles
+        phases["violations"] += any(True in verdicts.values() for verdicts, *_ in judged)
+        phases["accusations"] += any(e.kind == "suspicion_raised" for e in events)
+        return real(world, cfg, threat)
+
+    monkeypatch.setattr(enforcement, "run_enforcement_phase", checked)
+    for cfg, seed in cases:
+        played = random.Random(seed)
+        world = initial_world(cfg, played)
+        while world.outcome is None:
+            step(world, cfg, played)
+    assert phases["shuffled"] >= 5000 and phases["violations"] >= 50 and phases["accusations"] >= 5, phases
 
 
 def test_an_agent_stands_down_from_a_drone_that_was_not_malicious():

@@ -205,7 +205,7 @@ def test_the_line_kinds_of_each_source_file_sum_to_its_line_count(monkeypatch, t
 
 # The most lines of code, as tools/loc.py counts them, that src/sentinel may
 # hold. A change that needs more raises it and says why in CHANGES.md.
-CODE_LINE_BUDGET = 1214
+CODE_LINE_BUDGET = 1209
 
 
 def test_the_package_stays_within_its_code_line_budget(monkeypatch):
